@@ -21,7 +21,9 @@ from typing import Any
 
 from .errors import ConfigurationError
 from .rcdf import RcdfKind, RcdfSpec
-from .simulation import IntegratorChain, Pendulum, PlantModel, SimConfig, plant_order
+from .simulation import (
+    IntegratorChain, Pendulum, PlantModel, SimConfig, plant_description, plant_order,
+)
 from .synthesis import SynthesisConfig
 
 
@@ -293,19 +295,9 @@ def effective_config(spec: ExperimentSpec) -> dict:
     experiment (output paths come back absolute, which is intended: the
     report records what was actually written).
     """
-    if isinstance(spec.plant, IntegratorChain):
-        plant: dict = {"type": "chain", "n": spec.plant.n}
-    else:
-        plant = {
-            "type": "pendulum",
-            "length": spec.plant.length,
-            "mass": spec.plant.mass,
-            "gravity": spec.plant.gravity,
-            "friction": spec.plant.friction,
-        }
     return {
         "run_id": spec.run_id,
-        "plant": plant,
+        "plant": plant_description(spec.plant),
         "synthesis": {
             "c": spec.synthesis.c,
             "T_p": spec.synthesis.T_p,

@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from typing import Sequence
 
 from .errors import ConfigurationError
-from .simulation import Trajectory
+from .simulation import Pendulum, Trajectory, torque_map
 from .verification import SweepReport
 
 
@@ -207,17 +207,8 @@ def _torque_series(traj: Trajectory) -> list[float] | None:
     plant = traj.meta.get("plant", {})
     if plant.get("type") != "pendulum":
         return None
-    inertia = plant["mass"] * plant["length"] ** 2
-    out = []
-    for s in traj.samples:
-        out.append(
-            inertia * (
-                (plant["gravity"] / plant["length"]) * math.sin(s.x[0])
-                + (plant["friction"] / plant["mass"]) * s.x[1]
-                + s.u
-            )
-        )
-    return out
+    pendulum = Pendulum(plant["length"], plant["mass"], plant["gravity"], plant["friction"])
+    return [torque_map(pendulum, s.x, s.u) for s in traj.samples]
 
 
 def render_svg(traj: Trajectory, title: str, include_timestamp: bool = True) -> str:

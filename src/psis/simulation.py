@@ -31,7 +31,7 @@ not incidental solver details.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -92,6 +92,19 @@ PlantModel = Union[IntegratorChain, Pendulum]
 
 def plant_order(plant: PlantModel) -> int:
     return plant.n if isinstance(plant, IntegratorChain) else 2
+
+
+def plant_description(plant: PlantModel) -> dict:
+    """The plant as the configuration's plant section spells it."""
+    if isinstance(plant, IntegratorChain):
+        return {"type": "chain", "n": plant.n}
+    return {
+        "type": "pendulum",
+        "length": plant.length,
+        "mass": plant.mass,
+        "gravity": plant.gravity,
+        "friction": plant.friction,
+    }
 
 
 def torque_map(plant: Pendulum, x: Sequence[float], u: float) -> float:
@@ -372,13 +385,16 @@ def _adaptive_path(
             failed = True
 
         if not failed:
-            err = 0.0
-            for j in range(n):
-                e_j = h * (_E1 * k1[j] + _E3 * k3[j] + _E4 * k4[j] + _E5 * k5[j]
-                           + _E6 * k6[j] + _E7 * k7[j])
-                sc = atol + rtol * max(abs(y[j]), abs(y_new[j]))
-                err += (e_j / sc) ** 2
-            err = math.sqrt(err / n)
+            try:
+                err = 0.0
+                for j in range(n):
+                    e_j = h * (_E1 * k1[j] + _E3 * k3[j] + _E4 * k4[j] + _E5 * k5[j]
+                               + _E6 * k6[j] + _E7 * k7[j])
+                    sc = atol + rtol * max(abs(y[j]), abs(y_new[j]))
+                    err += (e_j / sc) ** 2
+                err = math.sqrt(err / n)
+            except OverflowError:
+                err = math.inf  # an error beyond the float range rejects the step
         else:
             err = math.inf
 
@@ -420,10 +436,6 @@ def _adaptive_path(
 
 # ---------------------------------------------------------------------------
 # closed-loop simulation
-
-
-def _new_stats() -> dict:
-    return {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
 
 
 def _pre_grid(cfg: SimConfig) -> list[float]:
@@ -496,30 +508,37 @@ class _Recorder:
         self.samples.append(Sample(t=t, x=x, u=0.0, z=None, V=None, dV=None))
 
 
+class _TorqueRecorder:
+    """Samples of the raw pendulum: the state and the applied torque, with
+    no error bookkeeping on either side of the instant."""
+
+    def __init__(self, torque_fn: Callable[[Sequence[float], float], float]):
+        self.torque_fn = torque_fn
+        self.samples: list[Sample] = []
+
+    def record_pre(self, t: float, x: Sequence[float]) -> None:
+        self.samples.append(
+            Sample(t=t, x=tuple(x), u=self.torque_fn(x, t), z=None, V=None, dV=None)
+        )
+
+    record_post = record_pre
+
+
 def _chain_rhs_factory(n: int, u_fn) -> Callable[[float, list[float]], list[float]]:
     def f(t: float, w: list[float]) -> list[float]:
-        dw = w[1:]
-        dw = list(dw)
+        dw = list(w[1:])
         dw.append(u_fn(w, t))
         return dw
     return f
 
 
 def _zero_input(w: Sequence[float], t: float) -> float:
-    """Input of the open-loop self-test: identically zero.
+    """Input of the open-loop self-test and of the chain after the instant.
 
     An uncontrolled chain cannot settle, so a trajectory produced with this
     input exercises the verifier's failure path on honest data.
     """
     return 0.0
-
-
-def _free_chain_rhs(n: int) -> Callable[[float, list[float]], list[float]]:
-    def f(t: float, w: list[float]) -> list[float]:
-        dw = list(w[1:])
-        dw.append(0.0)
-        return dw
-    return f
 
 
 def _check_compatibility(plant: PlantModel, controller: Controller, cfg: SimConfig) -> int:
@@ -537,20 +556,107 @@ def _check_compatibility(plant: PlantModel, controller: Controller, cfg: SimConf
     return n
 
 
-def _base_meta(plant: PlantModel, controller: Controller, cfg: SimConfig) -> dict:
-    if isinstance(plant, IntegratorChain):
-        plant_desc: dict = {"type": "chain", "n": plant.n}
-    else:
-        plant_desc = {
-            "type": "pendulum",
-            "length": plant.length,
-            "mass": plant.mass,
-            "gravity": plant.gravity,
-            "friction": plant.friction,
-        }
+@dataclass(frozen=True)
+class _Leg:
+    """One pre-instant stretch of integration on its own clock s.
+
+    rhs runs from s0 through stops, and labels[i] is the time t recorded at
+    stops[i].  With to_t set, accepted steps inside the terminal window are
+    recorded as well, at t = to_t(s).
+    """
+
+    rhs: Callable[[float, list[float]], list[float]]
+    s0: float
+    stops: Sequence[float]
+    labels: Sequence[float]
+    max_step: float
+    to_t: Callable[[float], float] | None = None
+
+
+def _run_phases(
+    cfg: SimConfig,
+    T_p: float,
+    legs: Sequence[_Leg],
+    w0: list[float],
+    rec,
+    rhs_cross: Callable[[float, list[float]], list[float]],
+    rhs_post: Callable[[float, list[float]], list[float]],
+    meta: dict,
+) -> Trajectory:
+    """The phase structure every simulation path shares.
+
+    Runs the legs up to the standoff, crosses the instant with one Euler step
+    of rhs_cross, records the state at T_p, and integrates rhs_post over the
+    post-instant grid.  rec supplies record_pre, record_post and samples.
+    meta plus the integrator counters labels the trajectory, and equally the
+    partial one attached to an integration breakdown.
+    """
+    stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
+    window_start = 0.95 * T_p
+
+    def trajectory() -> Trajectory:
+        return Trajectory(samples=rec.samples, meta={**meta, **stats})
+
+    rec.record_pre(0.0, w0)
+    w = w0
+    try:
+        for leg in legs:
+            on_step = None
+            if leg.to_t is not None:
+                def on_step(s: float, ww: list[float], to_t=leg.to_t) -> None:
+                    t = to_t(s)
+                    if t >= window_start:
+                        rec.record_pre(t, ww)
+            w = _adaptive_path(
+                leg.rhs, w, leg.s0, leg.stops,
+                rtol=cfg.rtol, atol=cfg.atol, max_step=leg.max_step, stats=stats,
+                on_stop=lambda i, s, ww, labels=leg.labels: rec.record_pre(labels[i], ww),
+                on_step=on_step,
+            )
+        w = _cross_instant(rhs_cross, w, cfg, stats)
+        rec.record_post(T_p, w)
+        post = _post_grid(cfg)
+        if post:
+            _adaptive_path(
+                rhs_post, w, T_p, post,
+                rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step, stats=stats,
+                on_stop=lambda i, t, ww: rec.record_post(t, ww),
+            )
+    except (StiffnessError, DivergenceError) as exc:
+        exc.partial = trajectory()
+        raise
+    return trajectory()
+
+
+def _cross_instant(rhs, w_std: list[float], cfg: SimConfig, stats: dict) -> list[float]:
+    """One Euler step of length eps_stop with the frozen last control."""
+    try:
+        f_std = _call_rhs(rhs, cfg.t_standoff, w_std, stats)
+    except _RhsFailure as exc:
+        raise DivergenceError(f"vector field invalid at the standoff: {exc}",
+                              cfg.t_standoff) from None
+    return [w_std[j] + cfg.eps_stop * f_std[j] for j in range(len(w_std))]
+
+
+def simulate(plant: PlantModel, controller: Controller, cfg: SimConfig) -> Trajectory:
+    """Run the closed loop and return the sampled trajectory.
+
+    Integrates on the clock cfg.mode names (see simulate_tau for "tau").  On
+    integrator breakdown the raised error carries the samples collected so
+    far in its `partial` attribute.
+    """
+    n = _check_compatibility(plant, controller, cfg)
     sc = controller.config
-    return {
-        "plant": plant_desc,
+    twin = zero_setpoint_twin(controller)
+    offset = (sc.c,) + (0.0,) * (n - 1)
+    w0 = [cfg.x0[j] - offset[j] for j in range(n)]
+    u_fn = _zero_input if cfg.open_loop else twin.compiled_u
+    rec = _Recorder(
+        cfg, offset, u_fn, twin.compiled_z,
+        tuple(s.eta for s in sc.stages), tuple(s.kind for s in sc.stages),
+    )
+    meta = {
+        "plant": plant_description(plant),
         "n": sc.n,
         "c": sc.c,
         "T_p": sc.T_p,
@@ -567,103 +673,30 @@ def _base_meta(plant: PlantModel, controller: Controller, cfg: SimConfig) -> dic
         "open_loop": cfg.open_loop,
         "t_standoff": cfg.t_standoff,
     }
-
-
-def simulate(plant: PlantModel, controller: Controller, cfg: SimConfig) -> Trajectory:
-    """Run the closed loop and return the sampled trajectory.
-
-    Dispatches on cfg.mode.  On integrator breakdown the raised error carries
-    the samples collected so far in its `partial` attribute.
-    """
-    if cfg.mode == "tau":
-        return simulate_tau(plant, controller, cfg)
-    n = _check_compatibility(plant, controller, cfg)
-    sc = controller.config
-    twin = zero_setpoint_twin(controller)
-    offset = (sc.c,) + (0.0,) * (n - 1)
-    w0 = [cfg.x0[j] - offset[j] for j in range(n)]
-
-    u_fn = _zero_input if cfg.open_loop else twin.compiled_u
-
-    rec = _Recorder(
-        cfg, offset, u_fn, twin.compiled_z,
-        tuple(s.eta for s in sc.stages), tuple(s.kind for s in sc.stages),
-    )
-    stats = _new_stats()
-    window_start = 0.95 * sc.T_p
-
-    rec.record_pre(0.0, w0)
     rhs = _chain_rhs_factory(n, u_fn)
-    try:
-        w_std = _adaptive_path(
-            rhs, w0, 0.0, _pre_grid(cfg),
-            rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step, stats=stats,
-            on_stop=lambda i, t, w: rec.record_pre(t, w),
-            on_step=lambda t, w: rec.record_pre(t, w) if t >= window_start else None,
-        )
-        w_after = _cross_instant(rhs, w_std, cfg, stats)
-        rec.record_post(sc.T_p, w_after)
-        post = _post_grid(cfg)
-        if post:
-            _adaptive_path(
-                _free_chain_rhs(n), w_after, sc.T_p, post,
-                rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step, stats=stats,
-                on_stop=lambda i, t, w: rec.record_post(t, w),
-            )
-    except (StiffnessError, DivergenceError) as exc:
-        exc.partial = Trajectory(samples=rec.samples, meta=_finish_meta(plant, controller, cfg, stats))
-        raise
-    return Trajectory(samples=rec.samples, meta=_finish_meta(plant, controller, cfg, stats))
-
-
-def _cross_instant(rhs, w_std: list[float], cfg: SimConfig, stats: dict) -> list[float]:
-    """One Euler step of length eps_stop with the frozen last control."""
-    try:
-        f_std = _call_rhs(rhs, cfg.t_standoff, w_std, stats)
-    except _RhsFailure as exc:
-        raise DivergenceError(f"vector field invalid at the standoff: {exc}",
-                              cfg.t_standoff) from None
-    return [w_std[j] + cfg.eps_stop * f_std[j] for j in range(len(w_std))]
-
-
-def _finish_meta(plant, controller, cfg, stats, **extra) -> dict:
-    meta = _base_meta(plant, controller, cfg)
-    meta.update(stats)
-    meta.update(extra)
-    return meta
+    legs = []
+    t0, pre = 0.0, _pre_grid(cfg)
+    if cfg.mode == "tau":
+        meta["tau_end"] = cfg.tau_end
+        legs.append(_tau_leg(cfg, sc.T_p, u_fn, pre))
+        # bridge what tau_end leaves short of the standoff on the plain clock
+        t0 = legs[0].labels[-1]
+        pre = [tk for tk in pre if tk > t0 * (1.0 + 1e-15)]
+    if pre:
+        legs.append(_Leg(rhs, t0, pre, pre, cfg.max_step, to_t=lambda t: t))
+    return _run_phases(
+        cfg, sc.T_p, legs, w0, rec, rhs, _chain_rhs_factory(n, _zero_input), meta
+    )
 
 
 _TAU_MAX_STEP = 0.05
 
 
-def simulate_tau(plant: PlantModel, controller: Controller, cfg: SimConfig) -> Trajectory:
-    """Run the closed loop on the stretched clock tau = -ln((T_p - t)/T_p).
-
-    The tau window [0, tau_end] covers t in [0, T_p(1 - exp(-tau_end))];
-    tau_end defaults to the value that lands exactly on the standoff.  If
-    tau_end stops short, the remaining pre-instant span is bridged on the
-    plain clock, so the trajectory always reaches the standoff, crosses the
-    instant, and continues to t_end like the direct mode.
-    """
-    n = _check_compatibility(plant, controller, cfg)
-    sc = controller.config
-    T_p = sc.T_p
-    twin = zero_setpoint_twin(controller)
-    offset = (sc.c,) + (0.0,) * (n - 1)
-    w0 = [cfg.x0[j] - offset[j] for j in range(n)]
-    u_fn = _zero_input if cfg.open_loop else twin.compiled_u
-
-    rec = _Recorder(
-        cfg, offset, u_fn, twin.compiled_z,
-        tuple(s.eta for s in sc.stages), tuple(s.kind for s in sc.stages),
-    )
-    stats = _new_stats()
-    window_start = 0.95 * T_p
-
+def _tau_leg(cfg: SimConfig, T_p: float, u_fn, pre: list[float]) -> _Leg:
+    """The leg on tau = -ln((T_p - t)/T_p) over [0, min(tau_end, tau at the
+    standoff)], stopping at every point of the pre-instant grid it covers."""
     tau_star = math.log(T_p / cfg.eps_stop)  # tau at the standoff
     tau_eff = min(cfg.tau_end, tau_star)
-
-    pre = _pre_grid(cfg)  # includes the standoff as its last entry
     tau_stops: list[float] = []
     t_labels: list[float] = []
     for tk in pre:
@@ -682,52 +715,21 @@ def simulate_tau(plant: PlantModel, controller: Controller, cfg: SimConfig) -> T
         dw.append(u_fn(w, t))
         return [gap * v for v in dw]
 
-    def on_stop(i: int, tau: float, w: list[float]) -> None:
-        rec.record_pre(t_labels[i], w)
+    return _Leg(rhs_tau, 0.0, tau_stops, t_labels, _TAU_MAX_STEP,
+                to_t=lambda tau: -T_p * math.expm1(-tau))
 
-    def on_step(tau: float, w: list[float]) -> None:
-        t = -T_p * math.expm1(-tau)
-        if t >= window_start:
-            rec.record_pre(t, w)
 
-    rec.record_pre(0.0, w0)
-    rhs_direct = _chain_rhs_factory(n, u_fn)
-    try:
-        w = _adaptive_path(
-            rhs_tau, w0, 0.0, tau_stops,
-            rtol=cfg.rtol, atol=cfg.atol, max_step=_TAU_MAX_STEP, stats=stats,
-            on_stop=on_stop, on_step=on_step,
-        )
-        if not reached_standoff:
-            # bridge the remaining pre-instant span on the plain clock
-            t_handoff = t_labels[-1]
-            remaining = [tk for tk in pre if tk > t_handoff * (1.0 + 1e-15)]
-            if remaining:
-                w = _adaptive_path(
-                    rhs_direct, w, t_handoff, remaining,
-                    rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step, stats=stats,
-                    on_stop=lambda i, t, ww: rec.record_pre(t, ww),
-                    on_step=lambda t, ww: rec.record_pre(t, ww) if t >= window_start else None,
-                )
-        w_after = _cross_instant(rhs_direct, w, cfg, stats)
-        rec.record_post(T_p, w_after)
-        post = _post_grid(cfg)
-        if post:
-            _adaptive_path(
-                _free_chain_rhs(n), w_after, T_p, post,
-                rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step, stats=stats,
-                on_stop=lambda i, t, ww: rec.record_post(t, ww),
-            )
-    except (StiffnessError, DivergenceError) as exc:
-        exc.partial = Trajectory(
-            samples=rec.samples,
-            meta=_finish_meta(plant, controller, cfg, stats, tau_end=cfg.tau_end),
-        )
-        raise
-    return Trajectory(
-        samples=rec.samples,
-        meta=_finish_meta(plant, controller, cfg, stats, tau_end=cfg.tau_end),
-    )
+def simulate_tau(plant: PlantModel, controller: Controller, cfg: SimConfig) -> Trajectory:
+    """Run the closed loop on the stretched clock tau = -ln((T_p - t)/T_p),
+    whatever cfg.mode says.
+
+    The tau window [0, tau_end] covers t in [0, T_p(1 - exp(-tau_end))];
+    tau_end defaults to the value that lands exactly on the standoff.  If
+    tau_end stops short, the remaining pre-instant span is bridged on the
+    plain clock, so the trajectory always reaches the standoff, crosses the
+    instant, and continues to t_end like the direct mode.
+    """
+    return simulate(plant, controller, replace(cfg, mode="tau"))
 
 
 def simulate_pendulum_raw(
@@ -752,48 +754,17 @@ def simulate_pendulum_raw(
     def rhs(t: float, x: list[float]) -> list[float]:
         return [x[1], pendulum_accel(plant, x, torque_fn(x, t))]
 
-    samples: list[Sample] = []
-    stats = _new_stats()
-
-    def record(t: float, x: Sequence[float]) -> None:
-        samples.append(
-            Sample(t=t, x=tuple(x), u=torque_fn(x, t), z=None, V=None, dV=None)
-        )
-
-    record(0.0, cfg.x0)
-    x = list(cfg.x0)
-    try:
-        x = _adaptive_path(
-            rhs, x, 0.0, _pre_grid(cfg),
-            rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step, stats=stats,
-            on_stop=lambda i, t, xx: record(t, xx),
-        )
-        x = _cross_instant(rhs, x, cfg, stats)
-        record(cfg.T_p, x)
-        post = _post_grid(cfg)
-        if post:
-            x = _adaptive_path(
-                rhs, x, cfg.T_p, post,
-                rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step, stats=stats,
-                on_stop=lambda i, t, xx: record(t, xx),
-            )
-    except (StiffnessError, DivergenceError) as exc:
-        exc.partial = Trajectory(samples=samples, meta={"raw": True, **stats})
-        raise
     meta = {
         "raw": True,
-        "plant": {
-            "type": "pendulum",
-            "length": plant.length,
-            "mass": plant.mass,
-            "gravity": plant.gravity,
-            "friction": plant.friction,
-        },
+        "plant": plant_description(plant),
         "T_p": cfg.T_p,
         "eps_stop": cfg.eps_stop,
         "t_standoff": cfg.t_standoff,
         "x0": list(cfg.x0),
         "t_end": cfg.t_end,
-        **stats,
     }
-    return Trajectory(samples=samples, meta=meta)
+    pre = _pre_grid(cfg)
+    return _run_phases(
+        cfg, cfg.T_p, [_Leg(rhs, 0.0, pre, pre, cfg.max_step)], list(cfg.x0),
+        _TorqueRecorder(torque_fn), rhs, rhs, meta,
+    )

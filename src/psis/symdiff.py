@@ -490,12 +490,6 @@ _UNARY_NAMES = {
 _BINARY_SYMBOLS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
-def _fmt_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return repr(v)  # keeps the trailing .0, e.g. '3.0'
-    return repr(v)
-
-
 def to_infix(expr: Expr) -> str:
     """Render expr as fully parenthesized infix text.
 
@@ -503,7 +497,7 @@ def to_infix(expr: Expr) -> str:
     a prefix minus, powers use the caret.
     """
     if isinstance(expr, Const):
-        return _fmt_number(expr.value)
+        return repr(expr.value)  # keeps the trailing .0, e.g. '3.0'
     if isinstance(expr, StateVar):
         return f"x{expr.index}"
     if isinstance(expr, TimeVar):

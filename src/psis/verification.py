@@ -401,7 +401,7 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepReport:
     rows: tuple[SweepRow, ...]
-    spread: float | None        # max |t_settle - T_p| over certified runs
+    spread: float | None        # max |t_settle - T_p| over settled certified runs
     spread_bound: float
     verdict: str                # "pass" or "fail"
 
@@ -473,9 +473,11 @@ def sweep_initial_conditions(
     failed = not certified or any(r.error is not None for r in rows) or any(
         not ev.two_sided for ev in certified
     )
+    # a run that never settles has already failed its two-sided check
+    settled = [ev.t_settle for ev in certified if ev.t_settle is not None]
     spread = None
-    if certified:
-        spread = max(abs(ev.t_settle - T_p) for ev in certified)
+    if settled:
+        spread = max(abs(t - T_p) for t in settled)
         if spread > spread_bound * T_p:
             failed = True
     verdict = "fail" if failed else "pass"

@@ -263,6 +263,23 @@ class TestSweep:
         assert main(["sweep", "--config", cfg]) == 4
         assert "verdict: fail" in capsys.readouterr().out
 
+    def test_unsettled_run_fails_the_sweep(self, tmp_path, capsys):
+        data = chain_data(
+            plant={"type": "chain", "n": 3},
+            synthesis={
+                "c": 0.0,
+                "T_p": 1.0,
+                "stages": [{"kind": "logexp", "eta": e} for e in (4.0, 3.0, 2.0)],
+            },
+            sim={"x0": [1.0, 0.0, 0.0], "sample_dt": 2.5e-4},
+            verify={"scales": [1.0, 100.0]},
+        )
+        cfg = write_config(tmp_path, data)
+        assert main(["sweep", "--config", cfg]) == 4
+        text = capsys.readouterr().out
+        assert "scale 100: fail t_settle=None" in text
+        assert "verdict: fail" in text
+
     def test_error_row_fails_the_sweep(self, tmp_path, capsys):
         data = {
             "run_id": "mix",

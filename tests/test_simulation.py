@@ -24,6 +24,7 @@ from psis.simulation import (
     plant_order,
     simulate,
     simulate_pendulum_raw,
+    simulate_tau,
     torque_map,
 )
 from psis.synthesis import SynthesisConfig, eval_control, synthesize
@@ -279,6 +280,22 @@ class TestBreakdownReporting:
         partial = info.value.partial
         assert partial.samples
         assert all(s.t <= 0.21 for s in partial.samples)
+        # a partial run is labelled like a complete one
+        complete = simulate_pendulum_raw(plant, cfg, lambda x, t: 0.0)
+        assert partial.meta.keys() == complete.meta.keys()
+        assert partial.meta["plant"] == complete.meta["plant"]
+        assert partial.meta["T_p"] == 1.0
+        assert partial.meta["steps_rejected"] > 0
+
+    def test_overflowing_error_estimate_rejects_the_step(self):
+        # the trial steps of this start overflow the squared error norm; such
+        # a step is rejected and retried smaller, not a traceback
+        ctrl = make_controller(n=4, etas=(4.5, 3.5, 2.5, 1.5), kind=RcdfKind.TAN)
+        cfg = SimConfig(x0=(1.0, 0.0, 0.0, 0.0), T_p=1.0, t_end=1.2)
+        traj = simulate(IntegratorChain(4), ctrl, cfg)
+        assert len(traj.samples) == 1668
+        assert traj.samples[-1].t == 1.2
+        assert traj.meta["steps_rejected"] > 0
 
 
 class TestTauClock:
@@ -297,6 +314,11 @@ class TestTauClock:
         assert cfg_t.t_standoff in times_t
         assert tt.meta["mode"] == "tau"
         assert tt.meta["tau_end"] == cfg_t.tau_end
+        # simulate_tau runs the tau clock whatever the config says, and says so
+        forced = simulate_tau(IntegratorChain(2), ctrl, cfg_d)
+        assert forced.samples == tt.samples
+        assert forced.meta["mode"] == "tau"
+        assert forced.meta["tau_end"] == cfg_d.tau_end
 
     def test_agrees_with_direct_mode(self):
         ctrl = make_controller(c=0.15, T_p=0.5)

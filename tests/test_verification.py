@@ -397,6 +397,19 @@ class TestSweep:
         assert by_scale[1.0].evidence is not None
         assert report.verdict == "fail"
 
+    def test_unsettled_run_fails_and_stays_out_of_the_spread(self):
+        # at scale 100 the saturating logexp kernel never reaches tolerance
+        ctrl = make_controller(n=3, etas=(4.0, 3.0, 2.0), kind=RcdfKind.LOGEXP)
+        cfg = SimConfig(x0=(1.0, 0.0, 0.0), T_p=1.0, t_end=1.2, sample_dt=2.5e-4)
+        report = sweep_initial_conditions(
+            IntegratorChain(3), ctrl, cfg, scales=(1.0, 100.0)
+        )
+        settled, unsettled = (r.evidence for r in report.rows)
+        assert unsettled.t_settle is None and not unsettled.degenerate
+        assert settled.two_sided
+        assert report.verdict == "fail"
+        assert report.spread == abs(settled.t_settle - 1.0)
+
     def test_tight_spread_bound_fails(self):
         ctrl = make_controller()
         cfg = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2)

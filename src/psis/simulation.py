@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence, Union
 
-import numpy as np
-
 from .errors import (
     AuditError,
     ConfigurationError,
@@ -141,6 +139,10 @@ def pendulum_energy(plant: Pendulum, x: Sequence[float]) -> float:
 
 _MODES = ("direct", "tau")
 
+# Largest t_end / sample_dt a run may ask for.  Every grid point becomes a
+# sample, so the cap keeps a long horizon from exhausting memory.
+_MAX_GRID_POINTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -185,6 +187,12 @@ class SimConfig:
                 "sample_dt must lie in [10*eps_stop, T_p/10], "
                 f"got {self.sample_dt!r}"
             )
+        points = self.t_end / self.sample_dt
+        if points > _MAX_GRID_POINTS:
+            raise ConfigurationError(
+                f"t_end / sample_dt asks for {points:.6g} sample points, more than "
+                f"the limit of {_MAX_GRID_POINTS}; raise sample_dt or lower t_end"
+            )
         if not (0.0 < self.rtol < 1.0) or not (0.0 < self.atol < 1.0):
             raise ConfigurationError(
                 f"rtol and atol must lie in (0, 1), got rtol={self.rtol!r} atol={self.atol!r}"
@@ -225,25 +233,29 @@ class Trajectory:
     samples: list[Sample]
     meta: dict = field(default_factory=dict)
 
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
+    def times(self) -> list[float]:
+        return [s.t for s in self.samples]
 
-    def states(self) -> np.ndarray:
-        return np.array([s.x for s in self.samples])
+    def states(self) -> list[tuple[float, ...]]:
+        return [s.x for s in self.samples]
 
-    def controls(self) -> np.ndarray:
-        return np.array([s.u for s in self.samples])
+    def controls(self) -> list[float]:
+        return [s.u for s in self.samples]
 
-    def pre_instant_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(t, z, V, dV) arrays over the samples strictly before T_p."""
+    def pre_instant_arrays(
+        self,
+    ) -> tuple[list[float], list[tuple[float, ...]], list[float], list[float]]:
+        """(t, z, V, dV) lists over the samples strictly before T_p; z holds
+        the recorded stage-error tuples."""
         pre = [s for s in self.samples if s.z is not None]
         if not pre:
             raise AuditError("trajectory has no samples before the prescribed instant")
-        t = np.array([s.t for s in pre])
-        z = np.array([s.z for s in pre])
-        V = np.array([s.V for s in pre])
-        dV = np.array([s.dV for s in pre])
-        return t, z, V, dV
+        return (
+            [s.t for s in pre],
+            [s.z for s in pre],
+            [s.V for s in pre],
+            [s.dV for s in pre],
+        )
 
     def sample_at(self, t_query: float) -> Sample:
         """Sample recorded at exactly t_query (within a relative 1e-12)."""
@@ -294,6 +306,10 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 
+# What float arithmetic in a vector field or a control law raises.
+_ARITHMETIC_ERRORS = (OverflowError, ZeroDivisionError, ValueError)
+
+
 class _RhsFailure(Exception):
     """Internal: the vector field raised or returned garbage at a trial point."""
 
@@ -302,11 +318,16 @@ def _call_rhs(f, t: float, y: list[float], stats: dict) -> list[float]:
     stats["rhs_evals"] += 1
     try:
         out = f(t, y)
-    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+    except _ARITHMETIC_ERRORS as exc:
         raise _RhsFailure(str(exc)) from None
     if not all(math.isfinite(v) for v in out):
         raise _RhsFailure("non-finite derivative")
     return out
+
+
+def _estimate_text(err: float | None) -> str:
+    """The last scaled error estimate, for step-control diagnostics."""
+    return "none yet" if err is None else f"{err:.3e}"
 
 
 def _adaptive_path(
@@ -327,7 +348,8 @@ def _adaptive_path(
     stops must be strictly increasing and start after t0.  Steps are clipped
     so each stop is hit exactly; on_stop(i, t, y) fires at stops[i], and
     on_step fires at accepted step boundaries between stops.  Returns the
-    state at the final stop.
+    state at the final stop.  A StiffnessError names the step size and the
+    last scaled error estimate (inf for a trial the vector field rejected).
     """
     n = len(y0)
     y = [float(v) for v in y0]
@@ -339,13 +361,17 @@ def _adaptive_path(
 
     h = min(max_step, (stops[-1] - t0) / 10.0, stops[0] - t0)
     err_prev = 1.0
+    err = None  # scaled error estimate of the last trial step
     rejected_streak = 0
     just_rejected = False
     stop_idx = 0
 
     while True:
         if stats["steps_accepted"] + stats["steps_rejected"] > _STEP_BUDGET:
-            raise StiffnessError("step budget exhausted", t)
+            raise StiffnessError(
+                f"step budget of {_STEP_BUDGET} steps exhausted "
+                f"(h={h:.3e}, last error estimate {_estimate_text(err)})", t
+            )
         target = stops[stop_idx]
         remaining = target - t
         hitting = False
@@ -353,7 +379,10 @@ def _adaptive_path(
             h = remaining
             hitting = True
         if h <= 1e-14 * max(abs(t), abs(stops[-1]), 1.0) and not hitting:
-            raise StiffnessError(f"step size collapsed to {h:.3e}", t)
+            raise StiffnessError(
+                f"step size collapsed to {h:.3e} after {rejected_streak} rejected "
+                f"steps in a row (last error estimate {_estimate_text(err)})", t
+            )
 
         failed = False
         try:
@@ -426,7 +455,8 @@ def _adaptive_path(
             just_rejected = True
             if rejected_streak > _MAX_CONSECUTIVE_REJECTS:
                 raise StiffnessError(
-                    f"{rejected_streak} consecutive rejected steps", t
+                    f"{rejected_streak} consecutive rejected steps "
+                    f"(h={h:.3e}, last error estimate {_estimate_text(err)})", t
                 )
             if math.isinf(err):
                 h *= 0.25
@@ -589,7 +619,9 @@ def _run_phases(
     of rhs_cross, records the state at T_p, and integrates rhs_post over the
     post-instant grid.  rec supplies record_pre, record_post and samples.
     meta plus the integrator counters labels the trajectory, and equally the
-    partial one attached to an integration breakdown.
+    partial one attached to an integration breakdown.  A pre-instant sample
+    whose control or stage errors fail in float arithmetic ends the run with
+    a DivergenceError at that sample's t.
     """
     stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
     window_start = 0.95 * T_p
@@ -597,20 +629,26 @@ def _run_phases(
     def trajectory() -> Trajectory:
         return Trajectory(samples=rec.samples, meta={**meta, **stats})
 
-    rec.record_pre(0.0, w0)
+    def record_pre(t: float, w: Sequence[float]) -> None:
+        try:
+            rec.record_pre(t, w)
+        except _ARITHMETIC_ERRORS as exc:
+            raise DivergenceError(f"sample could not be evaluated: {exc}", t) from None
+
     w = w0
     try:
+        record_pre(0.0, w0)
         for leg in legs:
             on_step = None
             if leg.to_t is not None:
                 def on_step(s: float, ww: list[float], to_t=leg.to_t) -> None:
                     t = to_t(s)
                     if t >= window_start:
-                        rec.record_pre(t, ww)
+                        record_pre(t, ww)
             w = _adaptive_path(
                 leg.rhs, w, leg.s0, leg.stops,
                 rtol=cfg.rtol, atol=cfg.atol, max_step=leg.max_step, stats=stats,
-                on_stop=lambda i, s, ww, labels=leg.labels: rec.record_pre(labels[i], ww),
+                on_stop=lambda i, s, ww, labels=leg.labels: record_pre(labels[i], ww),
                 on_step=on_step,
             )
         w = _cross_instant(rhs_cross, w, cfg, stats)

@@ -29,8 +29,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import AuditError, ConfigurationError, DomainError, IntegrationError
 from .rcdf import RcdfKind, zeta
 from .simulation import PlantModel, SimConfig, Trajectory, simulate
@@ -75,25 +73,33 @@ def settling_instant(
     t, z, _, _ = traj.pre_instant_arrays()
     if abs(t[-1] - t_standoff) > 1e-12 * T_p:
         raise AuditError("trajectory is missing its sample at the standoff")
-    norms = np.linalg.norm(z, axis=1)
+    norms = []
+    for zi in z:
+        # an explicit left-to-right sum: sum() compensates float sums from
+        # Python 3.12 on, which would move the last bits between versions
+        acc = 0.0
+        for v in zi:
+            acc += v * v
+        norms.append(math.sqrt(acc))
 
     window_end = window_factor * T_p
-    in_window = t <= window_end
-    if not np.any(in_window):
+    in_window = [nm for ti, nm in zip(t, norms) if ti <= window_end]
+    if not in_window:
         raise AuditError("no samples inside the pre-instant window")
-    pre_floor = float(norms[in_window].min())
+    pre_floor = min(in_window)
+    if any(math.isnan(nm) for nm in in_window):
+        pre_floor = math.nan  # an unresolved sample must block certification
 
-    inside = norms <= tol
-    if not inside[-1]:
+    if not norms[-1] <= tol:
         t_settle = None
     else:
         # earliest index from which the norm stays inside through the standoff
         idx = len(norms) - 1
-        while idx > 0 and inside[idx - 1]:
+        while idx > 0 and norms[idx - 1] <= tol:
             idx -= 1
         t_settle = float(t[idx])
 
-    degenerate = bool(inside[0])
+    degenerate = norms[0] <= tol
     two_sided = (
         not degenerate
         and t_settle is not None
@@ -105,10 +111,10 @@ def settling_instant(
         t_settle=t_settle,
         tol=tol,
         window_end=window_end,
-        pre_window_floor=pre_floor,
+        pre_window_floor=float(pre_floor),
         norm_at_standoff=float(norms[-1]),
         degenerate=degenerate,
-        two_sided=bool(two_sided),
+        two_sided=two_sided,
     )
 
 

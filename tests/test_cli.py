@@ -147,6 +147,13 @@ class TestConfigFailures:
         assert main(["simulate", "--config", cfg]) == 2
         assert "synthesis" in capsys.readouterr().err
 
+    def test_oversized_sample_grid(self, tmp_path, capsys):
+        data = chain_data()
+        data["sim"]["t_end"] = 1e6
+        cfg = write_config(tmp_path, data)
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "sample points" in capsys.readouterr().err
+
     def test_bad_scales_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path, chain_data())
         assert main(["sweep", "--config", cfg, "--scales", "a,b"]) == 2
@@ -175,6 +182,19 @@ class TestIntegrationFailure:
         assert lines[0] == "t,x1,z1,u,V,dV"
         assert len(lines) >= 2
         assert not (tmp_path / "blow.csv").exists()
+
+
+    def test_unevaluable_control_exits_three_with_a_reason(self, tmp_path, capsys):
+        data = chain_data()
+        data["synthesis"]["T_p"] = 1e-200
+        cfg = write_config(tmp_path, data)
+        assert main(["simulate", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "integration failed at t=0: " in err
+        assert "division by zero" in err
+        assert "Traceback" not in err
+        # nothing was recorded, so there is no partial file either
+        assert {p.name for p in tmp_path.iterdir()} == {"exp.json"}
 
 
 class TestVerify:

@@ -107,6 +107,15 @@ class TestSimConfig:
         with pytest.raises(ConfigurationError):
             SimConfig(x0=(1.0,), T_p=1.0, t_end=1.2, tau_end=-1.0)
 
+    def test_sample_grid_is_capped(self):
+        # the default grid of a 1e6 horizon is 5e8 points; validation refuses
+        # it before anything is allocated
+        with pytest.raises(ConfigurationError, match="5e\\+08 sample points"):
+            SimConfig(x0=(1.0,), T_p=1.0, t_end=1e6)
+        # the cap counts t_end / sample_dt: one million points still pass
+        cfg = SimConfig(x0=(1.0,), T_p=1.0, t_end=2000.0)
+        assert cfg.t_end / cfg.sample_dt == 1e6
+
 
 class TestTrajectoryContainer:
     def test_sample_at_exact_hit_and_miss(self):
@@ -130,9 +139,12 @@ class TestTrajectoryContainer:
             Sample(t=1.0, x=(0.0, 0.0), u=0.0, z=None, V=None, dV=None),
         ]
         traj = Trajectory(samples=samples, meta={})
-        assert traj.times().tolist() == [0.0, 1.0]
-        assert traj.states().shape == (2, 2)
-        assert traj.controls().tolist() == [0.5, 0.0]
+        assert traj.times() == [0.0, 1.0]
+        assert traj.states() == [(1.0, 2.0), (0.0, 0.0)]
+        assert [len(x) for x in traj.states()] == [2, 2]
+        assert traj.controls() == [0.5, 0.0]
+        t, z, V, dV = traj.pre_instant_arrays()
+        assert (t, z, V, dV) == ([0.0], [(1.0, 2.0)], [5.0], [-1.0])
 
 
 class TestClosedLoopPhases:
@@ -286,6 +298,33 @@ class TestBreakdownReporting:
         assert partial.meta["plant"] == complete.meta["plant"]
         assert partial.meta["T_p"] == 1.0
         assert partial.meta["steps_rejected"] > 0
+
+    def test_unevaluable_sample_is_divergence(self):
+        # (T_p - t)**2 underflows to zero in the compiled control at t=0,
+        # outside any integrator step
+        ctrl = make_controller(T_p=1e-200)
+        cfg = SimConfig(x0=(1.0, 0.0), T_p=1e-200, t_end=1.2e-200)
+        with pytest.raises(DivergenceError, match="division by zero") as info:
+            simulate(IntegratorChain(2), ctrl, cfg)
+        assert info.value.t == 0.0
+        assert info.value.partial.samples == []
+        assert info.value.partial.meta["T_p"] == 1e-200
+
+    def test_stiff_start_names_step_size_and_error_estimate(self):
+        ctrl = make_controller(n=4, etas=(5.0, 4.0, 3.0, 2.0), kind=RcdfKind.TAN)
+        for mode in ("direct", "tau"):
+            cfg = SimConfig(x0=(10.0, 0.0, 0.0, 0.0), T_p=1.0, t_end=1.2,
+                            sample_dt=2.5e-4, mode=mode)
+            with pytest.raises(StiffnessError) as info:
+                simulate(IntegratorChain(4), ctrl, cfg)
+            assert info.value.t == 0.0
+            text = str(info.value)
+            assert text.startswith("step size collapsed to ")
+            assert "rejected steps in a row" in text
+            assert "last error estimate " in text
+            estimate = float(text.rsplit("last error estimate ", 1)[1].rstrip(")"))
+            assert estimate > 1.0  # the trial that triggered the collapse failed
+            assert len(info.value.partial.samples) == 1
 
     def test_overflowing_error_estimate_rejects_the_step(self):
         # the trial steps of this start overflow the squared error norm; such

@@ -101,6 +101,16 @@ class TestSettlingInstant:
         assert ev.pre_window_floor == 5e-5
         assert not ev.two_sided
 
+    def test_unresolved_sample_blocks_certification(self):
+        # a NaN norm in the pre-window must not be skipped by the floor
+        for nan_at in (0.0, 0.3):
+            points = [(0.0, 2.0), (0.3, 1.0), (0.6, 0.5), (0.95, 5e-5), (T_STD, 1e-6)]
+            points = [(t, math.nan if t == nan_at else v) for t, v in points]
+            ev = settling_instant(hand_trajectory(points), tol=1e-4)
+            assert math.isnan(ev.pre_window_floor)
+            assert ev.t_settle == 0.95
+            assert not ev.two_sided
+
     def test_never_settles(self):
         traj = hand_trajectory([(0.0, 2.0), (0.5, 1.0), (T_STD, 0.5)])
         ev = settling_instant(traj, tol=1e-4)

@@ -85,6 +85,15 @@ def _parse_scales(text: str) -> list[float]:
     return scales
 
 
+def _integrator_block(meta: dict) -> dict:
+    """The integrator counters a report carries."""
+    return {
+        "steps_accepted": meta["steps_accepted"],
+        "steps_rejected": meta["steps_rejected"],
+        "rhs_evals": meta["rhs_evals"],
+    }
+
+
 def _cmd_synthesize(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     controller = synthesize(spec.synthesis)
     print(describe(controller))
@@ -112,11 +121,7 @@ def _cmd_simulate(spec: ExperimentSpec, args: argparse.Namespace) -> int:
             "command": "simulate",
             "run_id": spec.run_id,
             "config": effective_config(spec),
-            "integrator": {
-                "steps_accepted": traj.meta["steps_accepted"],
-                "steps_rejected": traj.meta["steps_rejected"],
-                "rhs_evals": traj.meta["rhs_evals"],
-            },
+            "integrator": _integrator_block(traj.meta),
             "n_samples": len(traj.samples),
             "files": {"csv": paths.csv, "svg": paths.svg},
         })
@@ -170,6 +175,7 @@ def _cmd_verify(spec: ExperimentSpec, args: argparse.Namespace) -> int:
             "command": "verify",
             "run_id": spec.run_id,
             "config": effective_config(spec),
+            "integrator": _integrator_block(traj.meta),
             "tolerance": tol,
             "settling": {
                 "t_settle": evidence.t_settle,
@@ -264,6 +270,7 @@ def _cmd_sweep(spec: ExperimentSpec, args: argparse.Namespace) -> int:
             "two_sided": None if ev is None else ev.two_sided,
             "degenerate": None if ev is None else ev.degenerate,
             "error": row.error,
+            "integrator": None if row.traj is None else _integrator_block(row.traj.meta),
         })
     if spec.output.report:
         out.write_report(spec.output.report, {

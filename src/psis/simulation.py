@@ -22,16 +22,23 @@ Two coordinate choices matter for accuracy:
 
 The integrator is a Dormand-Prince 5(4) embedded pair with the first-same-
 as-last evaluation reused across accepted steps and a PI step-size
-controller.  It is hand-rolled because the surrounding contracts (never
+controller.  It is written here because the surrounding contracts (never
 stepping past the standoff, landing exactly on scheduled times, rejected-
 step accounting, bit-for-bit determinism) are part of this module's job,
-not incidental solver details.
+not incidental solver details.  The step loop exists once, as a template:
+on first use for a state dimension n it is unrolled over n scalar locals
+and compiled, the way symdiff.compile_expr compiles a control law, so a
+stage costs no per-component list or generator.  Every component keeps
+the float operations of a loop over lists, in the same order, so the
+samples and counters are the same bits either way.
 """
 
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass, field, replace
+from operator import add
 from typing import Callable, Sequence, Union
 
 from .errors import (
@@ -330,6 +337,224 @@ def _estimate_text(err: float | None) -> str:
     return "none yet" if err is None else f"{err:.3e}"
 
 
+# The step loop, written once.  $-names are filled in per state dimension by
+# _stepper_source: every vector is spelt out as scalar locals, so a stage
+# costs no list comprehension, no generator and no helper call.
+_STEPPER_TEMPLATE = string.Template('''\
+def stepper(f, y_start, t0, stops, rtol, atol, max_step, stats, on_stop, on_step):
+    [$y] = [float(v) for v in y_start]
+    t = t0
+    t_span = abs(stops[-1])
+    budget = _STEP_BUDGET - (stats["steps_accepted"] + stats["steps_rejected"])
+    accepted = rejected = rhs_evals = 0
+    try:
+        rhs_evals += 1
+        try:
+            [$k1] = f(t, [$y])
+        except _ARITHMETIC_ERRORS as exc:
+            raise DivergenceError(f"vector field invalid at start: {exc}", t0) from None
+        if not ($k1_finite):
+            raise DivergenceError(
+                "vector field invalid at start: non-finite derivative", t0)
+
+        h = min(max_step, (stops[-1] - t0) / 10.0, stops[0] - t0)
+        err_prev = 1.0
+        err = None  # scaled error estimate of the last trial step
+        rejected_streak = 0
+        just_rejected = False
+        stop_idx = 0
+
+        while True:
+            if accepted + rejected > budget:
+                raise StiffnessError(
+                    f"step budget of {_STEP_BUDGET} steps exhausted "
+                    f"(h={h:.3e}, last error estimate {_estimate_text(err)})", t
+                )
+            target = stops[stop_idx]
+            remaining = target - t
+            hitting = False
+            if h >= remaining * (1.0 - 1e-10):
+                h = remaining
+                hitting = True
+            elif h <= 1e-14 * max(abs(t), t_span):
+                raise StiffnessError(
+                    f"step size collapsed to {h:.3e} after {rejected_streak} rejected "
+                    f"steps in a row (last error estimate {_estimate_text(err)})", t
+                )
+
+            try:
+                h21 = h * $A21
+                rhs_evals += 1
+                [$k2] = f(t + $A21 * h, [$s2])
+                if not ($k2_finite):
+                    raise _RhsFailure
+                rhs_evals += 1
+                [$k3] = f(t + 0.3 * h, [$s3])
+                if not ($k3_finite):
+                    raise _RhsFailure
+                rhs_evals += 1
+                [$k4] = f(t + 0.8 * h, [$s4])
+                if not ($k4_finite):
+                    raise _RhsFailure
+                rhs_evals += 1
+                [$k5] = f(t + $C5 * h, [$s5])
+                if not ($k5_finite):
+                    raise _RhsFailure
+                rhs_evals += 1
+                [$k6] = f(t + h, [$s6])
+                if not ($k6_finite):
+                    raise _RhsFailure
+$yn_lines
+                if not ($yn_finite):
+                    raise _RhsFailure
+                rhs_evals += 1
+                [$k7] = f(t + h, [$yn])
+                if not ($k7_finite):
+                    raise _RhsFailure
+$err_lines
+                err = sqrt(($err_sum) / $n)
+            except _REJECTING:
+                # a trial the vector field rejected, or an error estimate
+                # beyond the float range, rejects the step
+                err = inf
+
+            if err <= 1.0:
+                accepted += 1
+                rejected_streak = 0
+                t = target if hitting else t + h
+                # the trial state is taken; its stage is the next step's
+                # first (first-same-as-last)
+$accept_lines
+                if hitting:
+                    y = [$y]
+                    on_stop(stop_idx, t, y)
+                    stop_idx += 1
+                    if stop_idx == len(stops):
+                        return y
+                elif on_step is not None:
+                    on_step(t, [$y])
+                if err == 0.0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA
+                cap = 1.0 if just_rejected else _MAX_FACTOR
+                h = h * min(cap, max(_MIN_FACTOR, factor))
+                h = min(h, max_step)
+                just_rejected = False
+                err_prev = max(err, 1e-4)
+            else:
+                rejected += 1
+                rejected_streak += 1
+                just_rejected = True
+                if rejected_streak > _MAX_CONSECUTIVE_REJECTS:
+                    raise StiffnessError(
+                        f"{rejected_streak} consecutive rejected steps "
+                        f"(h={h:.3e}, last error estimate {_estimate_text(err)})", t
+                    )
+                if isinf(err):
+                    h *= 0.25
+                else:
+                    h *= min(1.0, max(_MIN_FACTOR, _SAFETY * err ** (-0.2)))
+    finally:
+        # a partial trajectory carries the counts of the steps it took
+        stats["steps_accepted"] += accepted
+        stats["steps_rejected"] += rejected
+        stats["rhs_evals"] += rhs_evals
+''')
+
+
+def _stepper_source(n: int) -> str:
+    """The step loop for states of dimension n.
+
+    Component j of every vector is the local y{j}, k1_{j}..k7_{j} or yn{j},
+    and the tableau weights are inlined as float literals (repr round-trips
+    exactly).  Each component keeps the arithmetic of a loop over lists,
+    operation for operation and in the same order, so the results are the
+    same bits.
+    """
+    J = range(n)
+    indent = " " * 16
+
+    def vec(name: str) -> str:
+        return ", ".join(f"{name}{j}" for j in J)
+
+    def finite(name: str) -> str:
+        return " and ".join(f"isfinite({name}{j})" for j in J)
+
+    def combo(weights: Sequence[tuple[int, float]], j: int) -> str:
+        return " + ".join(f"{w!r} * k{i}_{j}" for i, w in weights)
+
+    def stage(weights: Sequence[tuple[int, float]]) -> str:
+        return ", ".join(f"y{j} + h * ({combo(weights, j)})" for j in J)
+
+    b = ((1, _B1), (3, _B3), (4, _B4), (5, _B5), (6, _B6))
+    e = ((1, _E1), (3, _E3), (4, _E4), (5, _E5), (6, _E6), (7, _E7))
+    err_lines = []
+    for j in J:
+        # max(p, q) keeps p unless q > p; spelt out to skip the call
+        err_lines += [
+            f"a = abs(y{j})",
+            f"b = abs(yn{j})",
+            f"r{j} = h * ({combo(e, j)}) / (atol + rtol * (b if b > a else a))",
+        ]
+    fields = {
+        "n": repr(n),
+        "y": vec("y"),
+        "yn": vec("yn"),
+        "yn_finite": finite("yn"),
+        "A21": repr(_A21),
+        "C5": repr(8.0 / 9.0),
+        "s2": ", ".join(f"y{j} + h21 * k1_{j}" for j in J),
+        "s3": stage(((1, _A31), (2, _A32))),
+        "s4": stage(((1, _A41), (2, _A42), (3, _A43))),
+        "s5": stage(((1, _A51), (2, _A52), (3, _A53), (4, _A54))),
+        "s6": stage(((1, _A61), (2, _A62), (3, _A63), (4, _A64), (5, _A65))),
+        "yn_lines": "\n".join(f"{indent}yn{j} = y{j} + h * ({combo(b, j)})" for j in J),
+        "err_lines": "\n".join(indent + line for line in err_lines),
+        "err_sum": " + ".join(f"r{j} ** 2" for j in J),
+        "accept_lines": "\n".join(
+            f"{indent}y{j} = yn{j}\n{indent}k1_{j} = k7_{j}" for j in J
+        ),
+    }
+    for i in range(1, 8):
+        fields[f"k{i}"] = vec(f"k{i}_")
+        fields[f"k{i}_finite"] = finite(f"k{i}_")
+    return _STEPPER_TEMPLATE.substitute(fields)
+
+
+# State dimension -> compiled step loop, built on first use.  Two threads
+# building the same dimension at once produce equal loops; either may stay.
+_STEPPERS: dict[int, Callable] = {}
+
+
+def _stepper(n: int) -> Callable:
+    """The compiled step loop for dimension n, built on its first use."""
+    stepper = _STEPPERS.get(n)
+    if stepper is None:
+        namespace = {
+            "isfinite": math.isfinite,
+            "isinf": math.isinf,
+            "sqrt": math.sqrt,
+            "inf": math.inf,
+            "DivergenceError": DivergenceError,
+            "StiffnessError": StiffnessError,
+            "_RhsFailure": _RhsFailure,
+            "_ARITHMETIC_ERRORS": _ARITHMETIC_ERRORS,
+            "_REJECTING": (_RhsFailure,) + _ARITHMETIC_ERRORS,
+            "_estimate_text": _estimate_text,
+            "_STEP_BUDGET": _STEP_BUDGET,
+            "_MAX_CONSECUTIVE_REJECTS": _MAX_CONSECUTIVE_REJECTS,
+            "_SAFETY": _SAFETY,
+            "_MIN_FACTOR": _MIN_FACTOR,
+            "_MAX_FACTOR": _MAX_FACTOR,
+            "_ALPHA": _ALPHA,
+            "_BETA": _BETA,
+        }
+        exec(compile(_stepper_source(n), "<psis.stepper>", "exec"), namespace)
+        stepper = _STEPPERS.setdefault(n, namespace["stepper"])
+    return stepper
+
+
 def _adaptive_path(
     f: Callable[[float, list[float]], list[float]],
     y0: Sequence[float],
@@ -351,117 +576,9 @@ def _adaptive_path(
     state at the final stop.  A StiffnessError names the step size and the
     last scaled error estimate (inf for a trial the vector field rejected).
     """
-    n = len(y0)
-    y = [float(v) for v in y0]
-    t = t0
-    try:
-        k1 = _call_rhs(f, t, y, stats)
-    except _RhsFailure as exc:
-        raise DivergenceError(f"vector field invalid at start: {exc}", t0) from None
-
-    h = min(max_step, (stops[-1] - t0) / 10.0, stops[0] - t0)
-    err_prev = 1.0
-    err = None  # scaled error estimate of the last trial step
-    rejected_streak = 0
-    just_rejected = False
-    stop_idx = 0
-
-    while True:
-        if stats["steps_accepted"] + stats["steps_rejected"] > _STEP_BUDGET:
-            raise StiffnessError(
-                f"step budget of {_STEP_BUDGET} steps exhausted "
-                f"(h={h:.3e}, last error estimate {_estimate_text(err)})", t
-            )
-        target = stops[stop_idx]
-        remaining = target - t
-        hitting = False
-        if h >= remaining * (1.0 - 1e-10):
-            h = remaining
-            hitting = True
-        if h <= 1e-14 * max(abs(t), abs(stops[-1]), 1.0) and not hitting:
-            raise StiffnessError(
-                f"step size collapsed to {h:.3e} after {rejected_streak} rejected "
-                f"steps in a row (last error estimate {_estimate_text(err)})", t
-            )
-
-        failed = False
-        try:
-            k2 = _call_rhs(f, t + _A21 * h, [y[j] + h * _A21 * k1[j] for j in range(n)], stats)
-            k3 = _call_rhs(
-                f, t + 0.3 * h,
-                [y[j] + h * (_A31 * k1[j] + _A32 * k2[j]) for j in range(n)], stats)
-            k4 = _call_rhs(
-                f, t + 0.8 * h,
-                [y[j] + h * (_A41 * k1[j] + _A42 * k2[j] + _A43 * k3[j]) for j in range(n)],
-                stats)
-            k5 = _call_rhs(
-                f, t + (8.0 / 9.0) * h,
-                [y[j] + h * (_A51 * k1[j] + _A52 * k2[j] + _A53 * k3[j] + _A54 * k4[j])
-                 for j in range(n)], stats)
-            k6 = _call_rhs(
-                f, t + h,
-                [y[j] + h * (_A61 * k1[j] + _A62 * k2[j] + _A63 * k3[j] + _A64 * k4[j]
-                             + _A65 * k5[j]) for j in range(n)], stats)
-            y_new = [
-                y[j] + h * (_B1 * k1[j] + _B3 * k3[j] + _B4 * k4[j] + _B5 * k5[j]
-                            + _B6 * k6[j])
-                for j in range(n)
-            ]
-            if not all(math.isfinite(v) for v in y_new):
-                raise _RhsFailure("non-finite state")
-            k7 = _call_rhs(f, t + h, y_new, stats)
-        except _RhsFailure:
-            failed = True
-
-        if not failed:
-            try:
-                err = 0.0
-                for j in range(n):
-                    e_j = h * (_E1 * k1[j] + _E3 * k3[j] + _E4 * k4[j] + _E5 * k5[j]
-                               + _E6 * k6[j] + _E7 * k7[j])
-                    sc = atol + rtol * max(abs(y[j]), abs(y_new[j]))
-                    err += (e_j / sc) ** 2
-                err = math.sqrt(err / n)
-            except OverflowError:
-                err = math.inf  # an error beyond the float range rejects the step
-        else:
-            err = math.inf
-
-        if err <= 1.0:
-            stats["steps_accepted"] += 1
-            rejected_streak = 0
-            t = target if hitting else t + h
-            y = y_new
-            k1 = k7  # first-same-as-last
-            if hitting:
-                on_stop(stop_idx, t, y)
-                stop_idx += 1
-                if stop_idx == len(stops):
-                    return y
-            elif on_step is not None:
-                on_step(t, y)
-            if err == 0.0:
-                factor = _MAX_FACTOR
-            else:
-                factor = _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA
-            cap = 1.0 if just_rejected else _MAX_FACTOR
-            h = h * min(cap, max(_MIN_FACTOR, factor))
-            h = min(h, max_step)
-            just_rejected = False
-            err_prev = max(err, 1e-4)
-        else:
-            stats["steps_rejected"] += 1
-            rejected_streak += 1
-            just_rejected = True
-            if rejected_streak > _MAX_CONSECUTIVE_REJECTS:
-                raise StiffnessError(
-                    f"{rejected_streak} consecutive rejected steps "
-                    f"(h={h:.3e}, last error estimate {_estimate_text(err)})", t
-                )
-            if math.isinf(err):
-                h *= 0.25
-            else:
-                h *= min(1.0, max(_MIN_FACTOR, _SAFETY * err ** (-0.2)))
+    return _stepper(len(y0))(
+        f, y0, t0, stops, rtol, atol, max_step, stats, on_stop, on_step
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -522,19 +639,22 @@ class _Recorder:
         self.samples: list[Sample] = []
 
     def record_pre(self, t: float, w: Sequence[float]) -> None:
-        x = tuple(w[j] + self.offset[j] for j in range(len(w)))
-        z = tuple(fn(w, t) for fn in self.z_fns)
+        x = tuple(map(add, w, self.offset))
+        z = tuple([fn(w, t) for fn in self.z_fns])
         u = self.u_fn(w, t)
-        V = sum(v * v for v in z)
+        # explicit left-to-right sums: sum() compensates float sums from
+        # Python 3.12 on, which would move the last bits between versions
+        V = 0.0
+        decay = 0.0
+        for eta, kind, zi in zip(self.etas, self.kinds, z):
+            V += zi * zi
+            decay += eta * zi * zeta(kind, zi)
         gap = self.cfg.T_p - t
-        dV = -2.0 / gap * sum(
-            eta * zi * zeta(kind, zi)
-            for eta, kind, zi in zip(self.etas, self.kinds, z)
-        )
+        dV = -2.0 / gap * decay
         self.samples.append(Sample(t=t, x=x, u=u, z=z, V=V, dV=dV))
 
     def record_post(self, t: float, w: Sequence[float]) -> None:
-        x = tuple(w[j] + self.offset[j] for j in range(len(w)))
+        x = tuple(map(add, w, self.offset))
         self.samples.append(Sample(t=t, x=x, u=0.0, z=None, V=None, dV=None))
 
 
@@ -554,12 +674,36 @@ class _TorqueRecorder:
     record_post = record_pre
 
 
-def _chain_rhs_factory(n: int, u_fn) -> Callable[[float, list[float]], list[float]]:
-    def f(t: float, w: list[float]) -> list[float]:
-        dw = list(w[1:])
-        dw.append(u_fn(w, t))
-        return dw
-    return f
+# (order, tau clock?) -> maker of the chain's vector field, built on first use
+_CHAIN_FIELDS: dict[tuple[int, bool], Callable] = {}
+
+
+def _chain_rhs(
+    n: int, u_fn, T_p: float | None = None
+) -> Callable[[float, list[float]], list[float]]:
+    """The order-n chain's vector field [w[1], ..., w[n-1], u(w, t)], spelt
+    out without slicing.  With T_p given it is the field on the tau clock:
+    every entry times the remaining time T_p - t."""
+    tau = T_p is not None
+    make = _CHAIN_FIELDS.get((n, tau))
+    if make is None:
+        scale = "gap * " if tau else ""
+        entries = ", ".join(
+            [f"{scale}w[{j}]" for j in range(1, n)] + [f"{scale}u(w, t)"]
+        )
+        if tau:
+            head = (
+                "    def f(tau, w):\n"
+                "        gap = T_p * exp(-tau)  # T_p - t, computed without cancellation\n"
+                "        t = T_p - gap\n"
+            )
+        else:
+            head = "    def f(t, w):\n"
+        source = f"def make(u, T_p):\n{head}        return [{entries}]\n    return f\n"
+        namespace = {"exp": math.exp}
+        exec(compile(source, "<psis.chain>", "exec"), namespace)
+        make = _CHAIN_FIELDS.setdefault((n, tau), namespace["make"])
+    return make(u_fn, T_p)
 
 
 def _zero_input(w: Sequence[float], t: float) -> float:
@@ -711,7 +855,7 @@ def simulate(plant: PlantModel, controller: Controller, cfg: SimConfig) -> Traje
         "open_loop": cfg.open_loop,
         "t_standoff": cfg.t_standoff,
     }
-    rhs = _chain_rhs_factory(n, u_fn)
+    rhs = _chain_rhs(n, u_fn)
     legs = []
     t0, pre = 0.0, _pre_grid(cfg)
     if cfg.mode == "tau":
@@ -723,7 +867,7 @@ def simulate(plant: PlantModel, controller: Controller, cfg: SimConfig) -> Traje
     if pre:
         legs.append(_Leg(rhs, t0, pre, pre, cfg.max_step, to_t=lambda t: t))
     return _run_phases(
-        cfg, sc.T_p, legs, w0, rec, rhs, _chain_rhs_factory(n, _zero_input), meta
+        cfg, sc.T_p, legs, w0, rec, rhs, _chain_rhs(n, _zero_input), meta
     )
 
 
@@ -745,15 +889,7 @@ def _tau_leg(cfg: SimConfig, T_p: float, u_fn, pre: list[float]) -> _Leg:
     reached_standoff = tau_eff >= tau_star * (1.0 - 1e-12)
     tau_stops.append(tau_eff)
     t_labels.append(cfg.t_standoff if reached_standoff else -T_p * math.expm1(-tau_eff))
-
-    def rhs_tau(tau: float, w: list[float]) -> list[float]:
-        gap = T_p * math.exp(-tau)  # T_p - t, computed without cancellation
-        t = T_p - gap
-        dw = list(w[1:])
-        dw.append(u_fn(w, t))
-        return [gap * v for v in dw]
-
-    return _Leg(rhs_tau, 0.0, tau_stops, t_labels, _TAU_MAX_STEP,
+    return _Leg(_chain_rhs(len(cfg.x0), u_fn, T_p), 0.0, tau_stops, t_labels, _TAU_MAX_STEP,
                 to_t=lambda tau: -T_p * math.expm1(-tau))
 
 

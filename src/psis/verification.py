@@ -148,12 +148,18 @@ def lyapunov_bounds(
     if not (0.0 <= t < T_p):
         raise DomainError(f"t must lie in [0, T_p={T_p}), got {t!r}")
     gap = T_p - t
-    dV = -2.0 / gap * sum(e * v * zeta(kind, v) for e, v in zip(etas, z))
-    l1 = sum(abs(v) for v in z)
+    # explicit left-to-right sums, as in settling_instant
+    decay = l1 = v_sum = eta_sum = 0.0
+    for e, v in zip(etas, z):
+        decay += e * v * zeta(kind, v)
+        l1 += abs(v)
+        v_sum += v * v
+        eta_sum += e
+    dV = -2.0 / gap * decay
     a = l1 / n
     upper = -2.0 * n * min(etas) * a * zeta(kind, a) / gap
-    root_v = math.sqrt(sum(v * v for v in z))
-    lower = -2.0 * sum(etas) * root_v * zeta(kind, root_v) / gap
+    root_v = math.sqrt(v_sum)
+    lower = -2.0 * eta_sum * root_v * zeta(kind, root_v) / gap
     return dV, lower, upper
 
 

@@ -99,6 +99,20 @@ class TestSimulate:
         report = json.loads((tmp_path / "chain2.json").read_text())
         assert report["config"]["sim"]["mode"] == "tau"
 
+    @pytest.mark.parametrize("T_p", [1e-6, 1e-12])
+    def test_tiny_prescribed_instant_completes(self, tmp_path, T_p):
+        # the step-collapse floor scales with the horizon, so a short T_p
+        # runs the same law as T_p = 1
+        data = chain_data(run_id="tiny", output={"svg": None})
+        data["synthesis"]["T_p"] = T_p
+        data["sim"] = {"x0": [1.0, 0.0], "t_end": 1.2 * T_p}
+        cfg = write_config(tmp_path, data)
+        assert main(["simulate", "--config", cfg]) == 0
+        report = json.loads((tmp_path / "tiny.json").read_text())
+        assert report["integrator"]["steps_accepted"] > 0
+        last = (tmp_path / "tiny.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[0]) == 1.2 * T_p
+
     def test_null_outputs_are_skipped(self, tmp_path, capsys):
         data = chain_data(output={"svg": None, "report": None})
         cfg = write_config(tmp_path, data)
@@ -212,6 +226,15 @@ class TestVerify:
         assert report["control_vanishing"]["post_all_zero"] is True
         assert report["diagnostics"] == []
 
+    def test_report_carries_the_simulate_counters(self, tmp_path):
+        cfg = write_config(tmp_path, pendulum_data())
+        assert main(["simulate", "--config", cfg]) == 0
+        simulated = json.loads((tmp_path / "pend.json").read_text())
+        assert main(["verify", "--config", cfg]) == 0
+        verified = json.loads((tmp_path / "pend.json").read_text())
+        assert verified["integrator"] == simulated["integrator"]
+        assert verified["integrator"]["rhs_evals"] > 0
+
     def test_equilibrium_start_is_degenerate_not_a_failure(self, tmp_path, capsys):
         data = chain_data(run_id="eq")
         data["synthesis"]["c"] = 0.15
@@ -270,6 +293,11 @@ class TestSweep:
         assert report["verdict"] == "pass"
         assert [row["scale"] for row in report["rows"]] == [0.5, 2.0]
         assert report["spread"] <= report["spread_bound"]
+        for row in report["rows"]:
+            assert set(row["integrator"]) == {
+                "steps_accepted", "steps_rejected", "rhs_evals",
+            }
+            assert row["integrator"]["steps_accepted"] > 0
 
     def test_scales_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, chain_data())
@@ -318,6 +346,8 @@ class TestSweep:
         assert "error DivergenceError" in text
         report = json.loads((tmp_path / "mix.json").read_text())
         assert report["rows"][1]["error"].startswith("DivergenceError")
+        assert report["rows"][0]["integrator"]["rhs_evals"] > 0
+        assert report["rows"][1]["integrator"] is None
         # the failed scale still leaves the good run's trajectory on disk
         assert (tmp_path / "mix.scale_1.csv").exists()
         assert not (tmp_path / "mix.scale_1e+200.csv").exists()

@@ -28,6 +28,7 @@ from psis.simulation import (
     torque_map,
 )
 from psis.synthesis import SynthesisConfig, eval_control, synthesize
+from psis.verification import run_tolerance, settling_instant
 
 
 def make_controller(n=2, c=0.0, T_p=1.0, etas=(3.0, 2.0), kind=RcdfKind.LINEAR):
@@ -325,6 +326,17 @@ class TestBreakdownReporting:
             estimate = float(text.rsplit("last error estimate ", 1)[1].rstrip(")"))
             assert estimate > 1.0  # the trial that triggered the collapse failed
             assert len(info.value.partial.samples) == 1
+
+    @pytest.mark.parametrize("T_p", [1e-6, 1e-12])
+    def test_tiny_prescribed_instant_settles(self, T_p):
+        # the step-collapse test is relative to the horizon, so the law is
+        # scale-free in T_p: no absolute floor stops a short run
+        ctrl = make_controller(T_p=T_p)
+        cfg = SimConfig(x0=(1.0, 0.0), T_p=T_p, t_end=1.2 * T_p)
+        traj = simulate(IntegratorChain(2), ctrl, cfg)
+        assert traj.samples[-1].t == 1.2 * T_p
+        ev = settling_instant(traj, run_tolerance(1e-4, 1e-6, cfg.x0))
+        assert ev.two_sided
 
     def test_overflowing_error_estimate_rejects_the_step(self):
         # the trial steps of this start overflow the squared error norm; such

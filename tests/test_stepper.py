@@ -1,0 +1,294 @@
+"""The generated Dormand-Prince step loop against a list-based oracle.
+
+`reference_path` below is the step loop as it reads over lists of floats,
+kept here only as a reference: each simulation runs once on the generated
+per-dimension loop and once with the reference patched in, and the samples,
+the meta (integrator counters included) and, on the failure paths, the
+error type, message, time and partial trajectory must agree exactly.
+"""
+
+import functools
+import math
+import threading
+
+import pytest
+
+from psis import simulation
+from psis.errors import DivergenceError, IntegrationError, StiffnessError
+from psis.rcdf import RcdfKind, RcdfSpec
+from psis.simulation import (
+    IntegratorChain,
+    Pendulum,
+    SimConfig,
+    simulate,
+    simulate_pendulum_raw,
+    torque_map,
+)
+from psis.synthesis import SynthesisConfig, eval_control, synthesize
+
+S = simulation
+
+
+def reference_path(f, y0, t0, stops, *, rtol, atol, max_step, stats, on_stop,
+                   on_step=None):
+    """The Dormand-Prince 5(4) loop over lists, with the same contract as
+    simulation._adaptive_path (and its horizon-relative collapse test)."""
+    n = len(y0)
+    y = [float(v) for v in y0]
+    t = t0
+    try:
+        k1 = S._call_rhs(f, t, y, stats)
+    except S._RhsFailure as exc:
+        raise DivergenceError(f"vector field invalid at start: {exc}", t0) from None
+
+    h = min(max_step, (stops[-1] - t0) / 10.0, stops[0] - t0)
+    err_prev = 1.0
+    err = None
+    rejected_streak = 0
+    just_rejected = False
+    stop_idx = 0
+
+    while True:
+        if stats["steps_accepted"] + stats["steps_rejected"] > S._STEP_BUDGET:
+            raise StiffnessError(
+                f"step budget of {S._STEP_BUDGET} steps exhausted "
+                f"(h={h:.3e}, last error estimate {S._estimate_text(err)})", t
+            )
+        target = stops[stop_idx]
+        remaining = target - t
+        hitting = False
+        if h >= remaining * (1.0 - 1e-10):
+            h = remaining
+            hitting = True
+        if h <= 1e-14 * max(abs(t), abs(stops[-1])) and not hitting:
+            raise StiffnessError(
+                f"step size collapsed to {h:.3e} after {rejected_streak} rejected "
+                f"steps in a row (last error estimate {S._estimate_text(err)})", t
+            )
+
+        failed = False
+        try:
+            k2 = S._call_rhs(
+                f, t + S._A21 * h, [y[j] + h * S._A21 * k1[j] for j in range(n)], stats)
+            k3 = S._call_rhs(
+                f, t + 0.3 * h,
+                [y[j] + h * (S._A31 * k1[j] + S._A32 * k2[j]) for j in range(n)], stats)
+            k4 = S._call_rhs(
+                f, t + 0.8 * h,
+                [y[j] + h * (S._A41 * k1[j] + S._A42 * k2[j] + S._A43 * k3[j])
+                 for j in range(n)], stats)
+            k5 = S._call_rhs(
+                f, t + (8.0 / 9.0) * h,
+                [y[j] + h * (S._A51 * k1[j] + S._A52 * k2[j] + S._A53 * k3[j]
+                             + S._A54 * k4[j]) for j in range(n)], stats)
+            k6 = S._call_rhs(
+                f, t + h,
+                [y[j] + h * (S._A61 * k1[j] + S._A62 * k2[j] + S._A63 * k3[j]
+                             + S._A64 * k4[j] + S._A65 * k5[j]) for j in range(n)],
+                stats)
+            y_new = [
+                y[j] + h * (S._B1 * k1[j] + S._B3 * k3[j] + S._B4 * k4[j]
+                            + S._B5 * k5[j] + S._B6 * k6[j])
+                for j in range(n)
+            ]
+            if not all(math.isfinite(v) for v in y_new):
+                raise S._RhsFailure("non-finite state")
+            k7 = S._call_rhs(f, t + h, y_new, stats)
+        except S._RhsFailure:
+            failed = True
+
+        if not failed:
+            try:
+                err = 0.0
+                for j in range(n):
+                    e_j = h * (S._E1 * k1[j] + S._E3 * k3[j] + S._E4 * k4[j]
+                               + S._E5 * k5[j] + S._E6 * k6[j] + S._E7 * k7[j])
+                    sc = atol + rtol * max(abs(y[j]), abs(y_new[j]))
+                    err += (e_j / sc) ** 2
+                err = math.sqrt(err / n)
+            except OverflowError:
+                err = math.inf
+        else:
+            err = math.inf
+
+        if err <= 1.0:
+            stats["steps_accepted"] += 1
+            rejected_streak = 0
+            t = target if hitting else t + h
+            y = y_new
+            k1 = k7
+            if hitting:
+                on_stop(stop_idx, t, y)
+                stop_idx += 1
+                if stop_idx == len(stops):
+                    return y
+            elif on_step is not None:
+                on_step(t, y)
+            if err == 0.0:
+                factor = S._MAX_FACTOR
+            else:
+                factor = S._SAFETY * err ** (-S._ALPHA) * err_prev ** S._BETA
+            cap = 1.0 if just_rejected else S._MAX_FACTOR
+            h = h * min(cap, max(S._MIN_FACTOR, factor))
+            h = min(h, max_step)
+            just_rejected = False
+            err_prev = max(err, 1e-4)
+        else:
+            stats["steps_rejected"] += 1
+            rejected_streak += 1
+            just_rejected = True
+            if rejected_streak > S._MAX_CONSECUTIVE_REJECTS:
+                raise StiffnessError(
+                    f"{rejected_streak} consecutive rejected steps "
+                    f"(h={h:.3e}, last error estimate {S._estimate_text(err)})", t
+                )
+            if math.isinf(err):
+                h *= 0.25
+            else:
+                h *= min(1.0, max(S._MIN_FACTOR, S._SAFETY * err ** (-0.2)))
+
+
+def reference_chain_rhs(n, u_fn, T_p=None):
+    """The chain's vector field built by slicing, on either clock."""
+    if T_p is None:
+        def f(t, w):
+            dw = list(w[1:])
+            dw.append(u_fn(w, t))
+            return dw
+        return f
+
+    def f_tau(tau, w):
+        gap = T_p * math.exp(-tau)
+        t = T_p - gap
+        dw = list(w[1:])
+        dw.append(u_fn(w, t))
+        return [gap * v for v in dw]
+    return f_tau
+
+
+def outcome(run):
+    """Everything a run leaves behind, in a form == compares bit for bit
+    (repr tells -0.0 from 0.0 and keeps nan equal to itself)."""
+    try:
+        traj = run()
+    except IntegrationError as exc:
+        partial = exc.partial
+        return (type(exc).__name__, str(exc), repr(exc.t),
+                repr(partial.samples), partial.meta)
+    return ("ok", repr(traj.samples), traj.meta)
+
+
+def assert_same_as_reference(run, monkeypatch):
+    generated = outcome(run)
+    with monkeypatch.context() as m:
+        m.setattr(S, "_adaptive_path", reference_path)
+        m.setattr(S, "_chain_rhs", reference_chain_rhs)
+        reference = outcome(run)
+    assert generated == reference
+    return generated
+
+
+@functools.lru_cache(maxsize=None)
+def make_controller(n, etas, kind=RcdfKind.LINEAR, c=0.0, T_p=1.0):
+    stages = tuple(RcdfSpec(kind=kind, eta=e) for e in etas)
+    return synthesize(SynthesisConfig(n=n, c=c, T_p=T_p, stages=stages))
+
+
+@pytest.mark.parametrize("mode", ["direct", "tau"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_chains_match_the_reference(n, mode, monkeypatch):
+    ctrl = make_controller(n, tuple(float(n + 2 - i) for i in range(1, n + 1)))
+    x0 = (1.0, 0.5) + (0.0,) * (n - 2) if n > 1 else (1.0,)
+    cfg = SimConfig(x0=x0, T_p=1.0, t_end=1.2, mode=mode)
+    result = assert_same_as_reference(
+        lambda: simulate(IntegratorChain(n), ctrl, cfg), monkeypatch)
+    assert result[0] == "ok"
+    assert result[2]["steps_accepted"] > 0
+
+
+def test_raw_pendulum_matches_the_reference(monkeypatch):
+    plant = Pendulum()
+    ctrl = make_controller(2, (3.0, 2.0), c=0.15, T_p=0.5)
+    cfg = SimConfig(x0=(0.09, 0.1), T_p=0.5, t_end=0.6,
+                    rtol=1e-6, atol=1e-9, eps_stop=5e-7)
+    result = assert_same_as_reference(
+        lambda: simulate_pendulum_raw(
+            plant, cfg, lambda x, t: torque_map(plant, x, eval_control(ctrl, x, t))),
+        monkeypatch)
+    assert result[0] == "ok"
+
+
+@pytest.mark.parametrize("mode", ["direct", "tau"])
+def test_stiff_start_matches_the_reference(mode, monkeypatch):
+    ctrl = make_controller(4, (5.0, 4.0, 3.0, 2.0), RcdfKind.TAN)
+    cfg = SimConfig(x0=(10.0, 0.0, 0.0, 0.0), T_p=1.0, t_end=1.2,
+                    sample_dt=2.5e-4, mode=mode)
+    result = assert_same_as_reference(
+        lambda: simulate(IntegratorChain(4), ctrl, cfg), monkeypatch)
+    assert result[0] == "StiffnessError"
+    assert result[1].startswith("step size collapsed to ")
+    assert result[4]["steps_rejected"] > 0
+
+
+def test_overflowing_run_matches_the_reference(monkeypatch):
+    ctrl = make_controller(4, (4.5, 3.5, 2.5, 1.5), RcdfKind.TAN)
+    cfg = SimConfig(x0=(1.0, 0.0, 0.0, 0.0), T_p=1.0, t_end=1.2)
+    result = assert_same_as_reference(
+        lambda: simulate(IntegratorChain(4), ctrl, cfg), monkeypatch)
+    assert result[0] == "ok"
+    assert result[2]["steps_rejected"] > 0
+
+
+def test_divergence_matches_the_reference(monkeypatch):
+    ctrl = make_controller(2, (3.0, 2.0), T_p=1e-200)
+    cfg = SimConfig(x0=(1.0, 0.0), T_p=1e-200, t_end=1.2e-200)
+    result = assert_same_as_reference(
+        lambda: simulate(IntegratorChain(2), ctrl, cfg), monkeypatch)
+    assert result[0] == "DivergenceError"
+
+
+def test_rejected_start_matches_the_reference(monkeypatch):
+    # a vector field that fails at the first point raises before any step
+    def rhs(t, y):
+        return [y[1], 1.0 / (t - 0.0)]
+
+    def run():
+        stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
+        try:
+            S._adaptive_path(rhs, [1.0, 0.0], 0.0, [0.5, 1.0], rtol=1e-9,
+                             atol=1e-12, max_step=0.1, stats=stats,
+                             on_stop=lambda i, t, y: None)
+        except DivergenceError as exc:
+            return str(exc), exc.t, stats
+        raise AssertionError("expected a DivergenceError")
+
+    generated = run()
+    with monkeypatch.context() as m:
+        m.setattr(S, "_adaptive_path", reference_path)
+        assert run() == generated
+    assert generated[0] == "vector field invalid at start: float division by zero"
+    assert generated[2]["rhs_evals"] == 1
+
+
+def test_one_loop_per_dimension():
+    assert S._stepper(3) is S._stepper(3)
+    assert S._stepper(2) is not S._stepper(3)
+
+
+def test_concurrent_first_use_is_harmless(monkeypatch):
+    # threads that race to build a dimension's loop all get a working one
+    monkeypatch.setattr(S, "_STEPPERS", {})
+    ctrl = make_controller(3, (4.0, 3.0, 2.0))
+    cfg = SimConfig(x0=(1.0, 0.0, 0.0), T_p=1.0, t_end=1.2)
+    results = [None] * 4
+
+    def work(i):
+        results[i] = outcome(lambda: simulate(IntegratorChain(3), ctrl, cfg))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    assert results[0][0] == "ok"
+    assert all(r == results[0] for r in results)

@@ -16,7 +16,6 @@ printed to stdout but never written into a report.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from dataclasses import replace
@@ -30,7 +29,7 @@ from .errors import (
     IntegrationError,
     StructureError,
 )
-from .experiment import ExperimentSpec, effective_config, load_config
+from .experiment import ExperimentSpec, effective_config, load_config, plain
 from .simulation import simulate
 from .synthesis import describe, synthesize
 from .verification import (
@@ -39,6 +38,7 @@ from .verification import (
     run_tolerance,
     settling_instant,
     sweep_initial_conditions,
+    unresolvable_tolerance,
 )
 
 
@@ -146,17 +146,9 @@ def _cmd_verify(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     wall = time.perf_counter() - started
 
     tol = run_tolerance(vp.tol_abs, vp.tol_rel, spec.sim.x0)
-    diagnostics: list[str] = []
-    # A settling tolerance below what the integrator can resolve proves
-    # nothing; refuse to certify instead of reporting noise.
-    x0_norm = math.hypot(*spec.sim.x0)
-    accuracy_floor = 10.0 * (spec.sim.atol + spec.sim.rtol * x0_norm)
-    tolerance_ok = tol >= accuracy_floor
-    if not tolerance_ok:
-        diagnostics.append(
-            f"settling tolerance {tol:.3e} is below the integration accuracy "
-            f"floor {accuracy_floor:.3e}; tighten rtol/atol or relax tol_abs/tol_rel"
-        )
+    # refuse to certify a tolerance the integrator cannot resolve
+    problem = unresolvable_tolerance(tol, spec.sim)
+    diagnostics = [] if problem is None else [problem]
 
     evidence = settling_instant(traj, tol, vp.window_factor)
     audit = lyapunov_audit(traj, vp.slack_abs, vp.slack_rel)
@@ -164,7 +156,7 @@ def _cmd_verify(spec: ExperimentSpec, args: argparse.Namespace) -> int:
 
     if evidence.degenerate:
         verdict = "degenerate"
-    elif (tolerance_ok and evidence.two_sided and audit.passes
+    elif (problem is None and evidence.two_sided and audit.passes
           and vanishing.vanishes):
         verdict = "pass"
     else:
@@ -177,27 +169,14 @@ def _cmd_verify(spec: ExperimentSpec, args: argparse.Namespace) -> int:
             "config": effective_config(spec),
             "integrator": _integrator_block(traj.meta),
             "tolerance": tol,
-            "settling": {
-                "t_settle": evidence.t_settle,
-                "pre_window_floor": evidence.pre_window_floor,
-                "norm_at_standoff": evidence.norm_at_standoff,
-                "window_end": evidence.window_end,
-                "two_sided": evidence.two_sided,
-                "degenerate": evidence.degenerate,
-            },
+            "settling": plain(evidence, skip={"tol"}),
             "lyapunov": {
                 "n_audited": audit.n_audited,
                 "n_skipped": audit.n_skipped,
                 "violations": len(audit.violations),
                 "worst_residual": audit.max_equality_residual,
             },
-            "control_vanishing": {
-                "last_pre_abs_u": vanishing.last_pre_abs_u,
-                "max_abs_u_window": vanishing.max_abs_u_window,
-                "max_abs_u_overall": vanishing.max_abs_u_overall,
-                "terminal_ratio": vanishing.terminal_ratio,
-                "post_all_zero": vanishing.post_all_zero,
-            },
+            "control_vanishing": plain(vanishing, skip={"window_start", "vanishes"}),
             "diagnostics": diagnostics,
             "verdict": verdict,
         })

@@ -6,9 +6,12 @@ are rejected rather than ignored, so a typo cannot silently fall back to a
 default.  Keys starting with an underscore (conventionally "_doc") are
 treated as comments and skipped anywhere in the tree.
 
-Defaults are resolved at load time; effective_config returns the fully
-resolved dictionary, which is echoed into run reports and reproduces the
-same experiment when fed back in.
+Each section is read into a dataclass, which is its schema: the section's
+allowed keys are the dataclass's fields, each value is read by the reader
+for its field's annotation, and an absent key keeps the dataclass default.
+Defaults are resolved at load time; effective_config echoes the same fields
+back as the fully resolved dictionary, which goes into run reports and
+reproduces the same experiment when fed back in.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
+from typing import Any, Callable, Collection
 
 from .errors import ConfigurationError
 from .rcdf import RcdfKind, RcdfSpec
@@ -55,17 +59,21 @@ class ExperimentSpec:
     output: OutputPaths
 
 
-def _strip_comments(d: dict) -> dict:
-    return {k: v for k, v in d.items() if not k.startswith("_")}
+# Fields that a section's JSON object does not carry: the sim section takes
+# T_p from the synthesis section, and the synthesis section takes n from the
+# plant.
+_SKIP: dict[type, set[str]] = {SimConfig: {"T_p"}, SynthesisConfig: {"n"}}
 
 
 def _require_mapping(value: Any, where: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigurationError(f"{where} must be a JSON object, got {type(value).__name__}")
-    return _strip_comments(value)
+    return {k: v for k, v in value.items() if not k.startswith("_")}
 
 
-def _reject_unknown(d: dict, allowed: set[str], where: str) -> None:
+def _reject_unknown(d: dict, cls: type, where: str, extra: Collection[str] = ()) -> None:
+    """Refuse the keys of d that are neither fields of dataclass cls nor extra."""
+    allowed = ({f.name for f in fields(cls)} - _SKIP.get(cls, set())).union(extra)
     unknown = sorted(set(d) - allowed)
     if unknown:
         raise ConfigurationError(
@@ -105,32 +113,55 @@ def _as_str(value: Any, where: str) -> str:
     return value
 
 
+def _as_floats(value: Any, where: str) -> tuple[float, ...]:
+    if not isinstance(value, list) or not value:
+        raise ConfigurationError(f"{where} must be a nonempty list of numbers")
+    return tuple(_as_float(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+
+# The reader for each field annotation a section uses.  The annotations are
+# strings, because every psis module postpones their evaluation.
+_READERS: dict[str, Callable[[Any, str], Any]] = {
+    "float": _as_float,
+    "float | None": _as_opt_float,
+    "int": _as_int,
+    "bool": _as_bool,
+    "str": _as_str,
+    "tuple[float, ...]": _as_floats,
+}
+
+
+def _read(cls: type, d: dict, where: str, special: Collection[str] = ()) -> dict:
+    """Keyword arguments for cls from the keys present in section d, each
+    read by the reader for its field's annotation.  Absent keys keep the
+    dataclass default; the fields named in special are the caller's."""
+    return {
+        f.name: _READERS[f.type](d[f.name], f"{where}.{f.name}")
+        for f in fields(cls)
+        if f.name in d and f.name not in special
+    }
+
+
+_PLANT_TYPES = {"chain": IntegratorChain, "pendulum": Pendulum}
+
+
 def _parse_plant(data: Any) -> PlantModel:
     d = _require_mapping(data, "plant")
     kind = _as_str(d.get("type", ""), "plant.type")
-    if kind == "chain":
-        _reject_unknown(d, {"type", "n"}, "plant")
-        if "n" not in d:
-            raise ConfigurationError("plant.n is required for a chain")
-        return IntegratorChain(n=_as_int(d["n"], "plant.n"))
-    if kind == "pendulum":
-        allowed = {"type", "length", "mass", "gravity", "friction"}
-        _reject_unknown(d, allowed, "plant")
-        defaults = Pendulum()
-        return Pendulum(
-            length=_as_float(d.get("length", defaults.length), "plant.length"),
-            mass=_as_float(d.get("mass", defaults.mass), "plant.mass"),
-            gravity=_as_float(d.get("gravity", defaults.gravity), "plant.gravity"),
-            friction=_as_float(d.get("friction", defaults.friction), "plant.friction"),
+    cls = _PLANT_TYPES.get(kind)
+    if cls is None:
+        raise ConfigurationError(
+            f"plant.type must be 'chain' or 'pendulum', got {kind!r}"
         )
-    raise ConfigurationError(
-        f"plant.type must be 'chain' or 'pendulum', got {kind!r}"
-    )
+    _reject_unknown(d, cls, "plant", extra={"type"})
+    if cls is IntegratorChain and "n" not in d:
+        raise ConfigurationError("plant.n is required for a chain")
+    return cls(**_read(cls, d, "plant"))
 
 
 def _parse_stage(data: Any, where: str) -> RcdfSpec:
     d = _require_mapping(data, where)
-    _reject_unknown(d, {"kind", "eta"}, where)
+    _reject_unknown(d, RcdfSpec, where)
     if "kind" not in d or "eta" not in d:
         raise ConfigurationError(f"{where} needs both 'kind' and 'eta'")
     return RcdfSpec(
@@ -141,7 +172,7 @@ def _parse_stage(data: Any, where: str) -> RcdfSpec:
 
 def _parse_synthesis(data: Any, n: int) -> SynthesisConfig:
     d = _require_mapping(data, "synthesis")
-    _reject_unknown(d, {"c", "T_p", "stages", "allow_mixed_kinds"}, "synthesis")
+    _reject_unknown(d, SynthesisConfig, "synthesis")
     for key in ("c", "T_p", "stages"):
         if key not in d:
             raise ConfigurationError(f"synthesis.{key} is required")
@@ -152,74 +183,28 @@ def _parse_synthesis(data: Any, n: int) -> SynthesisConfig:
         _parse_stage(s, f"synthesis.stages[{i}]") for i, s in enumerate(stages_raw)
     )
     return SynthesisConfig(
-        n=n,
-        c=_as_float(d["c"], "synthesis.c"),
-        T_p=_as_float(d["T_p"], "synthesis.T_p"),
-        stages=stages,
-        allow_mixed_kinds=_as_bool(
-            d.get("allow_mixed_kinds", False), "synthesis.allow_mixed_kinds"
-        ),
+        n=n, stages=stages, **_read(SynthesisConfig, d, "synthesis", special={"stages"})
     )
 
 
 def _parse_sim(data: Any, T_p: float, n: int) -> SimConfig:
     d = _require_mapping(data, "sim")
-    allowed = {
-        "x0", "t_end", "eps_stop", "rtol", "atol",
-        "max_step", "sample_dt", "mode", "tau_end", "open_loop",
-    }
-    _reject_unknown(d, allowed, "sim")
+    _reject_unknown(d, SimConfig, "sim")
     if "x0" not in d:
         raise ConfigurationError("sim.x0 is required")
-    x0_raw = d["x0"]
-    if not isinstance(x0_raw, list) or not x0_raw:
-        raise ConfigurationError("sim.x0 must be a nonempty list of numbers")
-    x0 = tuple(_as_float(v, f"sim.x0[{i}]") for i, v in enumerate(x0_raw))
-    if len(x0) != n:
+    values = _read(SimConfig, d, "sim")
+    if len(values["x0"]) != n:
         raise ConfigurationError(
-            f"sim.x0 has {len(x0)} components, the plant needs {n}"
+            f"sim.x0 has {len(values['x0'])} components, the plant needs {n}"
         )
-    return SimConfig(
-        x0=x0,
-        T_p=T_p,
-        t_end=_as_float(d.get("t_end", 1.2 * T_p), "sim.t_end"),
-        eps_stop=_as_opt_float(d.get("eps_stop"), "sim.eps_stop"),
-        rtol=_as_float(d.get("rtol", 1e-9), "sim.rtol"),
-        atol=_as_float(d.get("atol", 1e-12), "sim.atol"),
-        max_step=_as_opt_float(d.get("max_step"), "sim.max_step"),
-        sample_dt=_as_opt_float(d.get("sample_dt"), "sim.sample_dt"),
-        mode=_as_str(d.get("mode", "direct"), "sim.mode"),
-        tau_end=_as_opt_float(d.get("tau_end"), "sim.tau_end"),
-        open_loop=_as_bool(d.get("open_loop", False), "sim.open_loop"),
-    )
+    values.setdefault("t_end", 1.2 * T_p)
+    return SimConfig(T_p=T_p, **values)
 
 
 def _parse_verify(data: Any) -> VerifyParams:
     d = _require_mapping(data, "verify")
-    allowed = {
-        "tol_abs", "tol_rel", "window_factor", "spread_bound",
-        "slack_abs", "slack_rel", "scales",
-    }
-    _reject_unknown(d, allowed, "verify")
-    defaults = VerifyParams()
-    scales_raw = d.get("scales", list(defaults.scales))
-    if not isinstance(scales_raw, list) or not scales_raw:
-        raise ConfigurationError("verify.scales must be a nonempty list of numbers")
-    params = VerifyParams(
-        tol_abs=_as_float(d.get("tol_abs", defaults.tol_abs), "verify.tol_abs"),
-        tol_rel=_as_float(d.get("tol_rel", defaults.tol_rel), "verify.tol_rel"),
-        window_factor=_as_float(
-            d.get("window_factor", defaults.window_factor), "verify.window_factor"
-        ),
-        spread_bound=_as_float(
-            d.get("spread_bound", defaults.spread_bound), "verify.spread_bound"
-        ),
-        slack_abs=_as_float(d.get("slack_abs", defaults.slack_abs), "verify.slack_abs"),
-        slack_rel=_as_float(d.get("slack_rel", defaults.slack_rel), "verify.slack_rel"),
-        scales=tuple(
-            _as_float(v, f"verify.scales[{i}]") for i, v in enumerate(scales_raw)
-        ),
-    )
+    _reject_unknown(d, VerifyParams, "verify")
+    params = VerifyParams(**_read(VerifyParams, d, "verify"))
     if params.tol_abs <= 0.0 or params.tol_rel < 0.0:
         raise ConfigurationError(
             "verify.tol_abs must be positive and verify.tol_rel nonnegative"
@@ -233,7 +218,7 @@ def _parse_verify(data: Any) -> VerifyParams:
 
 def _parse_output(data: Any, run_id: str, base_dir: str) -> OutputPaths:
     d = _require_mapping(data, "output")
-    _reject_unknown(d, {"csv", "svg", "report"}, "output")
+    _reject_unknown(d, OutputPaths, "output")
 
     def path_of(key: str, default: str) -> str | None:
         raw = d.get(key, default)
@@ -256,8 +241,7 @@ def build_spec(data: Any, base_dir: str = ".") -> ExperimentSpec:
     loaded from disk).
     """
     d = _require_mapping(data, "configuration")
-    allowed = {"run_id", "plant", "synthesis", "sim", "verify", "output"}
-    _reject_unknown(d, allowed, "configuration")
+    _reject_unknown(d, ExperimentSpec, "configuration")
     for key in ("plant", "synthesis", "sim"):
         if key not in d:
             raise ConfigurationError(f"configuration section {key!r} is required")
@@ -288,6 +272,32 @@ def load_config(path: str) -> ExperimentSpec:
     return build_spec(data, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
+def plain(obj: Any, skip: Collection[str] | None = None) -> dict:
+    """A dataclass as a JSON-ready dict of its fields, minus skip.
+
+    Tuples become lists, enums their values and nested dataclasses dicts.
+    skip defaults to the fields that the section read into obj's class does
+    not carry, so plain() echoes exactly what the parser reads.
+    """
+    if skip is None:
+        skip = _SKIP.get(type(obj), set())
+    return {
+        f.name: _plain_value(getattr(obj, f.name))
+        for f in fields(obj)
+        if f.name not in skip
+    }
+
+
+def _plain_value(value: Any) -> Any:
+    if is_dataclass(value):
+        return plain(value)
+    if isinstance(value, tuple):
+        return [_plain_value(v) for v in value]
+    if isinstance(value, Enum):
+        return value.value
+    return value
+
+
 def effective_config(spec: ExperimentSpec) -> dict:
     """Fully resolved configuration, suitable for the run report.
 
@@ -295,41 +305,5 @@ def effective_config(spec: ExperimentSpec) -> dict:
     experiment (output paths come back absolute, which is intended: the
     report records what was actually written).
     """
-    return {
-        "run_id": spec.run_id,
-        "plant": plant_description(spec.plant),
-        "synthesis": {
-            "c": spec.synthesis.c,
-            "T_p": spec.synthesis.T_p,
-            "stages": [
-                {"kind": s.kind.value, "eta": s.eta} for s in spec.synthesis.stages
-            ],
-            "allow_mixed_kinds": spec.synthesis.allow_mixed_kinds,
-        },
-        "sim": {
-            "x0": list(spec.sim.x0),
-            "t_end": spec.sim.t_end,
-            "eps_stop": spec.sim.eps_stop,
-            "rtol": spec.sim.rtol,
-            "atol": spec.sim.atol,
-            "max_step": spec.sim.max_step,
-            "sample_dt": spec.sim.sample_dt,
-            "mode": spec.sim.mode,
-            "tau_end": spec.sim.tau_end,
-            "open_loop": spec.sim.open_loop,
-        },
-        "verify": {
-            "tol_abs": spec.verify.tol_abs,
-            "tol_rel": spec.verify.tol_rel,
-            "window_factor": spec.verify.window_factor,
-            "spread_bound": spec.verify.spread_bound,
-            "slack_abs": spec.verify.slack_abs,
-            "slack_rel": spec.verify.slack_rel,
-            "scales": list(spec.verify.scales),
-        },
-        "output": {
-            "csv": spec.output.csv,
-            "svg": spec.output.svg,
-            "report": spec.output.report,
-        },
-    }
+    # the plant section also names the plant's type
+    return {**plain(spec), "plant": plant_description(spec.plant)}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import fields
 from datetime import datetime, timezone
 from typing import Sequence
 
@@ -207,7 +208,7 @@ def _torque_series(traj: Trajectory) -> list[float] | None:
     plant = traj.meta.get("plant", {})
     if plant.get("type") != "pendulum":
         return None
-    pendulum = Pendulum(plant["length"], plant["mass"], plant["gravity"], plant["friction"])
+    pendulum = Pendulum(**{f.name: plant[f.name] for f in fields(Pendulum)})
     return [torque_map(pendulum, s.x, s.u) for s in traj.samples]
 
 

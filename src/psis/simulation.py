@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import string
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from operator import add
 from typing import Callable, Sequence, Union
 
@@ -101,15 +101,8 @@ def plant_order(plant: PlantModel) -> int:
 
 def plant_description(plant: PlantModel) -> dict:
     """The plant as the configuration's plant section spells it."""
-    if isinstance(plant, IntegratorChain):
-        return {"type": "chain", "n": plant.n}
-    return {
-        "type": "pendulum",
-        "length": plant.length,
-        "mass": plant.mass,
-        "gravity": plant.gravity,
-        "friction": plant.friction,
-    }
+    kind = "chain" if isinstance(plant, IntegratorChain) else "pendulum"
+    return {"type": kind, **asdict(plant)}
 
 
 def torque_map(plant: Pendulum, x: Sequence[float], u: float) -> float:
@@ -240,15 +233,6 @@ class Trajectory:
     samples: list[Sample]
     meta: dict = field(default_factory=dict)
 
-    def times(self) -> list[float]:
-        return [s.t for s in self.samples]
-
-    def states(self) -> list[tuple[float, ...]]:
-        return [s.x for s in self.samples]
-
-    def controls(self) -> list[float]:
-        return [s.u for s in self.samples]
-
     def pre_instant_arrays(
         self,
     ) -> tuple[list[float], list[tuple[float, ...]], list[float], list[float]]:
@@ -265,11 +249,11 @@ class Trajectory:
         )
 
     def sample_at(self, t_query: float) -> Sample:
-        """Sample recorded at exactly t_query (within a relative 1e-12)."""
-        span = max(abs(self.samples[-1].t), 1.0)
-        for s in self.samples:
-            if abs(s.t - t_query) <= 1e-12 * span:
-                return s
+        """The sample nearest t_query, if it lies within 1e-12 * |t_last|;
+        the match has no absolute floor, so it holds at any scale of T_p."""
+        nearest = min(self.samples, key=lambda s: abs(s.t - t_query))
+        if abs(nearest.t - t_query) <= 1e-12 * abs(self.samples[-1].t):
+            return nearest
         raise AuditError(f"no sample recorded at t={t_query!r}")
 
 

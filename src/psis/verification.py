@@ -400,6 +400,21 @@ def run_tolerance(tol_abs: float, tol_rel: float, x0: Sequence[float]) -> float:
     return tol_abs + tol_rel * math.hypot(*(float(v) for v in x0))
 
 
+def unresolvable_tolerance(tol: float, cfg: SimConfig) -> str | None:
+    """Why a run cannot certify settling tolerance tol, or None if it can.
+
+    The integrator resolves the state only to about 10 (atol + rtol |x0|_2);
+    a tolerance below that floor would certify roundoff, not the law.
+    """
+    floor = 10.0 * (cfg.atol + cfg.rtol * math.hypot(*cfg.x0))
+    if tol >= floor:
+        return None
+    return (
+        f"settling tolerance {tol:.3e} is below the integration accuracy "
+        f"floor {floor:.3e}; tighten rtol/atol or relax tol_abs/tol_rel"
+    )
+
+
 @dataclass(frozen=True)
 class SweepRow:
     scale: float
@@ -447,7 +462,9 @@ def sweep_initial_conditions(
 
     Every non-degenerate run must pass the two-sided settling check and the
     observed settling instants must agree with T_p within spread_bound * T_p.
-    Runs that error out are recorded with the message and fail the sweep.
+    Runs that error out are recorded with the message and fail the sweep,
+    and so is a scale whose tolerance lies below the integration accuracy
+    floor (see unresolvable_tolerance), without being run.
     Runs execute in a thread pool sized by PSIS_THREADS (or the CPU count);
     results are keyed by scale order, so the report does not depend on
     scheduling.
@@ -461,6 +478,9 @@ def sweep_initial_conditions(
         x0 = tuple(scale * v for v in base_cfg.x0)
         tol = run_tolerance(tol_abs, tol_rel, x0)
         cfg = replace(base_cfg, x0=x0)
+        problem = unresolvable_tolerance(tol, cfg)
+        if problem is not None:
+            return SweepRow(scale=scale, x0=x0, tol=tol, evidence=None, error=problem)
         try:
             traj = simulate(plant, controller, cfg)
             ev = settling_instant(traj, tol, window_factor)

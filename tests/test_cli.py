@@ -198,6 +198,15 @@ class TestIntegrationFailure:
         assert not (tmp_path / "blow.csv").exists()
 
 
+    def test_huge_prescribed_instant_exits_three_with_a_reason(self, tmp_path, capsys):
+        data = chain_data()
+        data["synthesis"]["T_p"] = 1e300
+        cfg = write_config(tmp_path, data)
+        assert main(["verify", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "integration failed at t=0: step size collapsed" in err
+        assert "Traceback" not in err
+
     def test_unevaluable_control_exits_three_with_a_reason(self, tmp_path, capsys):
         data = chain_data()
         data["synthesis"]["T_p"] = 1e-200
@@ -327,6 +336,26 @@ class TestSweep:
         text = capsys.readouterr().out
         assert "scale 100: fail t_settle=None" in text
         assert "verdict: fail" in text
+
+    def test_unresolvable_tolerance_fails_like_verify(self, tmp_path, capsys):
+        # the README chain design with a tolerance below the accuracy floor:
+        # verify and sweep both refuse to certify it
+        data = chain_data(verify={"tol_abs": 1e-13, "tol_rel": 0.0})
+        del data["sim"]["rtol"], data["sim"]["atol"]
+        cfg = write_config(tmp_path, data)
+        assert main(["verify", "--config", cfg]) == 4
+        assert "accuracy floor 1.001e-08" in capsys.readouterr().out
+        assert main(["sweep", "--config", cfg]) == 4
+        text = capsys.readouterr().out
+        assert "scale 1: error settling tolerance 1.000e-13 is below the " \
+            "integration accuracy floor 1.001e-08" in text
+        assert "verdict: fail" in text
+        report = json.loads((tmp_path / "chain2.json").read_text())
+        (row,) = report["rows"]
+        assert row["integrator"] is None
+        assert "accuracy floor" in row["error"]
+        summary = (tmp_path / "chain2.sweep.csv").read_text().splitlines()
+        assert summary[1] == "1,,,,error"
 
     def test_error_row_fails_the_sweep(self, tmp_path, capsys):
         data = {

@@ -2,13 +2,18 @@
 path anchoring, and the resolved-config round trip."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
+from psis import experiment
 from psis.errors import ConfigurationError
-from psis.experiment import build_spec, effective_config, load_config
+from psis.experiment import (
+    OutputPaths, VerifyParams, build_spec, effective_config, load_config,
+)
 from psis.rcdf import RcdfKind
-from psis.simulation import IntegratorChain, Pendulum
+from psis.simulation import IntegratorChain, Pendulum, SimConfig
+from psis.synthesis import SynthesisConfig
 
 
 def chain_config(**overrides):
@@ -255,3 +260,93 @@ class TestEffectiveConfig:
         assert resolved["sim"]["eps_stop"] == pytest.approx(1e-9)
         assert resolved["output"]["csv"] == "/work/demo.csv"
         assert json.dumps(resolved)  # JSON-serializable as written
+
+
+def every_key_config(plant):
+    """A config that sets every key of every section to a non-default value."""
+    return {
+        "run_id": "every",
+        "plant": plant,
+        "synthesis": {
+            "c": 0.25,
+            "T_p": 0.8,
+            "stages": [{"kind": "tan", "eta": 3.5}, {"kind": "tan", "eta": 2.5}],
+            "allow_mixed_kinds": True,
+        },
+        "sim": {
+            "x0": [0.1, -0.2], "t_end": 1.0, "eps_stop": 1e-8, "rtol": 1e-8,
+            "atol": 1e-11, "max_step": 0.002, "sample_dt": 0.004, "mode": "tau",
+            "tau_end": 17.0, "open_loop": True,
+        },
+        "verify": {
+            "tol_abs": 2e-4, "tol_rel": 1e-5, "window_factor": 0.85,
+            "spread_bound": 0.06, "slack_abs": 2e-6, "slack_rel": 2e-3,
+            "scales": [0.5, 1.0],
+        },
+        "output": {"csv": "/out/every.csv", "svg": None, "report": "/out/r.json"},
+    }
+
+
+EVERY_KEY_PLANTS = (
+    {"type": "chain", "n": 2},
+    {"type": "pendulum", "length": 0.6, "mass": 0.2, "gravity": 9.7, "friction": 0.02},
+)
+
+SECTIONS = {
+    "synthesis": SynthesisConfig,
+    "sim": SimConfig,
+    "verify": VerifyParams,
+    "output": OutputPaths,
+}
+
+
+class TestSchema:
+    def test_every_field_has_a_reader(self):
+        # the stage list and the output paths are read by hand: stages are
+        # objects of their own, and paths resolve against run_id and the
+        # config's directory
+        by_hand = {(SynthesisConfig, "stages")} | {
+            (OutputPaths, f.name) for f in fields(OutputPaths)
+        }
+        for cls in (IntegratorChain, Pendulum, *SECTIONS.values()):
+            for f in fields(cls):
+                if f.name in experiment._SKIP.get(cls, set()) or (cls, f.name) in by_hand:
+                    continue
+                assert f.type in experiment._READERS, (cls.__name__, f.name, f.type)
+
+    @pytest.mark.parametrize("plant", EVERY_KEY_PLANTS, ids=lambda p: p["type"])
+    def test_every_key_round_trips(self, plant):
+        cfg = every_key_config(plant)
+        spec = build_spec(cfg, base_dir="/work")
+        echoed = effective_config(spec)
+        assert build_spec(echoed) == spec
+        # the echo is the input: nothing dropped, renamed or reformatted
+        assert echoed == cfg
+        for name, cls in SECTIONS.items():
+            expected = {f.name for f in fields(cls)} - experiment._SKIP.get(cls, set())
+            assert set(echoed[name]) == expected
+        plant_cls = type(spec.plant)
+        assert set(echoed["plant"]) == {"type"} | {f.name for f in fields(plant_cls)}
+
+    @pytest.mark.parametrize("plant", EVERY_KEY_PLANTS, ids=lambda p: p["type"])
+    def test_every_key_differs_from_its_default(self, plant):
+        # so the round trip above cannot pass by falling back to defaults
+        cfg = every_key_config(plant)
+        required = {
+            "plant": {"type", "n"},
+            "synthesis": {"c", "T_p", "stages"},
+            "sim": {"x0"},
+            "verify": set(),
+            "output": set(),
+        }
+        minimal = {"run_id": "every"}
+        minimal.update({
+            section: {k: v for k, v in cfg[section].items() if k in keys}
+            for section, keys in required.items()
+        })
+        full = effective_config(build_spec(cfg, base_dir="/work"))
+        default = effective_config(build_spec(minimal, base_dir="/work"))
+        for section, keys in required.items():
+            for key, value in full[section].items():
+                if key not in keys:
+                    assert value != default[section][key], (section, key)

@@ -126,6 +126,30 @@ class TestTrajectoryContainer:
         with pytest.raises(AuditError):
             traj.sample_at(0.25)
 
+    def test_sample_at_returns_the_nearest_match(self):
+        # two samples inside the match window: the nearer one wins, not the
+        # first one in time
+        early = Sample(t=1.0 - 5e-13, x=(1.0,), u=0.2, z=(1.0,), V=1.0, dV=-1.0)
+        exact = Sample(t=1.0, x=(0.0,), u=0.0, z=None, V=None, dV=None)
+        traj = Trajectory(samples=[early, exact], meta={})
+        assert traj.sample_at(1.0) is exact
+        assert traj.sample_at(1.0 - 5e-13) is early
+
+    @pytest.mark.parametrize(
+        "T_p, eps_stop", [(1e-12, None), (1e-6, None), (1.0, 1e-14)],
+    )
+    def test_sample_at_the_instant_on_any_scale(self, T_p, eps_stop):
+        # the match window scales with the run: at T_p=1e-12 an absolute
+        # floor would match the t=0 sample, at 1e-6 a pre-instant step
+        # boundary, and with a 1e-14 standoff a sample before the standoff
+        ctrl = make_controller(T_p=T_p)
+        cfg = SimConfig(x0=(1.0, 0.0), T_p=T_p, t_end=1.2 * T_p, eps_stop=eps_stop)
+        traj = simulate(IntegratorChain(2), ctrl, cfg)
+        at_instant = traj.sample_at(T_p)
+        assert at_instant.t == T_p
+        assert at_instant.z is None
+        assert traj.sample_at(cfg.t_standoff).t == cfg.t_standoff
+
     def test_pre_instant_arrays_requires_pre_samples(self):
         post_only = Trajectory(
             samples=[Sample(t=1.0, x=(0.0,), u=0.0, z=None, V=None, dV=None)],
@@ -140,10 +164,6 @@ class TestTrajectoryContainer:
             Sample(t=1.0, x=(0.0, 0.0), u=0.0, z=None, V=None, dV=None),
         ]
         traj = Trajectory(samples=samples, meta={})
-        assert traj.times() == [0.0, 1.0]
-        assert traj.states() == [(1.0, 2.0), (0.0, 0.0)]
-        assert [len(x) for x in traj.states()] == [2, 2]
-        assert traj.controls() == [0.5, 0.0]
         t, z, V, dV = traj.pre_instant_arrays()
         assert (t, z, V, dV) == ([0.0], [(1.0, 2.0)], [5.0], [-1.0])
 
@@ -337,6 +357,17 @@ class TestBreakdownReporting:
         assert traj.samples[-1].t == 1.2 * T_p
         ev = settling_instant(traj, run_tolerance(1e-4, 1e-6, cfg.x0))
         assert ev.two_sided
+
+    def test_huge_prescribed_instant_is_a_stiffness_error(self):
+        # the backstepping cross term has unit gain whatever T_p is, so a
+        # huge T_p makes the loop oscillate at an O(1) frequency over a
+        # horizon of 1e300; the first trial steps overflow, and the run
+        # stops with a reason instead of a traceback
+        ctrl = make_controller(T_p=1e300)
+        cfg = SimConfig(x0=(1.0, 0.0), T_p=1e300, t_end=1.2e300)
+        with pytest.raises(StiffnessError, match="step size collapsed") as info:
+            simulate(IntegratorChain(2), ctrl, cfg)
+        assert info.value.t == 0.0
 
     def test_overflowing_error_estimate_rejects_the_step(self):
         # the trial steps of this start overflow the squared error norm; such

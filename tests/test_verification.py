@@ -27,6 +27,7 @@ from psis.verification import (
     settling_instant,
     sweep_initial_conditions,
     thread_count,
+    unresolvable_tolerance,
 )
 
 T_STD = 1.0 - 1e-9
@@ -419,6 +420,26 @@ class TestSweep:
         assert settled.two_sided
         assert report.verdict == "fail"
         assert report.spread == abs(settled.t_settle - 1.0)
+
+    def test_tolerance_below_the_accuracy_floor_is_an_error_row(self):
+        # tol 1e-13 against a floor of 10 * (1e-12 + 1e-9 * 1) = 1.001e-8:
+        # the run would certify roundoff, so the sweep refuses it, as verify does
+        ctrl = make_controller()
+        cfg = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2)
+        report = sweep_initial_conditions(
+            IntegratorChain(2), ctrl, cfg, scales=(1.0,), tol_abs=1e-13, tol_rel=0.0
+        )
+        (row,) = report.rows
+        assert row.evidence is None
+        assert row.error == unresolvable_tolerance(1e-13, cfg)
+        assert "below the integration accuracy floor 1.001e-08" in row.error
+        assert report.verdict == "fail"
+
+    def test_accuracy_floor_scales_with_the_initial_condition(self):
+        cfg = SimConfig(x0=(100.0, 0.0), T_p=1.0, t_end=1.2, rtol=1e-7, atol=1e-10)
+        # floor 10 * (1e-10 + 1e-7 * 100) ~ 1e-4
+        assert unresolvable_tolerance(2e-4, cfg) is None
+        assert "floor 1.000e-04" in unresolvable_tolerance(0.5e-4, cfg)
 
     def test_tight_spread_bound_fails(self):
         ctrl = make_controller()

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import output as out
 from .errors import (
@@ -33,8 +33,10 @@ from .experiment import ExperimentSpec, effective_config, load_config, plain
 from .simulation import simulate
 from .synthesis import describe, synthesize
 from .verification import (
+    SettlingEvidence,
     control_vanishing_check,
     lyapunov_audit,
+    mixed_kernels,
     run_tolerance,
     settling_instant,
     sweep_initial_conditions,
@@ -137,6 +139,9 @@ def _cmd_simulate(spec: ExperimentSpec, args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(spec: ExperimentSpec, args: argparse.Namespace) -> int:
+    problem = mixed_kernels([s.kind.value for s in spec.synthesis.stages])
+    if problem is not None:
+        raise ConfigurationError(problem)
     paths = spec.output
     out.check_clobber([paths.report], args.no_clobber)
     controller = synthesize(spec.synthesis)
@@ -199,6 +204,13 @@ def _cmd_verify(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     return 0 if verdict in ("pass", "degenerate") else 4
 
 
+# the settling fields a sweep row carries: tol is the row's own, and
+# window_end is the same on every row
+_ROW_SETTLING = [
+    f.name for f in fields(SettlingEvidence) if f.name not in ("tol", "window_end")
+]
+
+
 def _sweep_paths(csv_path: str, scales: list[float]) -> tuple[str, list[str]]:
     if "." in csv_path.rsplit("/", 1)[-1]:
         stem, dot, ext = csv_path.rpartition(".")
@@ -243,11 +255,7 @@ def _cmd_sweep(spec: ExperimentSpec, args: argparse.Namespace) -> int:
         rows_payload.append({
             "scale": row.scale,
             "tol": row.tol,
-            "t_settle": None if ev is None else ev.t_settle,
-            "pre_window_floor": None if ev is None else ev.pre_window_floor,
-            "norm_at_standoff": None if ev is None else ev.norm_at_standoff,
-            "two_sided": None if ev is None else ev.two_sided,
-            "degenerate": None if ev is None else ev.degenerate,
+            **{k: None if ev is None else getattr(ev, k) for k in _ROW_SETTLING},
             "error": row.error,
             "integrator": None if row.traj is None else _integrator_block(row.traj.meta),
         })
@@ -267,11 +275,9 @@ def _cmd_sweep(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     for row in report.rows:
         ev = row.evidence
         if ev is None:
-            print(f"scale {row.scale:g}: error {row.error}")
+            print(f"scale {row.scale:g}: {row.state} {row.error}")
         else:
-            state = "degenerate" if ev.degenerate else (
-                "pass" if ev.two_sided else "fail")
-            print(f"scale {row.scale:g}: {state} t_settle={ev.t_settle} "
+            print(f"scale {row.scale:g}: {row.state} t_settle={ev.t_settle} "
                   f"floor={ev.pre_window_floor:.3e} "
                   f"standoff={ev.norm_at_standoff:.3e}")
     if report.spread is not None:

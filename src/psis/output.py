@@ -81,13 +81,12 @@ def write_sweep_csv(path: str, report: SweepReport) -> None:
     for row in report.rows:
         ev = row.evidence
         if ev is None:
-            lines.append(f"{fmt_float(row.scale)},,,,error")
+            lines.append(f"{fmt_float(row.scale)},,,,{row.state}")
             continue
-        verdict = "degenerate" if ev.degenerate else ("pass" if ev.two_sided else "fail")
         t_settle = "" if ev.t_settle is None else fmt_float(ev.t_settle)
         lines.append(
             f"{fmt_float(row.scale)},{t_settle},"
-            f"{fmt_float(ev.pre_window_floor)},{fmt_float(ev.norm_at_standoff)},{verdict}"
+            f"{fmt_float(ev.pre_window_floor)},{fmt_float(ev.norm_at_standoff)},{row.state}"
         )
     _ensure_parent(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

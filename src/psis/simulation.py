@@ -625,6 +625,8 @@ class _Recorder:
     def record_pre(self, t: float, w: Sequence[float]) -> None:
         x = tuple(map(add, w, self.offset))
         z = tuple([fn(w, t) for fn in self.z_fns])
+        if not all(map(math.isfinite, z)):
+            raise DivergenceError(f"stage errors are not finite: z={z!r}", t)
         u = self.u_fn(w, t)
         # explicit left-to-right sums: sum() compensates float sums from
         # Python 3.12 on, which would move the last bits between versions
@@ -748,8 +750,9 @@ def _run_phases(
     post-instant grid.  rec supplies record_pre, record_post and samples.
     meta plus the integrator counters labels the trajectory, and equally the
     partial one attached to an integration breakdown.  A pre-instant sample
-    whose control or stage errors fail in float arithmetic ends the run with
-    a DivergenceError at that sample's t.
+    whose control or stage errors fail in float arithmetic, or whose stage
+    errors are not finite, ends the run with a DivergenceError at that
+    sample's t.
     """
     stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
     window_start = 0.95 * T_p

@@ -11,6 +11,12 @@ Expressions are immutable trees of frozen dataclasses.  Structural equality
 and hashing come from the dataclass machinery, which the simplifier and the
 compiler both rely on (syntactic cancellation, common-subexpression reuse).
 
+The operator vocabulary lives in two tables, _BINARY_OPS and _UNARY_OPS,
+which give each node class its printed and compiled name and its float
+function; evaluate, simplify, to_infix and compile_expr all read them.  Pow
+keeps its own rules everywhere, because its exponent is part of the node.
+Only the derivative rules in _partial are spelt out per class.
+
 Notes on conventions:
   * sign(0) evaluates to 0, matching the rate kernels.
   * 0^0 evaluates to 1, so folded power rules stay total.
@@ -22,8 +28,9 @@ Notes on conventions:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import EvaluationError, StructureError
 
@@ -172,12 +179,8 @@ class Sign(Expr):
     arg: Expr
 
 
-_UNARY = (Sin, Cos, Tan, Arctan, Exp, Ln, Abs, Sign)
-_BINARY = (Add, Sub, Mul, Div)
-
-
 # ---------------------------------------------------------------------------
-# evaluation
+# operator tables
 
 
 def _sign(v: float) -> float:
@@ -186,6 +189,48 @@ def _sign(v: float) -> float:
     if v < 0.0:
         return -1.0
     return 0.0
+
+
+class _Op(NamedTuple):
+    name: str                     # infix symbol, or printed and compiled name
+    fn: Callable[..., float]      # the float function evaluate applies
+
+
+_BINARY_OPS: dict[type, _Op] = {
+    Add: _Op("+", operator.add),
+    Sub: _Op("-", operator.sub),
+    Mul: _Op("*", operator.mul),
+    Div: _Op("/", operator.truediv),
+}
+_UNARY_OPS: dict[type, _Op] = {
+    Sin: _Op("sin", math.sin),
+    Cos: _Op("cos", math.cos),
+    Tan: _Op("tan", math.tan),
+    Arctan: _Op("arctan", math.atan),
+    Exp: _Op("exp", math.exp),
+    Ln: _Op("ln", math.log),
+    Abs: _Op("abs", abs),
+    Sign: _Op("sign", _sign),
+}
+
+
+def _nodes(expr: Expr) -> Iterator[Expr]:
+    """Every node of the tree, a shared subtree once per occurrence; an
+    explicit stack, so deep trees do not hit the recursion limit."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if type(node) in _BINARY_OPS:
+            stack += (node.left, node.right)
+        elif type(node) in _UNARY_OPS:
+            stack.append(node.arg)
+        elif isinstance(node, Pow):
+            stack.append(node.base)
+
+
+# ---------------------------------------------------------------------------
+# evaluation
 
 
 def _pow(base: float, exponent: float) -> float:
@@ -220,40 +265,22 @@ def evaluate(expr: Expr, x: Sequence[float], t: float) -> float:
         return float(x[expr.index - 1])
     if isinstance(expr, TimeVar):
         return float(t)
-    if isinstance(expr, _BINARY):
+    op = _BINARY_OPS.get(type(expr))
+    if op is not None:
         a = evaluate(expr.left, x, t)
         b = evaluate(expr.right, x, t)
-        if isinstance(expr, Add):
-            return a + b
-        if isinstance(expr, Sub):
-            return a - b
-        if isinstance(expr, Mul):
-            return a * b
-        if b == 0.0:
+        if b == 0.0 and isinstance(expr, Div):
             raise EvaluationError(f"division by zero at t={t!r}", "Div")
-        return a / b
+        return op.fn(a, b)
     if isinstance(expr, Pow):
         return _pow(evaluate(expr.base, x, t), expr.exponent)
-    if isinstance(expr, _UNARY):
+    op = _UNARY_OPS.get(type(expr))
+    if op is not None:
         a = evaluate(expr.arg, x, t)
+        if a <= 0.0 and isinstance(expr, Ln):
+            raise EvaluationError(f"log of nonpositive value {a!r}", "Ln")
         try:
-            if isinstance(expr, Sin):
-                return math.sin(a)
-            if isinstance(expr, Cos):
-                return math.cos(a)
-            if isinstance(expr, Tan):
-                return math.tan(a)
-            if isinstance(expr, Arctan):
-                return math.atan(a)
-            if isinstance(expr, Exp):
-                return math.exp(a)
-            if isinstance(expr, Ln):
-                if a <= 0.0:
-                    raise EvaluationError(f"log of nonpositive value {a!r}", "Ln")
-                return math.log(a)
-            if isinstance(expr, Abs):
-                return abs(a)
-            return _sign(a)  # Sign
+            return op.fn(a)
         except OverflowError:
             raise EvaluationError(
                 f"overflow in {type(expr).__name__}", type(expr).__name__
@@ -263,37 +290,12 @@ def evaluate(expr: Expr, x: Sequence[float], t: float) -> float:
 
 def state_indices(expr: Expr) -> frozenset[int]:
     """All 1-based state indices referenced by expr."""
-    found: set[int] = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, StateVar):
-            found.add(node.index)
-        elif isinstance(node, _BINARY):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-        elif isinstance(node, _UNARY):
-            stack.append(node.arg)
-    return frozenset(found)
+    return frozenset(node.index for node in _nodes(expr) if isinstance(node, StateVar))
 
 
 def node_count(expr: Expr) -> int:
     """Number of nodes in the tree; a proxy for evaluation cost."""
-    count = 0
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        count += 1
-        if isinstance(node, _BINARY):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-        elif isinstance(node, _UNARY):
-            stack.append(node.arg)
-    return count
+    return sum(1 for _ in _nodes(expr))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +340,7 @@ def _partial(e: Expr, wrt: Expr) -> Expr:
         if e.exponent == 1.0:
             return inner
         return Mul(Mul(Const(e.exponent), Pow(e.base, e.exponent - 1.0)), inner)
-    if isinstance(e, _UNARY):
+    if type(e) in _UNARY_OPS:
         inner = _partial(e.arg, wrt)
         if isinstance(e, Sin):
             outer: Expr = Cos(e.arg)
@@ -398,7 +400,7 @@ def simplify(expr: Expr) -> Expr:
     """
     if isinstance(expr, (Const, StateVar, TimeVar)):
         return expr
-    if isinstance(expr, _BINARY):
+    if type(expr) in _BINARY_OPS:
         a = simplify(expr.left)
         b = simplify(expr.right)
         return _simplify_binary(type(expr), a, b)
@@ -414,7 +416,7 @@ def simplify(expr: Expr) -> Expr:
             except EvaluationError:
                 pass
         return Pow(base, expr.exponent)
-    if isinstance(expr, _UNARY):
+    if type(expr) in _UNARY_OPS:
         arg = simplify(expr.arg)
         node = type(expr)(arg)
         if isinstance(arg, Const):
@@ -433,14 +435,7 @@ def _is_const(e: Expr, value: float) -> bool:
 def _simplify_binary(op: type, a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
         if op is not Div or b.value != 0.0:
-            if op is Add:
-                return Const(a.value + b.value)
-            if op is Sub:
-                return Const(a.value - b.value)
-            if op is Mul:
-                return Const(a.value * b.value)
-            if op is Div:
-                return Const(a.value / b.value)
+            return Const(_BINARY_OPS[op].fn(a.value, b.value))
     if op is Add:
         if _is_const(a, 0.0):
             return b
@@ -476,20 +471,6 @@ def _simplify_binary(op: type, a: Expr, b: Expr) -> Expr:
 # printing
 
 
-_UNARY_NAMES = {
-    Sin: "sin",
-    Cos: "cos",
-    Tan: "tan",
-    Arctan: "arctan",
-    Exp: "exp",
-    Ln: "ln",
-    Abs: "abs",
-    Sign: "sign",
-}
-
-_BINARY_SYMBOLS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-
-
 def to_infix(expr: Expr) -> str:
     """Render expr as fully parenthesized infix text.
 
@@ -504,15 +485,16 @@ def to_infix(expr: Expr) -> str:
         return "t"
     if isinstance(expr, Sub) and _is_const(expr.left, 0.0):
         return f"(-{to_infix(expr.right)})"
-    if isinstance(expr, _BINARY):
-        symbol = _BINARY_SYMBOLS[type(expr)]
-        return f"({to_infix(expr.left)} {symbol} {to_infix(expr.right)})"
+    op = _BINARY_OPS.get(type(expr))
+    if op is not None:
+        return f"({to_infix(expr.left)} {op.name} {to_infix(expr.right)})"
     if isinstance(expr, Pow):
         p = expr.exponent
         p_text = str(int(p)) if p == int(p) and abs(p) < 1e16 else repr(p)
         return f"({to_infix(expr.base)} ^ {p_text})"
-    if isinstance(expr, _UNARY):
-        return f"{_UNARY_NAMES[type(expr)]}({to_infix(expr.arg)})"
+    op = _UNARY_OPS.get(type(expr))
+    if op is not None:
+        return f"{op.name}({to_infix(expr.arg)})"
     raise StructureError(f"unknown node type {type(expr).__name__}")
 
 
@@ -554,13 +536,13 @@ def compile_expr(expr: Expr, n_states: int) -> Callable[[Sequence[float], float]
         if hit is not None:
             by_id[id(e)] = hit
             return hit
-        if isinstance(e, _BINARY):
-            code = f"{emit(e.left)} {_BINARY_SYMBOLS[type(e)]} {emit(e.right)}"
+        if type(e) in _BINARY_OPS:
+            code = f"{emit(e.left)} {_BINARY_OPS[type(e)].name} {emit(e.right)}"
         elif isinstance(e, Pow):
             # parenthesized base: ** binds tighter than a leading unary minus
             code = f"({emit(e.base)}) ** {repr(e.exponent)}"
         else:
-            code = f"{_UNARY_NAMES[type(e)]}({emit(e.arg)})"
+            code = f"{_UNARY_OPS[type(e)].name}({emit(e.arg)})"
         name = f"v{len(memo)}"
         memo[e] = name
         by_id[id(e)] = name
@@ -569,16 +551,7 @@ def compile_expr(expr: Expr, n_states: int) -> Callable[[Sequence[float], float]
 
     result = emit(expr)
     source = "def _compiled(x, t):\n" + "\n".join(lines) + f"\n    return {result}\n"
-    namespace = {
-        "sin": math.sin,
-        "cos": math.cos,
-        "tan": math.tan,
-        "arctan": math.atan,
-        "exp": math.exp,
-        "ln": math.log,
-        "abs": abs,
-        "sign": _sign,
-    }
+    namespace = {op.name: op.fn for op in _UNARY_OPS.values()}
     exec(compile(source, "<psis.symdiff>", "exec"), namespace)
     fn = namespace["_compiled"]
     fn.__psis_source__ = source  # kept for debugging and tests

@@ -158,8 +158,8 @@ def zero_setpoint_twin(controller: Controller) -> Controller:
     return synthesize(replace(controller.config, c=0.0))
 
 
-def eval_control(controller: Controller, x: Sequence[float], t: float) -> float:
-    """Control value with the terminal switch applied: u = 0 for t >= T_p."""
+def _checked_config(controller: Controller, x: Sequence[float], t: float) -> SynthesisConfig:
+    """The controller's config, once x fits its order and t is a valid time."""
     cfg = controller.config
     if len(x) != cfg.n:
         raise ConfigurationError(
@@ -167,6 +167,12 @@ def eval_control(controller: Controller, x: Sequence[float], t: float) -> float:
         )
     if not math.isfinite(t) or t < 0.0:
         raise ConfigurationError(f"time must be finite and nonnegative, got {t!r}")
+    return cfg
+
+
+def eval_control(controller: Controller, x: Sequence[float], t: float) -> float:
+    """Control value with the terminal switch applied: u = 0 for t >= T_p."""
+    cfg = _checked_config(controller, x, t)
     if t >= cfg.T_p:
         return 0.0
     return sd.evaluate(controller.u_expr, x, t)
@@ -176,13 +182,7 @@ def error_coordinates(
     controller: Controller, x: Sequence[float], t: float
 ) -> tuple[float, ...]:
     """Stage errors (z_1, ..., z_n) at (x, t); undefined at or after T_p."""
-    cfg = controller.config
-    if len(x) != cfg.n:
-        raise ConfigurationError(
-            f"state has {len(x)} components, controller expects {cfg.n}"
-        )
-    if not math.isfinite(t) or t < 0.0:
-        raise ConfigurationError(f"time must be finite and nonnegative, got {t!r}")
+    cfg = _checked_config(controller, x, t)
     if t >= cfg.T_p:
         raise SingularityError(
             f"stage errors involve the virtual references, undefined at t={t} >= T_p={cfg.T_p}"

@@ -184,6 +184,14 @@ class LyapunovAudit:
 _V_FLOOR = 1e-20
 
 
+def mixed_kernels(kinds: Sequence[str]) -> str | None:
+    """Why the decay audit cannot run on stages of these kernel kinds, or
+    None if it can: its envelope holds for a single kernel family only."""
+    if len(set(kinds)) == 1:
+        return None
+    return f"decay audit needs a single kernel family, trajectory has {kinds!r}"
+
+
 def lyapunov_audit(
     traj: Trajectory,
     slack_abs: float = 1e-6,
@@ -201,10 +209,9 @@ def lyapunov_audit(
     is one-sided or the dynamics are singular).
     """
     kinds = traj.meta.get("kinds", [])
-    if len(set(kinds)) != 1:
-        raise AuditError(
-            f"decay audit needs a single kernel family, trajectory has {kinds!r}"
-        )
+    problem = mixed_kernels(kinds)
+    if problem is not None:
+        raise AuditError(problem)
     kind = RcdfKind(kinds[0])
     etas = [float(e) for e in traj.meta["etas"]]
     T_p = float(traj.meta["T_p"])
@@ -423,6 +430,14 @@ class SweepRow:
     evidence: SettlingEvidence | None
     error: str | None
     traj: Trajectory | None = None  # populated only when the sweep keeps them
+
+    @property
+    def state(self) -> str:
+        """The row's outcome: error, degenerate, pass or fail."""
+        ev = self.evidence
+        if ev is None:
+            return "error"
+        return "degenerate" if ev.degenerate else ("pass" if ev.two_sided else "fail")
 
 
 @dataclass(frozen=True)

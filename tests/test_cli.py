@@ -219,6 +219,15 @@ class TestIntegrationFailure:
         # nothing was recorded, so there is no partial file either
         assert {p.name for p in tmp_path.iterdir()} == {"exp.json"}
 
+    def test_overflowed_stage_errors_exit_three_with_a_reason(self, tmp_path, capsys):
+        data = chain_data(output={"csv": None, "svg": None, "report": None})
+        data["sim"]["x0"] = [1e308, 0.0]
+        cfg = write_config(tmp_path, data)
+        assert main(["simulate", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "integration failed at t=0: stage errors are not finite" in err
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_pendulum_passes(self, tmp_path, capsys):
@@ -262,6 +271,26 @@ class TestVerify:
         assert report["verdict"] == "fail"
         assert report["settling"]["t_settle"] is None
         assert report["config"]["sim"]["open_loop"] is True
+
+    def test_mixed_kernels_are_refused_before_simulating(self, tmp_path, capsys):
+        data = chain_data()
+        data["synthesis"]["allow_mixed_kinds"] = True
+        data["synthesis"]["stages"] = [
+            {"kind": "tan", "eta": 3.5},
+            {"kind": "linear", "eta": 2.5},
+        ]
+        cfg = write_config(tmp_path, data)
+        assert main(["verify", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert err == (
+            "configuration error: decay audit needs a single kernel family, "
+            "trajectory has ['tan', 'linear']\n"
+        )
+        assert out == ""
+        assert {p.name for p in tmp_path.iterdir()} == {"exp.json"}
+        # simulate and sweep still run such a design
+        assert main(["simulate", "--config", cfg]) == 0
+        assert main(["sweep", "--config", cfg, "--scales", "1"]) == 0
 
     def test_unresolvable_tolerance_fails_with_diagnostic(self, tmp_path, capsys):
         data = pendulum_data(verify={"tol_abs": 1e-12, "tol_rel": 1e-15})

@@ -331,6 +331,15 @@ class TestBreakdownReporting:
         assert info.value.partial.samples == []
         assert info.value.partial.meta["T_p"] == 1e-200
 
+    def test_overflowed_stage_errors_are_divergence(self):
+        # z2 = x2 + 3 x1 / (T_p - t) overflows to inf at the start
+        ctrl = make_controller()
+        cfg = SimConfig(x0=(1e308, 0.0), T_p=1.0, t_end=1.2)
+        with pytest.raises(DivergenceError, match="stage errors are not finite") as info:
+            simulate(IntegratorChain(2), ctrl, cfg)
+        assert info.value.t == 0.0
+        assert info.value.partial.samples == []
+
     def test_stiff_start_names_step_size_and_error_estimate(self):
         ctrl = make_controller(n=4, etas=(5.0, 4.0, 3.0, 2.0), kind=RcdfKind.TAN)
         for mode in ("direct", "tau"):

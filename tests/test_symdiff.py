@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import psis.symdiff as sd
 from psis.errors import EvaluationError, StructureError
 from psis.symdiff import (
     Abs,
@@ -319,22 +320,45 @@ class TestCompile:
     def test_matches_evaluate_on_random_trees(self):
         rng = random.Random(77)
         leaves = [X1, X2, X3, T, Const(0.5), Const(1.5)]
-        binary = [Add, Sub, Mul]
-        unary = [Sin, Cos, Arctan, Exp]
+        binary = [Add, Sub, Mul, Div]
+        unary = [Sin, Cos, Tan, Arctan, Exp, Ln, Abs, Sign]
+        drawn = set()
+
+        def positive(e):
+            # at least 0.5: a denominator, log argument or power base
+            return Add(Mul(e, e), Const(0.5))
 
         def build(depth):
             if depth == 0 or rng.random() < 0.25:
                 return rng.choice(leaves)
-            if rng.random() < 0.7:
-                return rng.choice(binary)(build(depth - 1), build(depth - 1))
-            return rng.choice(unary)(build(depth - 1))
+            r = rng.random()
+            if r < 0.6:
+                op = rng.choice(binary)
+                left, right = build(depth - 1), build(depth - 1)
+                node = op(left, positive(right) if op is Div else right)
+            elif r < 0.7:
+                node = Pow(positive(build(depth - 1)), rng.choice((-1.5, 0.5, 2.0)))
+            else:
+                op = rng.choice(unary)
+                arg = build(depth - 1)
+                if op is Ln:
+                    arg = positive(arg)
+                elif op is Tan:
+                    arg = Sin(arg)  # inside (-pi/2, pi/2)
+                node = op(arg)
+            drawn.add(type(node))
+            return node
 
         for _ in range(200):
             e = build(5)
             fn = compile_expr(e, 3)
             x = [rng.uniform(-1.5, 1.5) for _ in range(3)]
             t = rng.uniform(0.0, 1.0)
-            assert fn(x, t) == pytest.approx(evaluate(e, x, t), rel=1e-15, abs=1e-300)
+            expected = evaluate(e, x, t)
+            assert math.isfinite(expected)
+            assert fn(x, t) == pytest.approx(expected, rel=1e-15, abs=1e-300)
+        # every entry of the operator tables, and Pow, was exercised
+        assert drawn == set(sd._BINARY_OPS) | set(sd._UNARY_OPS) | {Pow}
 
     def test_shared_subtrees_evaluated_once(self):
         shared = Mul(Add(X1, Const(1.0)), Sin(X1))

@@ -167,8 +167,10 @@ class TestEvaluationGate:
 
     def test_negative_time_rejected(self):
         ctrl = synthesize(linear_config())
-        with pytest.raises(ConfigurationError):
-            eval_control(ctrl, [1.0, 1.0], -0.1)
+        for fn in (eval_control, error_coordinates):
+            for t in (-0.1, math.nan):
+                with pytest.raises(ConfigurationError, match="time must be finite"):
+                    fn(ctrl, [1.0, 1.0], t)
 
 
 class TestZeroSetpointTwin:

@@ -7,9 +7,22 @@ kernels.  A tiny expression tree over that vocabulary is simpler and easier
 to audit than a general computer-algebra dependency, so the engine lives
 here.
 
-Expressions are immutable trees of frozen dataclasses.  Structural equality
-and hashing come from the dataclass machinery, which the simplifier and the
-compiler both rely on (syntactic cancellation, common-subexpression reuse).
+Expressions are immutable frozen dataclasses, hash-consed at construction
+(Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", 2006): building a
+node structurally equal to a live one returns the live one.  An expression
+is therefore a DAG in which each distinct subexpression exists once, and
+equality and hashing go by identity, which the simplifier's syntactic
+cancellation relies on.  The interning key compares floats by their bits,
+so 0.0 and -0.0 stay two nodes and NaN constants are never merged.  The
+table holds its nodes weakly, so dead expressions are freed, and a lock
+makes each lookup-or-insert atomic, so threads synthesizing at once still
+share one node per structure.
+
+Every recursive walker (evaluate, simplify, partial, to_infix, compile_expr)
+runs through _walk, which keeps a memo on node identity for the one call:
+each distinct node is visited once, and the result is that of a walk over
+the tree the DAG stands for.  node_count still counts tree occurrences, a
+shared subexpression once per place it appears.
 
 The operator vocabulary lives in two tables, _BINARY_OPS and _UNARY_OPS,
 which give each node class its printed and compiled name and its float
@@ -29,18 +42,49 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
+import threading
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, TypeVar, Union
 
 from .errors import EvaluationError, StructureError
 
 Number = Union[int, float]
+_R = TypeVar("_R")
+
+_DOUBLE = struct.Struct("<d")
+_interned: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary()
+_intern_lock = threading.Lock()
 
 
-class Expr:
+class _Interned(type):
+    """Metaclass that hands out the live node equal to the one being built."""
+
+    def __call__(cls, *args, **kwargs):
+        node = super().__call__(*args, **kwargs)  # normalizes and validates
+        key = [cls]
+        for name in cls.__match_args__:  # the dataclass fields, in order
+            value = getattr(node, name)
+            if type(value) is float:
+                if value != value:
+                    return node  # NaN equals nothing, so it is never merged
+                value = _DOUBLE.pack(value)
+            key.append(value)
+        with _intern_lock:
+            return _interned.setdefault(tuple(key), node)
+
+
+class Expr(metaclass=_Interned):
     """Base class for expression nodes; provides operator sugar."""
 
     __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __reduce__(self):
+        # copies and unpickled nodes go through the constructor, and so
+        # come back as the interned node
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def __add__(self, other: "Expr | Number") -> "Expr":
         return Add(self, as_expr(other))
@@ -78,7 +122,7 @@ def as_expr(value: "Expr | Number") -> Expr:
     raise StructureError(f"cannot lift {value!r} into an expression")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const(Expr):
     value: float
 
@@ -86,7 +130,7 @@ class Const(Expr):
         object.__setattr__(self, "value", float(self.value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVar(Expr):
     """State component x_index, 1-based."""
 
@@ -97,36 +141,36 @@ class StateVar(Expr):
             raise StructureError(f"state index must be a positive int, got {self.index!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeVar(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pow(Expr):
     """base raised to a fixed numeric exponent."""
 
@@ -139,42 +183,42 @@ class Pow(Expr):
             raise StructureError(f"exponent must be finite, got {self.exponent!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sin(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cos(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tan(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Arctan(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Exp(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ln(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Abs(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sign(Expr):
     arg: Expr
 
@@ -214,19 +258,49 @@ _UNARY_OPS: dict[type, _Op] = {
 }
 
 
-def _nodes(expr: Expr) -> Iterator[Expr]:
-    """Every node of the tree, a shared subtree once per occurrence; an
-    explicit stack, so deep trees do not hit the recursion limit."""
-    stack = [expr]
+# ---------------------------------------------------------------------------
+# walking the DAG
+
+
+def _children(node: Expr) -> tuple[Expr, ...]:
+    if type(node) in _BINARY_OPS:
+        return (node.left, node.right)
+    if type(node) in _UNARY_OPS:
+        return (node.arg,)
+    if isinstance(node, Pow):
+        return (node.base,)
+    return ()
+
+
+def _nodes(expr: Expr) -> list[Expr]:
+    """Each distinct node once, children before parents; an explicit stack,
+    so deep expressions do not hit the recursion limit."""
+    seen: set[Expr] = set()
+    order: list[Expr] = []
+    stack = [(expr, False)]
     while stack:
-        node = stack.pop()
-        yield node
-        if type(node) in _BINARY_OPS:
-            stack += (node.left, node.right)
-        elif type(node) in _UNARY_OPS:
-            stack.append(node.arg)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            stack.extend((child, False) for child in _children(node))
+    return order
+
+
+def _walk(expr: Expr, step: Callable[[Expr, Callable[[Expr], _R]], _R]) -> _R:
+    """step(node, recur) for the root, where recur(child) runs step on the
+    child; each distinct node's result is computed once and reused."""
+    memo: dict[Expr, _R] = {}
+
+    def recur(node: Expr) -> _R:
+        if node in memo:
+            return memo[node]
+        result = memo[node] = step(node, recur)
+        return result
+
+    return recur(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -252,40 +326,46 @@ def evaluate(expr: Expr, x: Sequence[float], t: float) -> float:
     """Evaluate expr at state x (1-based indices map to x[0], x[1], ...).
 
     Raises EvaluationError at singular points (division by zero, log of a
-    nonpositive value, invalid powers) and StructureError when the state
-    vector is too short for the indices used.
+    nonpositive value, invalid powers, math domain errors) and
+    StructureError when the state vector is too short for the indices used.
+    The first error raised is the one a left-to-right tree walk meets first.
     """
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, StateVar):
-        if expr.index > len(x):
-            raise StructureError(
-                f"expression uses x{expr.index} but the state has {len(x)} components"
-            )
-        return float(x[expr.index - 1])
-    if isinstance(expr, TimeVar):
-        return float(t)
-    op = _BINARY_OPS.get(type(expr))
-    if op is not None:
-        a = evaluate(expr.left, x, t)
-        b = evaluate(expr.right, x, t)
-        if b == 0.0 and isinstance(expr, Div):
-            raise EvaluationError(f"division by zero at t={t!r}", "Div")
-        return op.fn(a, b)
-    if isinstance(expr, Pow):
-        return _pow(evaluate(expr.base, x, t), expr.exponent)
-    op = _UNARY_OPS.get(type(expr))
-    if op is not None:
-        a = evaluate(expr.arg, x, t)
-        if a <= 0.0 and isinstance(expr, Ln):
-            raise EvaluationError(f"log of nonpositive value {a!r}", "Ln")
-        try:
-            return op.fn(a)
-        except OverflowError:
-            raise EvaluationError(
-                f"overflow in {type(expr).__name__}", type(expr).__name__
-            ) from None
-    raise StructureError(f"unknown node type {type(expr).__name__}")
+
+    def value(e: Expr, ev: Callable[[Expr], float]) -> float:
+        if isinstance(e, Const):
+            return e.value
+        if isinstance(e, StateVar):
+            if e.index > len(x):
+                raise StructureError(
+                    f"expression uses x{e.index} but the state has {len(x)} components"
+                )
+            return float(x[e.index - 1])
+        if isinstance(e, TimeVar):
+            return float(t)
+        op = _BINARY_OPS.get(type(e))
+        if op is not None:
+            a = ev(e.left)
+            b = ev(e.right)
+            if b == 0.0 and isinstance(e, Div):
+                raise EvaluationError(f"division by zero at t={t!r}", "Div")
+            return op.fn(a, b)
+        if isinstance(e, Pow):
+            return _pow(ev(e.base), e.exponent)
+        op = _UNARY_OPS.get(type(e))
+        if op is not None:
+            a = ev(e.arg)
+            kind = type(e).__name__
+            if a <= 0.0 and isinstance(e, Ln):
+                raise EvaluationError(f"log of nonpositive value {a!r}", "Ln")
+            try:
+                return op.fn(a)
+            except OverflowError:
+                raise EvaluationError(f"overflow in {kind}", kind) from None
+            except ValueError:  # math domain error, e.g. tan(inf)
+                raise EvaluationError(f"{kind} undefined at {a!r}", kind) from None
+        raise StructureError(f"unknown node type {type(e).__name__}")
+
+    return _walk(expr, value)
 
 
 def state_indices(expr: Expr) -> frozenset[int]:
@@ -294,8 +374,12 @@ def state_indices(expr: Expr) -> frozenset[int]:
 
 
 def node_count(expr: Expr) -> int:
-    """Number of nodes in the tree; a proxy for evaluation cost."""
-    return sum(1 for _ in _nodes(expr))
+    """Number of nodes in the tree expr stands for, a shared subexpression
+    once per occurrence; a proxy for the cost of a tree walk."""
+    counts: dict[Expr, int] = {}
+    for node in _nodes(expr):
+        counts[node] = 1 + sum(counts[child] for child in _children(node))
+    return counts[expr]
 
 
 # ---------------------------------------------------------------------------
@@ -310,38 +394,33 @@ def partial(expr: Expr, wrt: Expr) -> Expr:
     """
     if not isinstance(wrt, (StateVar, TimeVar)):
         raise StructureError(f"can only differentiate w.r.t. a variable, got {wrt!r}")
-    return _partial(expr, wrt)
+    return _walk(expr, lambda e, d: _partial(e, d, wrt))
 
 
-def _partial(e: Expr, wrt: Expr) -> Expr:
+def _partial(e: Expr, d: Callable[[Expr], Expr], wrt: Expr) -> Expr:
+    """d(e)/d(wrt), where d gives the derivative of a child."""
     if isinstance(e, Const):
         return Const(0.0)
     if isinstance(e, (StateVar, TimeVar)):
-        return Const(1.0) if e == wrt else Const(0.0)
+        return Const(1.0) if e is wrt else Const(0.0)
     if isinstance(e, Add):
-        return Add(_partial(e.left, wrt), _partial(e.right, wrt))
+        return Add(d(e.left), d(e.right))
     if isinstance(e, Sub):
-        return Sub(_partial(e.left, wrt), _partial(e.right, wrt))
+        return Sub(d(e.left), d(e.right))
     if isinstance(e, Mul):
-        return Add(
-            Mul(_partial(e.left, wrt), e.right),
-            Mul(e.left, _partial(e.right, wrt)),
-        )
+        return Add(Mul(d(e.left), e.right), Mul(e.left, d(e.right)))
     if isinstance(e, Div):
-        numerator = Sub(
-            Mul(_partial(e.left, wrt), e.right),
-            Mul(e.left, _partial(e.right, wrt)),
-        )
+        numerator = Sub(Mul(d(e.left), e.right), Mul(e.left, d(e.right)))
         return Div(numerator, Mul(e.right, e.right))
     if isinstance(e, Pow):
         if e.exponent == 0.0:
             return Const(0.0)
-        inner = _partial(e.base, wrt)
+        inner = d(e.base)
         if e.exponent == 1.0:
             return inner
         return Mul(Mul(Const(e.exponent), Pow(e.base, e.exponent - 1.0)), inner)
     if type(e) in _UNARY_OPS:
-        inner = _partial(e.arg, wrt)
+        inner = d(e.arg)
         if isinstance(e, Sin):
             outer: Expr = Cos(e.arg)
         elif isinstance(e, Cos):
@@ -398,14 +477,17 @@ def simplify(expr: Expr) -> Expr:
     The output evaluates identically at every point where the input does;
     no floating-point reassociation is performed.
     """
+    return _walk(expr, _simplify)
+
+
+def _simplify(expr: Expr, simp: Callable[[Expr], Expr]) -> Expr:
+    """One node's rewrite, where simp gives a child's simplified form."""
     if isinstance(expr, (Const, StateVar, TimeVar)):
         return expr
     if type(expr) in _BINARY_OPS:
-        a = simplify(expr.left)
-        b = simplify(expr.right)
-        return _simplify_binary(type(expr), a, b)
+        return _simplify_binary(type(expr), simp(expr.left), simp(expr.right))
     if isinstance(expr, Pow):
-        base = simplify(expr.base)
+        base = simp(expr.base)
         if expr.exponent == 0.0:
             return Const(1.0)
         if expr.exponent == 1.0:
@@ -417,7 +499,7 @@ def simplify(expr: Expr) -> Expr:
                 pass
         return Pow(base, expr.exponent)
     if type(expr) in _UNARY_OPS:
-        arg = simplify(expr.arg)
+        arg = simp(expr.arg)
         node = type(expr)(arg)
         if isinstance(arg, Const):
             try:
@@ -445,7 +527,7 @@ def _simplify_binary(op: type, a: Expr, b: Expr) -> Expr:
     if op is Sub:
         if _is_const(b, 0.0):
             return a
-        if a == b:
+        if a is b:
             return Const(0.0)
         # -(-e) -> e
         if _is_const(a, 0.0) and isinstance(b, Sub) and _is_const(b.left, 0.0):
@@ -477,25 +559,29 @@ def to_infix(expr: Expr) -> str:
     Meant for logs and reports, not for parsing back.  Negation renders as
     a prefix minus, powers use the caret.
     """
-    if isinstance(expr, Const):
-        return repr(expr.value)  # keeps the trailing .0, e.g. '3.0'
-    if isinstance(expr, StateVar):
-        return f"x{expr.index}"
-    if isinstance(expr, TimeVar):
-        return "t"
-    if isinstance(expr, Sub) and _is_const(expr.left, 0.0):
-        return f"(-{to_infix(expr.right)})"
-    op = _BINARY_OPS.get(type(expr))
-    if op is not None:
-        return f"({to_infix(expr.left)} {op.name} {to_infix(expr.right)})"
-    if isinstance(expr, Pow):
-        p = expr.exponent
-        p_text = str(int(p)) if p == int(p) and abs(p) < 1e16 else repr(p)
-        return f"({to_infix(expr.base)} ^ {p_text})"
-    op = _UNARY_OPS.get(type(expr))
-    if op is not None:
-        return f"{op.name}({to_infix(expr.arg)})"
-    raise StructureError(f"unknown node type {type(expr).__name__}")
+
+    def text(e: Expr, infix: Callable[[Expr], str]) -> str:
+        if isinstance(e, Const):
+            return repr(e.value)  # keeps the trailing .0, e.g. '3.0'
+        if isinstance(e, StateVar):
+            return f"x{e.index}"
+        if isinstance(e, TimeVar):
+            return "t"
+        if isinstance(e, Sub) and _is_const(e.left, 0.0):
+            return f"(-{infix(e.right)})"
+        op = _BINARY_OPS.get(type(e))
+        if op is not None:
+            return f"({infix(e.left)} {op.name} {infix(e.right)})"
+        if isinstance(e, Pow):
+            p = e.exponent
+            p_text = str(int(p)) if p == int(p) and abs(p) < 1e16 else repr(p)
+            return f"({infix(e.base)} ^ {p_text})"
+        op = _UNARY_OPS.get(type(e))
+        if op is not None:
+            return f"{op.name}({infix(e.arg)})"
+        raise StructureError(f"unknown node type {type(e).__name__}")
+
+    return _walk(expr, text)
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +592,11 @@ def compile_expr(expr: Expr, n_states: int) -> Callable[[Sequence[float], float]
     """Compile expr into a plain Python function f(x, t) -> float.
 
     Used in integration inner loops where tree-walking evaluation is too
-    slow.  Structurally repeated subtrees are computed once.  The compiled
-    code performs no domain checking: at singular points it raises whatever
-    the underlying arithmetic raises (ZeroDivisionError, ValueError), so
-    callers must gate the input region themselves, as evaluate() does.
+    slow.  Each distinct subexpression is computed once, into its own local.
+    The compiled code performs no domain checking: at singular points it
+    raises whatever the underlying arithmetic raises (ZeroDivisionError,
+    ValueError), so callers must gate the input region themselves, as
+    evaluate() does.
     """
     used = state_indices(expr)
     if used and max(used) > n_states:
@@ -517,39 +604,28 @@ def compile_expr(expr: Expr, n_states: int) -> Callable[[Sequence[float], float]
             f"expression uses x{max(used)} but was compiled for {n_states} states"
         )
     lines: list[str] = []
-    memo: dict[Expr, str] = {}
-    # Shared subtree objects are common after synthesis; resolving by object
-    # identity first avoids rehashing deep structures on every lookup.
-    by_id: dict[int, str] = {}
 
-    def emit(e: Expr) -> str:
+    def emit(e: Expr, name_of: Callable[[Expr], str]) -> str:
         if isinstance(e, Const):
             return repr(e.value)
         if isinstance(e, StateVar):
             return f"x[{e.index - 1}]"
         if isinstance(e, TimeVar):
             return "t"
-        hit = by_id.get(id(e))
-        if hit is not None:
-            return hit
-        hit = memo.get(e)
-        if hit is not None:
-            by_id[id(e)] = hit
-            return hit
         if type(e) in _BINARY_OPS:
-            code = f"{emit(e.left)} {_BINARY_OPS[type(e)].name} {emit(e.right)}"
+            code = f"{name_of(e.left)} {_BINARY_OPS[type(e)].name} {name_of(e.right)}"
         elif isinstance(e, Pow):
             # parenthesized base: ** binds tighter than a leading unary minus
-            code = f"({emit(e.base)}) ** {repr(e.exponent)}"
+            code = f"({name_of(e.base)}) ** {repr(e.exponent)}"
+        elif type(e) in _UNARY_OPS:
+            code = f"{_UNARY_OPS[type(e)].name}({name_of(e.arg)})"
         else:
-            code = f"{_UNARY_OPS[type(e)].name}({emit(e.arg)})"
-        name = f"v{len(memo)}"
-        memo[e] = name
-        by_id[id(e)] = name
+            raise StructureError(f"unknown node type {type(e).__name__}")
+        name = f"v{len(lines)}"
         lines.append(f"    {name} = {code}")
         return name
 
-    result = emit(expr)
+    result = _walk(expr, emit)
     source = "def _compiled(x, t):\n" + "\n".join(lines) + f"\n    return {result}\n"
     namespace = {op.name: op.fn for op in _UNARY_OPS.values()}
     exec(compile(source, "<psis.symdiff>", "exec"), namespace)

@@ -114,6 +114,10 @@ class Controller:
     def compiled_z(self) -> tuple[Callable[[Sequence[float], float], float], ...]:
         return tuple(sd.compile_expr(z, self.config.n) for z in self.z_exprs)
 
+    @cached_property
+    def _twin(self) -> "Controller":
+        return synthesize(replace(self.config, c=0.0))
+
 
 def synthesize(config: SynthesisConfig) -> Controller:
     """Run the backstepping recursion and return the controller."""
@@ -152,10 +156,13 @@ def zero_setpoint_twin(controller: Controller) -> Controller:
     the same control values.  Integrating in w instead of x keeps the stage
     errors well above roundoff near the prescribed instant, where x_1 - c
     would otherwise lose all significant digits.
+
+    The twin is synthesized once per controller and cached on it, like
+    compiled_u, so every run of a sweep shares it.
     """
     if controller.config.c == 0.0:
         return controller
-    return synthesize(replace(controller.config, c=0.0))
+    return controller._twin
 
 
 def _checked_config(controller: Controller, x: Sequence[float], t: float) -> SynthesisConfig:

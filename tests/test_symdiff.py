@@ -1,8 +1,14 @@
-"""Expression trees: evaluation, exact differentiation, simplification,
-printing, and compilation."""
+"""Expression DAGs: interning, evaluation, exact differentiation,
+simplification, printing, and compilation."""
 
+import copy
+import gc
 import math
+import pickle
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 
@@ -105,6 +111,11 @@ class TestEvaluate:
         with pytest.raises(EvaluationError):
             evaluate(Exp(X1), [1e4], 0.0)
 
+    def test_math_domain_error_is_reported(self):
+        for op in (Sin, Cos, Tan):
+            with pytest.raises(EvaluationError, match=f"{op.__name__} undefined at inf"):
+                evaluate(op(X1), [math.inf], 0.0)
+
     def test_short_state_vector(self):
         with pytest.raises(StructureError):
             evaluate(X3, [1.0, 2.0], 0.0)
@@ -122,6 +133,11 @@ class TestStructureHelpers:
     def test_node_count(self):
         e = Add(Mul(X1, X2), Const(1.0))
         assert node_count(e) == 5
+
+    def test_node_count_counts_tree_occurrences(self):
+        shared = Mul(X1, X2)
+        assert node_count(Add(shared, shared)) == 7
+        assert node_count(doubling(X1, 60)) == 2 ** 61 - 1
 
     def test_deep_tree_does_not_recurse(self):
         e = X1
@@ -270,6 +286,9 @@ class TestSimplify:
         out = simplify(e)
         with pytest.raises(EvaluationError):
             evaluate(out, [], 0.0)
+        # so must a math domain error
+        e = Sin(Const(math.inf))
+        assert simplify(e) is e
 
     def test_value_preserved_on_random_trees(self):
         rng = random.Random(1234)
@@ -377,9 +396,97 @@ class TestCompile:
         fn = compile_expr(Sign(X1), 1)
         assert fn([0.0], 0.0) == 0.0
 
+    def test_unknown_node_type_is_a_structure_error(self):
+        class Foo(sd.Expr):
+            pass
+
+        with pytest.raises(StructureError, match="unknown node type Foo"):
+            compile_expr(Add(Foo(), Const(1.0)), 0)
+
     def test_compiled_singularities_raise_raw(self):
         # compiled laws run inside integrators that gate the domain, so the
         # native exception is deliberate
         fn = compile_expr(Div(Const(1.0), X1), 1)
         with pytest.raises(ZeroDivisionError):
             fn([0.0], 0.0)
+
+
+def doubling(leaf, times):
+    """leaf summed with itself `times` times over: a DAG of times + 1
+    distinct nodes standing for a tree of 2 ** (times + 1) - 1."""
+    e = leaf
+    for _ in range(times):
+        e = Add(e, e)
+    return e
+
+
+class TestInterning:
+    def test_equal_structures_are_one_node(self):
+        a = Add(Mul(X1, T), Const(2.0))
+        b = Mul(StateVar(1), TimeVar()) + 2.0
+        assert a is b
+        assert hash(a) == object.__hash__(a)
+        assert Const(1) is Const(1.0)
+        assert Pow(X1, 2) is Pow(X1, 2.0)
+        assert Add(X1, X2) is not Add(X2, X1)
+
+    def test_floats_are_keyed_by_bits(self):
+        assert Const(0.0) is not Const(-0.0)
+        assert Mul(X1, Const(0.0)) is not Mul(X1, Const(-0.0))
+        assert Pow(X1, 0.0) is not Pow(X1, -0.0)
+        assert Const(math.nan) is not Const(math.nan)
+
+    def test_dead_expressions_are_freed(self):
+        ref = weakref.ref(Add(Sin(X1), Const(123.456)))
+        gc.collect()
+        assert ref() is None
+
+    def test_concurrent_construction_yields_one_node(self):
+        # more threads than cores building the same fresh nodes in step;
+        # an unguarded lookup-then-insert loses some of these races
+        workers, count = 4, 5000
+        start = threading.Barrier(workers)
+        built = [None] * workers
+
+        def run(i):
+            start.wait(timeout=30.0)
+            built[i] = [Add(X1, Const(7.5e6 + k)) for k in range(count)]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for nodes in built[1:]:
+            assert all(a is b for a, b in zip(nodes, built[0], strict=True))
+
+    def test_copies_are_the_interned_node(self):
+        e = Div(Pow(Sub(X1, Const(-0.0)), 1.5), Sin(T))
+        assert copy.copy(e) is e
+        assert copy.deepcopy(e) is e
+        assert pickle.loads(pickle.dumps(e)) is e
+
+    def test_walkers_visit_each_distinct_node_once(self):
+        # a tree walk over 2**61 nodes would never finish
+        e = doubling(Mul(X1, Const(1.0)), 60)
+        assert evaluate(e, [1.0], 0.0) == 2.0 ** 60
+        assert simplify(e) is doubling(X1, 60)
+        assert evaluate(partial(e, X1), [3.0], 0.0) == 2.0 ** 60
+        assert compile_expr(e, 1)([1.0], 0.0) == 2.0 ** 60
+        assert to_infix(doubling(X1, 2)) == "((x1 + x1) + (x1 + x1))"
+
+    def test_first_error_is_the_tree_walks(self):
+        shared = Div(Const(1.0), X1)  # divides by zero at x1 = 0
+        x = [0.0, -1.0]               # and ln(x2) is undefined
+        with pytest.raises(EvaluationError) as err:
+            evaluate(Add(Mul(shared, Ln(X2)), Add(Ln(X2), shared)), x, 0.0)
+        assert err.value.node_kind == "Div"
+        with pytest.raises(EvaluationError) as err:
+            evaluate(Add(Ln(X2), Mul(shared, shared)), x, 0.0)
+        assert err.value.node_kind == "Ln"

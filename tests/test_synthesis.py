@@ -1,8 +1,12 @@
 """Backstepping synthesis: recursion structure, collected control laws,
-setpoint handling, and the evaluation gate at the prescribed instant."""
+setpoint handling, the evaluation gate at the prescribed instant, and the
+bits and thread safety of high-order synthesis."""
 
+import hashlib
 import math
 import random
+import sys
+import threading
 
 import pytest
 
@@ -178,6 +182,10 @@ class TestZeroSetpointTwin:
         ctrl = synthesize(linear_config(c=0.0))
         assert zero_setpoint_twin(ctrl) is ctrl
 
+    def test_twin_is_built_once(self):
+        ctrl = synthesize(linear_config(c=0.15, T_p=0.5))
+        assert zero_setpoint_twin(ctrl) is zero_setpoint_twin(ctrl)
+
     def test_twin_reproduces_control_on_shifted_state(self):
         ctrl = synthesize(linear_config(c=0.15, T_p=0.5))
         twin = zero_setpoint_twin(ctrl)
@@ -201,3 +209,67 @@ class TestDescribe:
         assert "linear(eta=3.0)" in text
         assert "z1 = " in text
         assert "u = " in text
+
+
+def chain_config(kind, n, c, T_p=1.0, etas=None):
+    """Order-n chain of one kernel family, etas (n+1, ..., 2) by default."""
+    etas = etas or tuple(float(n + 1 - i) for i in range(n))
+    stages = tuple(RcdfSpec(kind=kind, eta=e) for e in etas)
+    return SynthesisConfig(n=n, c=c, T_p=T_p, stages=stages)
+
+
+def digest(fn):
+    return hashlib.sha256(fn.__psis_source__.encode()).hexdigest()[:16]
+
+
+class TestHighOrderLaws:
+    # sha256[:16] of each compiled source and the tree size of u, recorded
+    # from the tree-based engine that preceded hash-consing: the DAG must
+    # emit the same program bit for bit
+    @pytest.mark.parametrize("kind, n, c, u_nodes, u_digest, z_digests", [
+        (RcdfKind.TAN, 5, 0.0, 375_047, "06e401bd5ecc7da9",
+         ("5e8280e8ad564655", "1e8bf6733c642829", "0b428fc60dc875f4",
+          "d05bcc675b019f90", "684e3013c40f7136")),
+        (RcdfKind.LOGEXP, 5, 0.15, 88_411, "ceefbba152d4c414",
+         ("d73429545ae833b0", "213abec018a0349c", "9a8a5697cdc33923",
+          "6dbcde9d0b5cbccc", "a859db1f973fc8fc")),
+    ])
+    def test_compiled_sources_are_pinned(self, kind, n, c, u_nodes, u_digest, z_digests):
+        ctrl = synthesize(chain_config(kind, n, c))
+        assert sd.node_count(ctrl.u_expr) == u_nodes
+        assert digest(ctrl.compiled_u) == u_digest
+        assert tuple(digest(fn) for fn in ctrl.compiled_z) == z_digests
+
+    def test_order_six_synthesizes(self):
+        ctrl = synthesize(chain_config(RcdfKind.TAN, 6, 0.0))
+        assert ctrl.compiled_u.__psis_source__.count("\n") == 6_394
+        assert sd.node_count(ctrl.u_expr) == 9_616_632
+
+    def test_threads_build_one_dag(self):
+        # etas and T_p no other test uses, so the threads intern fresh nodes;
+        # a lost interning race would leave two equal nodes, and with them
+        # two different u_expr objects
+        cfg = chain_config(RcdfKind.TAN, 4, 0.0, T_p=0.75, etas=(5.25, 4.25, 3.25, 2.25))
+        workers = 4
+        start = threading.Barrier(workers)
+        results = [None] * workers
+
+        def run(i):
+            start.wait(timeout=30.0)
+            ctrl = synthesize(cfg)
+            results[i] = (ctrl.u_expr, ctrl.compiled_u.__psis_source__)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        serial = synthesize(cfg)
+        assert all(u_expr is serial.u_expr for u_expr, _ in results)
+        assert all(source == serial.compiled_u.__psis_source__ for _, source in results)

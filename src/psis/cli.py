@@ -315,8 +315,12 @@ def main(argv: list[str] | None = None) -> int:
         if partial is not None and partial.samples and spec is not None \
                 and spec.output.csv is not None:
             partial_path = spec.output.csv + ".partial"
-            out.write_csv(partial_path, partial)
-            print(f"partial trajectory written to {partial_path}", file=sys.stderr)
+            try:
+                out.write_csv(partial_path, partial)
+            except ConfigurationError as write_exc:
+                print(f"partial trajectory not written: {write_exc}", file=sys.stderr)
+            else:
+                print(f"partial trajectory written to {partial_path}", file=sys.stderr)
         return 3
     except (EvaluationError, StructureError, AuditError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -25,10 +25,24 @@ def fmt_float(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _ensure_parent(path: str) -> None:
+def _write_text(path: str, text: str) -> None:
+    """Write text to path as utf-8 with \\n newlines, creating the parent
+    directory.  A path that cannot be written is a ConfigurationError."""
     parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    try:
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except FileExistsError:
+        # makedirs found a file where the parent directory should be
+        raise ConfigurationError(
+            f"cannot write output {path!r}: {parent!r} is not a directory"
+        ) from None
+    except (OSError, ValueError) as exc:
+        # ValueError: a path with an embedded null byte
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigurationError(f"cannot write output {path!r}: {reason}") from None
 
 
 def check_clobber(paths: Sequence[str | None], no_clobber: bool) -> None:
@@ -70,9 +84,7 @@ def write_csv(path: str, traj: Trajectory) -> None:
             cells.append(fmt_float(s.u))
             cells += ["", ""]
         lines.append(",".join(cells))
-    _ensure_parent(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_sweep_csv(path: str, report: SweepReport) -> None:
@@ -88,9 +100,7 @@ def write_sweep_csv(path: str, report: SweepReport) -> None:
             f"{fmt_float(row.scale)},{t_settle},"
             f"{fmt_float(ev.pre_window_floor)},{fmt_float(ev.norm_at_standoff)},{row.state}"
         )
-    _ensure_parent(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def render_report(payload: dict) -> str:
@@ -98,9 +108,7 @@ def render_report(payload: dict) -> str:
 
 
 def write_report(path: str, payload: dict) -> None:
-    _ensure_parent(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_report(payload))
+    _write_text(path, render_report(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +277,4 @@ def render_svg(traj: Trajectory, title: str, include_timestamp: bool = True) -> 
 
 
 def write_svg(path: str, traj: Trajectory, title: str, include_timestamp: bool = True) -> None:
-    _ensure_parent(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_svg(traj, title, include_timestamp))
+    _write_text(path, render_svg(traj, title, include_timestamp))

@@ -157,7 +157,6 @@ class SimConfig:
     max_step: float | None = None   # default T_p / 1000
     sample_dt: float | None = None  # default T_p / 500
     mode: str = "direct"
-    tau_end: float | None = None    # default ln(T_p / eps_stop), tau mode only
     open_loop: bool = False         # force u = 0; a run the verifier must reject
 
     def __post_init__(self) -> None:
@@ -199,12 +198,6 @@ class SimConfig:
             )
         if self.mode not in _MODES:
             raise ConfigurationError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.tau_end is None:
-            object.__setattr__(self, "tau_end", math.log(self.T_p / self.eps_stop))
-        if not math.isfinite(self.tau_end) or self.tau_end <= 0.0:
-            raise ConfigurationError(
-                f"tau_end must be finite and positive, got {self.tau_end!r}"
-            )
         if not isinstance(self.open_loop, bool):
             raise ConfigurationError(
                 f"open_loop must be a bool, got {self.open_loop!r}"
@@ -843,18 +836,13 @@ def simulate(plant: PlantModel, controller: Controller, cfg: SimConfig) -> Traje
         "t_standoff": cfg.t_standoff,
     }
     rhs = _chain_rhs(n, u_fn)
-    legs = []
-    t0, pre = 0.0, _pre_grid(cfg)
+    pre = _pre_grid(cfg)
     if cfg.mode == "tau":
-        meta["tau_end"] = cfg.tau_end
-        legs.append(_tau_leg(cfg, sc.T_p, u_fn, pre))
-        # bridge what tau_end leaves short of the standoff on the plain clock
-        t0 = legs[0].labels[-1]
-        pre = [tk for tk in pre if tk > t0 * (1.0 + 1e-15)]
-    if pre:
-        legs.append(_Leg(rhs, t0, pre, pre, cfg.max_step, to_t=lambda t: t))
+        leg = _tau_leg(cfg, sc.T_p, u_fn, pre)
+    else:
+        leg = _Leg(rhs, 0.0, pre, pre, cfg.max_step, to_t=lambda t: t)
     return _run_phases(
-        cfg, sc.T_p, legs, w0, rec, rhs, _chain_rhs(n, _zero_input), meta
+        cfg, sc.T_p, [leg], w0, rec, rhs, _chain_rhs(n, _zero_input), meta
     )
 
 
@@ -862,21 +850,14 @@ _TAU_MAX_STEP = 0.05
 
 
 def _tau_leg(cfg: SimConfig, T_p: float, u_fn, pre: list[float]) -> _Leg:
-    """The leg on tau = -ln((T_p - t)/T_p) over [0, min(tau_end, tau at the
-    standoff)], stopping at every point of the pre-instant grid it covers."""
-    tau_star = math.log(T_p / cfg.eps_stop)  # tau at the standoff
-    tau_eff = min(cfg.tau_end, tau_star)
-    tau_stops: list[float] = []
-    t_labels: list[float] = []
-    for tk in pre:
-        tau_k = tau_star if tk == cfg.t_standoff else math.log(T_p / (T_p - tk))
-        if tau_k < tau_eff * (1.0 - 1e-12):
-            tau_stops.append(tau_k)
-            t_labels.append(tk)
-    reached_standoff = tau_eff >= tau_star * (1.0 - 1e-12)
-    tau_stops.append(tau_eff)
-    t_labels.append(cfg.t_standoff if reached_standoff else -T_p * math.expm1(-tau_eff))
-    return _Leg(_chain_rhs(len(cfg.x0), u_fn, T_p), 0.0, tau_stops, t_labels, _TAU_MAX_STEP,
+    """The leg on tau = -ln((T_p - t)/T_p) from 0 to the standoff, stopping
+    at tau = ln(T_p/(T_p - t_k)) for every point t_k of the pre-instant grid
+    and at ln(T_p/eps_stop) for the standoff itself."""
+    tau_stops = [
+        math.log(T_p / cfg.eps_stop) if tk == cfg.t_standoff else math.log(T_p / (T_p - tk))
+        for tk in pre
+    ]
+    return _Leg(_chain_rhs(len(cfg.x0), u_fn, T_p), 0.0, tau_stops, pre, _TAU_MAX_STEP,
                 to_t=lambda tau: -T_p * math.expm1(-tau))
 
 
@@ -884,11 +865,10 @@ def simulate_tau(plant: PlantModel, controller: Controller, cfg: SimConfig) -> T
     """Run the closed loop on the stretched clock tau = -ln((T_p - t)/T_p),
     whatever cfg.mode says.
 
-    The tau window [0, tau_end] covers t in [0, T_p(1 - exp(-tau_end))];
-    tau_end defaults to the value that lands exactly on the standoff.  If
-    tau_end stops short, the remaining pre-instant span is bridged on the
-    plain clock, so the trajectory always reaches the standoff, crosses the
-    instant, and continues to t_end like the direct mode.
+    The stretched clock runs from tau = 0 to the standoff at
+    tau = ln(T_p/eps_stop), recording the same pre-instant grid as the
+    direct mode; the instant is then crossed and the run continues to t_end
+    exactly as on the direct clock.
     """
     return simulate(plant, controller, replace(cfg, mode="tau"))
 

@@ -628,6 +628,8 @@ def compile_expr(expr: Expr, n_states: int) -> Callable[[Sequence[float], float]
     result = _walk(expr, emit)
     source = "def _compiled(x, t):\n" + "\n".join(lines) + f"\n    return {result}\n"
     namespace = {op.name: op.fn for op in _UNARY_OPS.values()}
+    # repr() writes a non-finite constant as a bare name
+    namespace.update(inf=math.inf, nan=math.nan)
     exec(compile(source, "<psis.symdiff>", "exec"), namespace)
     fn = namespace["_compiled"]
     fn.__psis_source__ = source  # kept for debugging and tests

@@ -55,16 +55,15 @@ class SynthesisConfig:
     stages[i-1] is the rate law used at stage i.  Stage exponents must sit
     strictly above their floors eta_i > n + 1 - i, otherwise the virtual
     references do not stay differentiable up to the prescribed instant.
-    Mixing kernel families across stages is rejected by default because the
-    decay certificates assume a single family; pass allow_mixed_kinds=True
-    to experiment anyway.
+    Stages may mix kernel families; such a design synthesizes and simulates,
+    but its decay certificate does not hold, so verification.mixed_kernels
+    keeps it out of the Lyapunov audit.
     """
 
     n: int
     c: float
     T_p: float
     stages: tuple[RcdfSpec, ...]
-    allow_mixed_kinds: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
@@ -80,13 +79,6 @@ class SynthesisConfig:
                 f"stage {v.stage}: eta={v.eta} needs > {v.floor}" for v in violations
             )
             raise ConfigurationError(f"stage exponents below their floors: {parts}")
-        kinds = {s.kind for s in self.stages}
-        if len(kinds) > 1 and not self.allow_mixed_kinds:
-            raise ConfigurationError(
-                "stages mix kernel families "
-                f"({', '.join(sorted(k.value for k in kinds))}); "
-                "set allow_mixed_kinds=True to permit this"
-            )
 
 
 @dataclass(frozen=True)

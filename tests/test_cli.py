@@ -174,19 +174,24 @@ class TestConfigFailures:
         assert "--scales" in capsys.readouterr().err
 
 
+def blowup_data():
+    """A first-order run whose huge start breaks the integrator after its
+    first sample, so a partial trajectory exists."""
+    return {
+        "run_id": "blow",
+        "plant": {"type": "chain", "n": 1},
+        "synthesis": {
+            "c": 0.0,
+            "T_p": 1.0,
+            "stages": [{"kind": "tan", "eta": 2.0}],
+        },
+        "sim": {"x0": [1e200], "rtol": 1e-7, "atol": 1e-10},
+    }
+
+
 class TestIntegrationFailure:
     def test_exit_three_with_partial_csv(self, tmp_path, capsys):
-        data = {
-            "run_id": "blow",
-            "plant": {"type": "chain", "n": 1},
-            "synthesis": {
-                "c": 0.0,
-                "T_p": 1.0,
-                "stages": [{"kind": "tan", "eta": 2.0}],
-            },
-            "sim": {"x0": [1e200], "rtol": 1e-7, "atol": 1e-10},
-        }
-        cfg = write_config(tmp_path, data)
+        cfg = write_config(tmp_path, blowup_data())
         assert main(["simulate", "--config", cfg]) == 3
         err = capsys.readouterr().err
         assert "integration failed at t=" in err
@@ -197,6 +202,19 @@ class TestIntegrationFailure:
         assert len(lines) >= 2
         assert not (tmp_path / "blow.csv").exists()
 
+
+    def test_unwritable_partial_still_exits_three(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, blowup_data())
+        partial = tmp_path / "blow.csv.partial"
+        partial.mkdir()
+        assert main(["simulate", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "integration failed at t=" in err
+        assert err.endswith(
+            f"partial trajectory not written: cannot write output "
+            f"{str(partial)!r}: Is a directory\n"
+        )
+        assert list(partial.iterdir()) == []
 
     def test_huge_prescribed_instant_exits_three_with_a_reason(self, tmp_path, capsys):
         data = chain_data()
@@ -274,7 +292,6 @@ class TestVerify:
 
     def test_mixed_kernels_are_refused_before_simulating(self, tmp_path, capsys):
         data = chain_data()
-        data["synthesis"]["allow_mixed_kinds"] = True
         data["synthesis"]["stages"] = [
             {"kind": "tan", "eta": 3.5},
             {"kind": "linear", "eta": 2.5},
@@ -415,3 +432,36 @@ class TestSweep:
         cfg = write_config(tmp_path, data)
         assert main(["sweep", "--config", cfg]) == 2
         assert "output.csv" in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    def test_simulate_into_a_directory_exits_two(self, tmp_path, capsys):
+        (tmp_path / "taken").mkdir()
+        cfg = write_config(tmp_path, chain_data(output={"csv": "taken"}))
+        assert main(["simulate", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"configuration error: cannot write output "
+            f"{str(tmp_path / 'taken')!r}: Is a directory\n"
+        )
+
+    def test_simulate_under_a_plain_file_exits_two(self, tmp_path, capsys):
+        (tmp_path / "plainfile").write_text("")
+        cfg = write_config(tmp_path, chain_data(output={"csv": "plainfile/run.csv"}))
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"configuration error: cannot write output "
+            f"{str(tmp_path / 'plainfile' / 'run.csv')!r}: "
+            f"{str(tmp_path / 'plainfile')!r} is not a directory\n"
+        )
+
+    def test_verify_with_an_unwritable_report_exits_two(self, tmp_path, capsys):
+        (tmp_path / "report").mkdir()
+        cfg = write_config(tmp_path, chain_data(output={"report": "report"}))
+        assert main(["verify", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("configuration error: cannot write output ")
+        assert list((tmp_path / "report").iterdir()) == []

@@ -180,12 +180,26 @@ class TestSimSection:
             build_spec(cfg)
 
     def test_tau_mode_with_window(self):
+        # the tau clock always runs to the standoff: there is no window key
         cfg = chain_config()
         cfg["sim"]["mode"] = "tau"
+        assert build_spec(cfg).sim.mode == "tau"
         cfg["sim"]["tau_end"] = 12.5
-        spec = build_spec(cfg)
-        assert spec.sim.mode == "tau"
-        assert spec.sim.tau_end == 12.5
+        with pytest.raises(ConfigurationError) as info:
+            build_spec(cfg)
+        assert str(info.value) == (
+            "unknown key(s) in sim: tau_end; allowed: atol, eps_stop, max_step, "
+            "mode, open_loop, rtol, sample_dt, t_end, x0"
+        )
+
+    def test_mixed_kinds_key_is_gone(self):
+        cfg = chain_config()
+        cfg["synthesis"]["allow_mixed_kinds"] = True
+        with pytest.raises(ConfigurationError) as info:
+            build_spec(cfg)
+        assert str(info.value) == (
+            "unknown key(s) in synthesis: allow_mixed_kinds; allowed: T_p, c, stages"
+        )
 
     def test_sim_validation_propagates(self):
         cfg = chain_config()
@@ -271,12 +285,11 @@ def every_key_config(plant):
             "c": 0.25,
             "T_p": 0.8,
             "stages": [{"kind": "tan", "eta": 3.5}, {"kind": "tan", "eta": 2.5}],
-            "allow_mixed_kinds": True,
         },
         "sim": {
             "x0": [0.1, -0.2], "t_end": 1.0, "eps_stop": 1e-8, "rtol": 1e-8,
             "atol": 1e-11, "max_step": 0.002, "sample_dt": 0.004, "mode": "tau",
-            "tau_end": 17.0, "open_loop": True,
+            "open_loop": True,
         },
         "verify": {
             "tol_abs": 2e-4, "tol_rel": 1e-5, "window_factor": 0.85,

@@ -215,3 +215,49 @@ class TestSvg:
         path = tmp_path / "plot.svg"
         write_svg(str(path), traj, "demo", include_timestamp=False)
         assert path.read_text().startswith("<svg ")
+
+
+class TestUnwritablePaths:
+    @pytest.fixture
+    def writers(self):
+        traj = small_run()
+        stages = (
+            RcdfSpec(kind=RcdfKind.LINEAR, eta=3.0),
+            RcdfSpec(kind=RcdfKind.LINEAR, eta=2.0),
+        )
+        ctrl = synthesize(SynthesisConfig(n=2, c=0.0, T_p=1.0, stages=stages))
+        cfg = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2, sample_dt=0.02,
+                        rtol=1e-7, atol=1e-10)
+        report = sweep_initial_conditions(IntegratorChain(2), ctrl, cfg, scales=(1.0,))
+        return {
+            "csv": lambda p: write_csv(p, traj),
+            "sweep_csv": lambda p: write_sweep_csv(p, report),
+            "report": lambda p: write_report(p, {"a": 1}),
+            "svg": lambda p: write_svg(p, traj, "demo"),
+        }
+
+    def test_a_directory_in_the_way(self, tmp_path, writers):
+        for write in writers.values():
+            with pytest.raises(ConfigurationError) as info:
+                write(str(tmp_path))
+            assert str(info.value) == f"cannot write output {str(tmp_path)!r}: Is a directory"
+
+    def test_a_file_where_the_parent_should_be(self, tmp_path, writers):
+        plain = tmp_path / "plainfile"
+        plain.write_text("")
+        path = str(plain / "run.out")
+        for write in writers.values():
+            with pytest.raises(ConfigurationError) as info:
+                write(path)
+            assert str(info.value) == (
+                f"cannot write output {path!r}: {str(plain)!r} is not a directory"
+            )
+        assert plain.read_text() == ""
+
+    def test_a_null_byte_in_the_path(self, tmp_path, writers):
+        # config validation takes any JSON string as a path
+        path = str(tmp_path / "run\0.out")
+        for write in writers.values():
+            with pytest.raises(ConfigurationError) as info:
+                write(path)
+            assert str(info.value) == f"cannot write output {path!r}: embedded null byte"

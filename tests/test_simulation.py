@@ -81,7 +81,6 @@ class TestSimConfig:
         assert cfg.eps_stop == pytest.approx(2e-9)
         assert cfg.max_step == pytest.approx(2.0 / 1000.0)
         assert cfg.sample_dt == pytest.approx(2.0 / 500.0)
-        assert cfg.tau_end == pytest.approx(math.log(2.0 / 2e-9))
         assert cfg.t_standoff == pytest.approx(2.0 - 2e-9)
 
     def test_validation(self):
@@ -105,8 +104,6 @@ class TestSimConfig:
             SimConfig(x0=(1.0,), T_p=1.0, t_end=1.2, atol=1.5)
         with pytest.raises(ConfigurationError):
             SimConfig(x0=(1.0,), T_p=1.0, t_end=1.2, mode="implicit")
-        with pytest.raises(ConfigurationError):
-            SimConfig(x0=(1.0,), T_p=1.0, t_end=1.2, tau_end=-1.0)
 
     def test_sample_grid_is_capped(self):
         # the default grid of a 1e6 horizon is 5e8 points; validation refuses
@@ -404,12 +401,12 @@ class TestTauClock:
             assert tk in times_t
         assert cfg_t.t_standoff in times_t
         assert tt.meta["mode"] == "tau"
-        assert tt.meta["tau_end"] == cfg_t.tau_end
+        assert "tau_end" not in tt.meta
         # simulate_tau runs the tau clock whatever the config says, and says so
         forced = simulate_tau(IntegratorChain(2), ctrl, cfg_d)
         assert forced.samples == tt.samples
         assert forced.meta["mode"] == "tau"
-        assert forced.meta["tau_end"] == cfg_d.tau_end
+        assert forced.meta == tt.meta
 
     def test_agrees_with_direct_mode(self):
         ctrl = make_controller(c=0.15, T_p=0.5)
@@ -422,20 +419,6 @@ class TestTauClock:
             b = tt.sample_at(tk)
             for va, vb in zip(a.x, b.x):
                 assert vb == pytest.approx(va, abs=5e-9)
-
-    def test_short_tau_window_is_bridged_on_the_plain_clock(self):
-        # tau_end = 3 covers t up to about 0.95 T_p; the rest must still run
-        ctrl = make_controller()
-        cfg = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2, mode="tau", tau_end=3.0)
-        traj = simulate(IntegratorChain(2), ctrl, cfg)
-        times = {s.t for s in traj.samples}
-        assert cfg.t_standoff in times
-        assert 1.0 in times
-        assert 1.2 in times
-        handoff = -1.0 * math.expm1(-3.0)
-        assert handoff in times
-        at_instant = traj.sample_at(1.0)
-        assert abs(at_instant.x[0]) < 1e-9
 
 
 class TestRawPendulum:

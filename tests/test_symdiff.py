@@ -410,6 +410,18 @@ class TestCompile:
         with pytest.raises(ZeroDivisionError):
             fn([0.0], 0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_constants_compile(self, value):
+        for e in (Add(X1, Const(value)), Mul(Const(value), Sin(X1))):
+            got = compile_expr(e, 1)([0.5], 0.0)
+            want = evaluate(e, [0.5], 0.0)
+            assert repr(got) == repr(want) == repr(value)
+
+    def test_folded_overflow_compiles(self):
+        # simplify folds an overflowing product into Const(inf)
+        e = Add(X1, simplify(Mul(Const(1e308), Const(10.0))))
+        assert compile_expr(e, 1)([1.0], 0.0) == evaluate(e, [1.0], 0.0) == math.inf
+
 
 def doubling(leaf, times):
     """leaf summed with itself `times` times over: a DAG of times + 1

@@ -38,22 +38,16 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=r"stage 1: eta=1.5 needs > 2"):
             SynthesisConfig(n=2, c=0.0, T_p=1.0, stages=stages)
 
-    def test_mixed_kinds_rejected_by_default(self):
+    def test_mixed_kinds_synthesize_without_an_opt_in(self):
+        # the single-family rule belongs to the decay audit, not to synthesis
         stages = (
             RcdfSpec(kind=RcdfKind.TAN, eta=3.0),
             RcdfSpec(kind=RcdfKind.LINEAR, eta=2.0),
         )
-        with pytest.raises(ConfigurationError, match="mix kernel families"):
-            SynthesisConfig(n=2, c=0.0, T_p=1.0, stages=stages)
-
-    def test_mixed_kinds_allowed_when_opted_in(self):
-        stages = (
-            RcdfSpec(kind=RcdfKind.TAN, eta=3.0),
-            RcdfSpec(kind=RcdfKind.LINEAR, eta=2.0),
-        )
-        cfg = SynthesisConfig(n=2, c=0.0, T_p=1.0, stages=stages,
-                              allow_mixed_kinds=True)
+        cfg = SynthesisConfig(n=2, c=0.0, T_p=1.0, stages=stages)
         assert synthesize(cfg).config is cfg
+        with pytest.raises(TypeError, match="allow_mixed_kinds"):
+            SynthesisConfig(n=2, c=0.0, T_p=1.0, stages=stages, allow_mixed_kinds=True)
 
     def test_order_and_horizon_validation(self):
         stage = (RcdfSpec(kind=RcdfKind.LINEAR, eta=2.0),)

@@ -46,6 +46,12 @@ class TestConfig:
         )
         cfg = SynthesisConfig(n=2, c=0.0, T_p=1.0, stages=stages)
         assert synthesize(cfg).config is cfg
+
+    def test_allow_mixed_kinds_keyword_is_refused(self):
+        stages = (
+            RcdfSpec(kind=RcdfKind.TAN, eta=3.0),
+            RcdfSpec(kind=RcdfKind.LINEAR, eta=2.0),
+        )
         with pytest.raises(TypeError, match="allow_mixed_kinds"):
             SynthesisConfig(n=2, c=0.0, T_p=1.0, stages=stages, allow_mixed_kinds=True)
 

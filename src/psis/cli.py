@@ -104,7 +104,9 @@ def _cmd_synthesize(spec: ExperimentSpec, args: argparse.Namespace) -> int:
 
 def _cmd_simulate(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     paths = spec.output
-    out.check_clobber([paths.csv, paths.svg, paths.report], args.no_clobber)
+    outputs = [paths.csv, paths.svg, paths.report]
+    out.check_clobber(outputs, args.no_clobber)
+    out.check_writable(outputs)
     controller = synthesize(spec.synthesis)
     started = time.perf_counter()
     traj = simulate(spec.plant, controller, spec.sim)
@@ -144,6 +146,7 @@ def _cmd_verify(spec: ExperimentSpec, args: argparse.Namespace) -> int:
         raise ConfigurationError(problem)
     paths = spec.output
     out.check_clobber([paths.report], args.no_clobber)
+    out.check_writable([paths.report])
     controller = synthesize(spec.synthesis)
     vp = spec.verify
     started = time.perf_counter()
@@ -226,11 +229,12 @@ def _cmd_sweep(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     if spec.output.csv is None:
         raise ConfigurationError("sweep needs output.csv to derive its file names")
     scales = _parse_scales(args.scales) if args.scales else list(spec.verify.scales)
+    summary_path, per_run_paths = _sweep_paths(spec.output.csv, scales)
+    outputs = [summary_path, spec.output.report] + per_run_paths
+    out.check_clobber(outputs, args.no_clobber)
+    out.check_writable(outputs)
     controller = synthesize(spec.synthesis)
     vp = spec.verify
-    summary_path, per_run_paths = _sweep_paths(spec.output.csv, scales)
-    out.check_clobber([summary_path, spec.output.report] + per_run_paths,
-                      args.no_clobber)
 
     started = time.perf_counter()
     report = sweep_initial_conditions(

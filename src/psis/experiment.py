@@ -198,6 +198,9 @@ def _parse_sim(data: Any, T_p: float, n: int) -> SimConfig:
             f"sim.x0 has {len(values['x0'])} components, the plant needs {n}"
         )
     values.setdefault("t_end", 1.2 * T_p)
+    # on the direct clock |u| at the standoff is roundoff of terms scaled
+    # by 1/(T_p - t)^2; the tau clock resolves it (SimConfig keeps "direct")
+    values.setdefault("mode", "tau")
     return SimConfig(T_p=T_p, **values)
 
 

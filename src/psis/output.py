@@ -56,6 +56,24 @@ def check_clobber(paths: Sequence[str | None], no_clobber: bool) -> None:
         )
 
 
+def check_writable(paths: Sequence[str | None]) -> None:
+    """Refuse, before any work is done, the output paths _write_text is
+    bound to fail on, with its texts: an existing directory, and a path
+    whose nearest existing ancestor is a plain file."""
+    for path in paths:
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise ConfigurationError(f"cannot write output {path!r}: Is a directory")
+        ancestor = os.path.dirname(path)
+        while ancestor and not os.path.exists(ancestor):
+            ancestor = os.path.dirname(ancestor)
+        if ancestor and not os.path.isdir(ancestor):
+            raise ConfigurationError(
+                f"cannot write output {path!r}: {ancestor!r} is not a directory"
+            )
+
+
 def write_csv(path: str, traj: Trajectory) -> None:
     """Write the sampled trajectory.
 

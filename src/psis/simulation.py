@@ -4,10 +4,12 @@ The control law carries a 1/(T_p - t) gain, so the loop is integrated on
 [0, T_p - eps_stop] only, held off the singular instant by the standoff
 eps_stop.  The remaining sliver is crossed with a single explicit Euler step
 using the last control value, after which the input is switched to zero and
-the free chain is integrated on [T_p, t_end].  Samples land exactly on a
-uniform grid (plus the standoff, the instant itself, and accepted step
-boundaries inside the terminal window) because the integrator clips steps to
-the next scheduled time instead of interpolating.
+the free chain is integrated on [T_p, t_end].  Samples are recorded on a
+uniform grid, plus the standoff, the instant itself, and accepted step
+boundaries inside the terminal window.  Steps land exactly only where a
+stretch of integration ends (the standoff and t_end); every grid point
+before that is read off the 4th-order dense output of the accepted step
+that covers it, so the step count follows the tolerances, not the grid.
 
 Two coordinate choices matter for accuracy:
 
@@ -21,16 +23,17 @@ Two coordinate choices matter for accuracy:
     Both parameterizations must agree wherever they share sample times.
 
 The integrator is a Dormand-Prince 5(4) embedded pair with the first-same-
-as-last evaluation reused across accepted steps and a PI step-size
-controller.  It is written here because the surrounding contracts (never
-stepping past the standoff, landing exactly on scheduled times, rejected-
-step accounting, bit-for-bit determinism) are part of this module's job,
-not incidental solver details.  The step loop exists once, as a template:
-on first use for a state dimension n it is unrolled over n scalar locals
-and compiled, the way symdiff.compile_expr compiles a control law, so a
-stage costs no per-component list or generator.  Every component keeps
-the float operations of a loop over lists, in the same order, so the
-samples and counters are the same bits either way.
+as-last evaluation reused across accepted steps, a PI step-size controller
+and Hairer's free continuous extension (DOPRI5's contd5; Hairer, Norsett &
+Wanner, Solving ODEs I, II.6).  It is written here because the surrounding
+contracts (never stepping past the standoff, landing exactly on the end of
+each stretch, rejected-step accounting, bit-for-bit determinism) are part
+of this module's job, not incidental solver details.  The step loop exists
+once, as a template: on first use for a state dimension n it is unrolled
+over n scalar locals and compiled, the way symdiff.compile_expr compiles a
+control law, so a stage costs no per-component list or generator.  Every
+component keeps the float operations of a loop over lists, in the same
+order, so the samples and counters are the same bits either way.
 """
 
 from __future__ import annotations
@@ -208,7 +211,7 @@ class SimConfig:
         return self.T_p - self.eps_stop
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sample:
     """One recorded instant.  z, V, dV are None at and after T_p, where the
     stage errors are no longer defined."""
@@ -290,6 +293,20 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 
+# Hairer's continuous extension of order 4 (DOPRI5's contd5), applied to
+# k1..k7: with q2 = y1 - y0, q3 = h k1 - q2, q4 = q2 - h k7 - q3 and
+# q5 = h (d1 k1 + d3 k3 + ... + d7 k7), the state at t0 + th h is
+# y0 + th (q2 + (1 - th) (q3 + th (q4 + (1 - th) q5))).
+_D1, _D3, _D4, _D5, _D6, _D7 = (
+    -12715105075.0 / 11282082432.0,
+    87487479700.0 / 32700410799.0,
+    -10690763975.0 / 1880347072.0,
+    701980252875.0 / 199316789632.0,
+    -1453857185.0 / 822651844.0,
+    69997945.0 / 29380423.0,
+)
+
+
 # What float arithmetic in a vector field or a control law raises.
 _ARITHMETIC_ERRORS = (OverflowError, ZeroDivisionError, ValueError)
 
@@ -334,7 +351,9 @@ def stepper(f, y_start, t0, stops, rtol, atol, max_step, stats, on_stop, on_step
             raise DivergenceError(
                 "vector field invalid at start: non-finite derivative", t0)
 
-        h = min(max_step, (stops[-1] - t0) / 10.0, stops[0] - t0)
+        target = stops[-1]
+        last = len(stops) - 1
+        h = min(max_step, (target - t0) / 10.0)
         err_prev = 1.0
         err = None  # scaled error estimate of the last trial step
         rejected_streak = 0
@@ -347,7 +366,6 @@ def stepper(f, y_start, t0, stops, rtol, atol, max_step, stats, on_stop, on_step
                     f"step budget of {_STEP_BUDGET} steps exhausted "
                     f"(h={h:.3e}, last error estimate {_estimate_text(err)})", t
                 )
-            target = stops[stop_idx]
             remaining = target - t
             hitting = False
             if h >= remaining * (1.0 - 1e-10):
@@ -398,16 +416,29 @@ $err_lines
             if err <= 1.0:
                 accepted += 1
                 rejected_streak = 0
-                t = target if hitting else t + h
+                t_new = target if hitting else t + h
+                if stop_idx < last and stops[stop_idx] < t_new:
+                    # earlier stops inside the step are read off its dense
+                    # output, a quartic in th = (s - t) / h
+$dense_lines
+                    while stop_idx < last and stops[stop_idx] < t_new:
+                        s = stops[stop_idx]
+                        th = (s - t) / h
+                        th1 = 1.0 - th
+                        on_stop(stop_idx, s, [$dense])
+                        stop_idx += 1
+                t = t_new
                 # the trial state is taken; its stage is the next step's
                 # first (first-same-as-last)
 $accept_lines
                 if hitting:
                     y = [$y]
-                    on_stop(stop_idx, t, y)
+                    on_stop(last, t, y)
+                    return y
+                if stops[stop_idx] == t:
+                    # a step that ends on a stop records it once, exactly
+                    on_stop(stop_idx, t, [$y])
                     stop_idx += 1
-                    if stop_idx == len(stops):
-                        return y
                 elif on_step is not None:
                     on_step(t, [$y])
                 if err == 0.0:
@@ -466,6 +497,7 @@ def _stepper_source(n: int) -> str:
 
     b = ((1, _B1), (3, _B3), (4, _B4), (5, _B5), (6, _B6))
     e = ((1, _E1), (3, _E3), (4, _E4), (5, _E5), (6, _E6), (7, _E7))
+    d = ((1, _D1), (3, _D3), (4, _D4), (5, _D5), (6, _D6), (7, _D7))
     err_lines = []
     for j in J:
         # max(p, q) keeps p unless q > p; spelt out to skip the call
@@ -489,6 +521,18 @@ def _stepper_source(n: int) -> str:
         "yn_lines": "\n".join(f"{indent}yn{j} = y{j} + h * ({combo(b, j)})" for j in J),
         "err_lines": "\n".join(indent + line for line in err_lines),
         "err_sum": " + ".join(f"r{j} ** 2" for j in J),
+        "dense_lines": "\n".join(
+            indent + "    " + line for j in J for line in (
+                f"q2_{j} = yn{j} - y{j}",
+                f"q3_{j} = h * k1_{j} - q2_{j}",
+                f"q4_{j} = q2_{j} - h * k7_{j} - q3_{j}",
+                f"q5_{j} = h * ({combo(d, j)})",
+            )
+        ),
+        "dense": ", ".join(
+            f"y{j} + th * (q2_{j} + th1 * (q3_{j} + th * (q4_{j} + th1 * q5_{j})))"
+            for j in J
+        ),
         "accept_lines": "\n".join(
             f"{indent}y{j} = yn{j}\n{indent}k1_{j} = k7_{j}" for j in J
         ),
@@ -547,11 +591,15 @@ def _adaptive_path(
 ) -> list[float]:
     """Integrate y' = f(t, y) from t0 through every time in stops.
 
-    stops must be strictly increasing and start after t0.  Steps are clipped
-    so each stop is hit exactly; on_stop(i, t, y) fires at stops[i], and
-    on_step fires at accepted step boundaries between stops.  Returns the
-    state at the final stop.  A StiffnessError names the step size and the
-    last scaled error estimate (inf for a trial the vector field rejected).
+    stops must be strictly increasing and start after t0.  on_stop(i, t, y)
+    fires at stops[i], in order.  Only the last stop is landed on: steps are
+    clipped to it and its state is the step's own.  An earlier stop takes
+    the dense output of the accepted step that covers it, unless a step
+    ends on it bit for bit, which records that step's state once.  on_step
+    fires at every other accepted step boundary, after the stops the step
+    covered.  Returns the state at the last stop.  A StiffnessError names
+    the step size and the last scaled error estimate (inf for a trial the
+    vector field rejected).
     """
     return _stepper(len(y0))(
         f, y0, t0, stops, rtol, atol, max_step, stats, on_stop, on_step

@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+import psis.cli
+import psis.verification
 from psis.cli import _sweep_paths, main
 
 
@@ -91,13 +93,14 @@ class TestSimulate:
         assert report["integrator"]["steps_accepted"] > 0
         assert report["n_samples"] > 500
         assert report["files"]["csv"] == str(tmp_path / "chain2.csv")
-        assert report["config"]["sim"]["mode"] == "direct"
+        # a config file runs on the tau clock unless it names another
+        assert report["config"]["sim"]["mode"] == "tau"
 
     def test_mode_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, chain_data())
-        assert main(["simulate", "--config", cfg, "--mode", "tau"]) == 0
+        assert main(["simulate", "--config", cfg, "--mode", "direct"]) == 0
         report = json.loads((tmp_path / "chain2.json").read_text())
-        assert report["config"]["sim"]["mode"] == "tau"
+        assert report["config"]["sim"]["mode"] == "direct"
 
     @pytest.mark.parametrize("T_p", [1e-6, 1e-12])
     def test_tiny_prescribed_instant_completes(self, tmp_path, T_p):
@@ -435,7 +438,27 @@ class TestSweep:
 
 
 class TestUnwritableOutput:
-    def test_simulate_into_a_directory_exits_two(self, tmp_path, capsys):
+    @pytest.fixture
+    def no_simulation(self, monkeypatch):
+        # an output path refused up front never reaches the integrator
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate was called")
+        monkeypatch.setattr(psis.cli, "simulate", refuse)
+        monkeypatch.setattr(psis.verification, "simulate", refuse)
+
+    def test_sweep_with_an_unwritable_summary_writes_nothing(
+            self, tmp_path, capsys, no_simulation):
+        (tmp_path / "chain2.sweep.csv").mkdir()
+        cfg = write_config(tmp_path, chain_data(verify={"scales": [0.5, 2.0]}))
+        assert main(["sweep", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: cannot write output "
+            f"{str(tmp_path / 'chain2.sweep.csv')!r}: Is a directory\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "chain2.sweep.csv", "exp.json"]
+
+    def test_simulate_into_a_directory_exits_two(self, tmp_path, capsys, no_simulation):
         (tmp_path / "taken").mkdir()
         cfg = write_config(tmp_path, chain_data(output={"csv": "taken"}))
         assert main(["simulate", "--config", cfg]) == 2
@@ -446,7 +469,7 @@ class TestUnwritableOutput:
             f"{str(tmp_path / 'taken')!r}: Is a directory\n"
         )
 
-    def test_simulate_under_a_plain_file_exits_two(self, tmp_path, capsys):
+    def test_simulate_under_a_plain_file_exits_two(self, tmp_path, capsys, no_simulation):
         (tmp_path / "plainfile").write_text("")
         cfg = write_config(tmp_path, chain_data(output={"csv": "plainfile/run.csv"}))
         assert main(["simulate", "--config", cfg]) == 2
@@ -457,7 +480,8 @@ class TestUnwritableOutput:
             f"{str(tmp_path / 'plainfile')!r} is not a directory\n"
         )
 
-    def test_verify_with_an_unwritable_report_exits_two(self, tmp_path, capsys):
+    def test_verify_with_an_unwritable_report_exits_two(self, tmp_path, capsys,
+                                                        no_simulation):
         (tmp_path / "report").mkdir()
         cfg = write_config(tmp_path, chain_data(output={"report": "report"}))
         assert main(["verify", "--config", cfg]) == 2

@@ -42,7 +42,8 @@ class TestDefaults:
         assert spec.plant.n == 2
         assert spec.sim.t_end == pytest.approx(1.2)
         assert spec.sim.rtol == 1e-9
-        assert spec.sim.mode == "direct"
+        # config files default to the tau clock; SimConfig keeps "direct"
+        assert spec.sim.mode == "tau"
         assert spec.verify.tol_abs == 1e-4
         assert spec.verify.scales == (1.0,)
 
@@ -288,7 +289,7 @@ def every_key_config(plant):
         },
         "sim": {
             "x0": [0.1, -0.2], "t_end": 1.0, "eps_stop": 1e-8, "rtol": 1e-8,
-            "atol": 1e-11, "max_step": 0.002, "sample_dt": 0.004, "mode": "tau",
+            "atol": 1e-11, "max_step": 0.002, "sample_dt": 0.004, "mode": "direct",
             "open_loop": True,
         },
         "verify": {

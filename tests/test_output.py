@@ -10,6 +10,7 @@ import pytest
 from psis.errors import ConfigurationError
 from psis.output import (
     check_clobber,
+    check_writable,
     fmt_float,
     render_report,
     render_svg,
@@ -67,6 +68,30 @@ class TestClobberGuard:
         p.write_text("x")
         check_clobber([str(p)], no_clobber=False)
         check_clobber([str(tmp_path / "other.csv"), None], no_clobber=True)
+
+
+class TestWritableGuard:
+    # the writer's own texts (TestUnwritablePaths), naming the plain file
+    # however deep below it the path lies
+    @pytest.mark.parametrize("name, reason", [
+        ("taken", "Is a directory"),
+        ("plainfile/run.csv", "{plainfile!r} is not a directory"),
+        ("plainfile/a/b.csv", "{plainfile!r} is not a directory"),
+    ])
+    def test_refuses_a_directory_or_a_path_under_a_file(self, tmp_path, name, reason):
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "plainfile").write_text("")
+        path = str(tmp_path / name)
+        with pytest.raises(ConfigurationError) as info:
+            check_writable([None, path])
+        reason = reason.format(plainfile=str(tmp_path / "plainfile"))
+        assert str(info.value) == f"cannot write output {path!r}: {reason}"
+
+    def test_allows_files_and_fresh_directories(self, tmp_path):
+        (tmp_path / "old.csv").write_text("x")
+        check_writable([str(tmp_path / "old.csv"), None,
+                        str(tmp_path / "new" / "deeper" / "run.csv")])
+        assert not (tmp_path / "new").exists()
 
 
 class TestTrajectoryCsv:

@@ -1,7 +1,10 @@
 """Closed-loop simulation: phase structure, sampling grid, the crossing of
 the prescribed instant, both integration clocks, and the raw pendulum path."""
 
+import dataclasses
+import hashlib
 import math
+import pickle
 
 import pytest
 
@@ -155,6 +158,15 @@ class TestTrajectoryContainer:
         with pytest.raises(AuditError):
             post_only.pre_instant_arrays()
 
+    def test_samples_carry_no_instance_dict(self):
+        s = Sample(t=0.5, x=(1.0, 2.0), u=0.2, z=(1.0, 2.0), V=5.0, dV=-1.0)
+        assert not hasattr(s, "__dict__")
+        assert pickle.loads(pickle.dumps(s)) == s
+        moved = dataclasses.replace(s, t=0.75)
+        assert (moved.t, moved.x, moved.dV) == (0.75, (1.0, 2.0), -1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.t = 1.0
+
     def test_array_views(self):
         samples = [
             Sample(t=0.0, x=(1.0, 2.0), u=0.5, z=(1.0, 2.0), V=5.0, dV=-1.0),
@@ -228,6 +240,48 @@ class TestClosedLoopPhases:
         assert len(again.samples) == len(self.traj.samples)
         for a, b in zip(again.samples, self.traj.samples):
             assert a == b
+
+
+class TestDenseOutput:
+    """Grid points before the last stop of a stretch are read off the dense
+    output of the step that covers them, so the steps follow the accuracy
+    asked for, not the sample grid."""
+
+    @pytest.mark.parametrize("mode", ["direct", "tau"])
+    def test_step_count_does_not_follow_the_sample_grid(self, mode):
+        ctrl = make_controller(n=3, etas=(4.0, 3.0, 2.0))
+        counts = set()
+        for dt in (2.5e-4, 2e-3, 0.1):
+            cfg = SimConfig(x0=(1.0, 0.0, 0.0), T_p=1.0, t_end=1.2,
+                            sample_dt=dt, mode=mode)
+            meta = simulate(IntegratorChain(3), ctrl, cfg).meta
+            counts.add((meta["steps_accepted"], meta["rhs_evals"]))
+        assert len(counts) == 1
+
+    @pytest.mark.parametrize("mode", ["direct", "tau"])
+    def test_sample_times_increase_strictly(self, mode):
+        # steps as long as the grid spacing end on or next to grid points;
+        # a step end on a grid point is recorded once
+        ctrl = make_controller(n=3, etas=(4.0, 3.0, 2.0))
+        cfg = SimConfig(x0=(1.0, 0.0, 0.0), T_p=1.0, t_end=1.2,
+                        max_step=1e-3, sample_dt=1e-3, mode=mode)
+        times = [s.t for s in simulate(IntegratorChain(3), ctrl, cfg).samples]
+        assert all(a < b for a, b in zip(times, times[1:]))
+        assert {k * 1e-3 for k in range(1, 1000)} <= set(times)
+
+    # sha256[:16] of repr([dataclasses.astuple(s) for s in samples]) for
+    # README's pendulum with config defaults: the dense output's bits must
+    # not move between Python versions
+    @pytest.mark.parametrize("mode, digest", [
+        ("direct", "af76c73fefdd6174"),
+        ("tau", "914c1ac17b9b2752"),
+    ])
+    def test_readme_pendulum_samples_are_pinned(self, mode, digest):
+        ctrl = make_controller(c=0.15, T_p=0.5)
+        cfg = SimConfig(x0=(0.09, 0.1), T_p=0.5, t_end=0.6, mode=mode)
+        samples = simulate(Pendulum(), ctrl, cfg).samples
+        text = repr([dataclasses.astuple(s) for s in samples])
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 class TestEquilibriumStart:
@@ -381,7 +435,7 @@ class TestBreakdownReporting:
         ctrl = make_controller(n=4, etas=(4.5, 3.5, 2.5, 1.5), kind=RcdfKind.TAN)
         cfg = SimConfig(x0=(1.0, 0.0, 0.0, 0.0), T_p=1.0, t_end=1.2)
         traj = simulate(IntegratorChain(4), ctrl, cfg)
-        assert len(traj.samples) == 1668
+        assert len(traj.samples) == 1636
         assert traj.samples[-1].t == 1.2
         assert traj.meta["steps_rejected"] > 0
 

@@ -28,11 +28,25 @@ from psis.synthesis import SynthesisConfig, eval_control, synthesize
 
 S = simulation
 
+# Hairer's DOPRI5 dense-output weights (contd5), spelt out here rather than
+# read from the module, so a wrong weight there fails the comparison
+D1, D3, D4, D5, D6, D7 = (
+    -12715105075.0 / 11282082432.0,
+    87487479700.0 / 32700410799.0,
+    -10690763975.0 / 1880347072.0,
+    701980252875.0 / 199316789632.0,
+    -1453857185.0 / 822651844.0,
+    69997945.0 / 29380423.0,
+)
+
 
 def reference_path(f, y0, t0, stops, *, rtol, atol, max_step, stats, on_stop,
                    on_step=None):
     """The Dormand-Prince 5(4) loop over lists, with the same contract as
-    simulation._adaptive_path (and its horizon-relative collapse test)."""
+    simulation._adaptive_path (and its horizon-relative collapse test):
+    steps land only on the last stop, the stops before it are read off the
+    dense output of the step that covers them, and a step that ends on a
+    stop records it once."""
     n = len(y0)
     y = [float(v) for v in y0]
     t = t0
@@ -41,7 +55,9 @@ def reference_path(f, y0, t0, stops, *, rtol, atol, max_step, stats, on_stop,
     except S._RhsFailure as exc:
         raise DivergenceError(f"vector field invalid at start: {exc}", t0) from None
 
-    h = min(max_step, (stops[-1] - t0) / 10.0, stops[0] - t0)
+    target = stops[-1]
+    last = len(stops) - 1
+    h = min(max_step, (target - t0) / 10.0)
     err_prev = 1.0
     err = None
     rejected_streak = 0
@@ -54,7 +70,6 @@ def reference_path(f, y0, t0, stops, *, rtol, atol, max_step, stats, on_stop,
                 f"step budget of {S._STEP_BUDGET} steps exhausted "
                 f"(h={h:.3e}, last error estimate {S._estimate_text(err)})", t
             )
-        target = stops[stop_idx]
         remaining = target - t
         hitting = False
         if h >= remaining * (1.0 - 1e-10):
@@ -114,14 +129,31 @@ def reference_path(f, y0, t0, stops, *, rtol, atol, max_step, stats, on_stop,
         if err <= 1.0:
             stats["steps_accepted"] += 1
             rejected_streak = 0
-            t = target if hitting else t + h
+            t_new = target if hitting else t + h
+            if stop_idx < last and stops[stop_idx] < t_new:
+                q2 = [y_new[j] - y[j] for j in range(n)]
+                q3 = [h * k1[j] - q2[j] for j in range(n)]
+                q4 = [q2[j] - h * k7[j] - q3[j] for j in range(n)]
+                q5 = [h * (D1 * k1[j] + D3 * k3[j] + D4 * k4[j] + D5 * k5[j]
+                           + D6 * k6[j] + D7 * k7[j]) for j in range(n)]
+                while stop_idx < last and stops[stop_idx] < t_new:
+                    s = stops[stop_idx]
+                    th = (s - t) / h
+                    th1 = 1.0 - th
+                    on_stop(stop_idx, s, [
+                        y[j] + th * (q2[j] + th1 * (q3[j] + th * (q4[j] + th1 * q5[j])))
+                        for j in range(n)
+                    ])
+                    stop_idx += 1
+            t = t_new
             y = y_new
             k1 = k7
             if hitting:
+                on_stop(last, t, y)
+                return y
+            if stops[stop_idx] == t:
                 on_stop(stop_idx, t, y)
                 stop_idx += 1
-                if stop_idx == len(stops):
-                    return y
             elif on_step is not None:
                 on_step(t, y)
             if err == 0.0:
@@ -268,6 +300,54 @@ def test_rejected_start_matches_the_reference(monkeypatch):
         assert run() == generated
     assert generated[0] == "vector field invalid at start: float division by zero"
     assert generated[2]["rhs_evals"] == 1
+
+
+def test_step_end_on_a_stop_matches_the_reference(monkeypatch):
+    # a constant field: every step has error 0 and grows to max_step, so
+    # step ends fall on the stops 0.5, 1.0, ... bit for bit, while 0.3 lies
+    # inside the second step
+    stops = [0.3, 0.5, 1.0, 1.5, 2.0, 10.0]
+
+    def run():
+        calls = []
+        stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
+        y = S._adaptive_path(
+            lambda t, y: [1.0, -2.0], [0.0, 1.0], 0.0, stops, rtol=1e-9,
+            atol=1e-12, max_step=0.25, stats=stats,
+            on_stop=lambda i, t, y: calls.append(("stop", i, t, tuple(y))),
+            on_step=lambda t, y: calls.append(("step", t, tuple(y))))
+        return calls, stats, y
+
+    generated = run()
+    with monkeypatch.context() as m:
+        m.setattr(S, "_adaptive_path", reference_path)
+        assert run() == generated
+    calls, stats, y = generated
+    stopped = [c for c in calls if c[0] == "stop"]
+    assert [c[1] for c in stopped] == list(range(len(stops)))
+    assert [c[2] for c in stopped] == stops
+    # each stop once, and no step record at a stop's time
+    times = [c[-2] for c in calls]
+    assert times == sorted(set(times))
+    assert stopped[0][3] == pytest.approx((0.3, 0.4), abs=1e-14)
+    assert stopped[2][3] == pytest.approx((1.0, -1.0), abs=1e-14)
+    assert stats["steps_accepted"] == 40
+    assert y == pytest.approx([10.0, -19.0], abs=1e-13)
+
+
+@pytest.mark.parametrize("max_step", [0.05, 1.0])
+def test_dense_stops_are_fourth_order_accurate(max_step):
+    # y' = y from y(0) = 1: each stop, filled or landed on, stays within a
+    # few tolerances of exp(t), whether steps are long or short
+    stops = [k / 64.0 for k in range(1, 129)]
+    got = {}
+    stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
+    S._adaptive_path(lambda t, y: [y[0]], [1.0], 0.0, stops, rtol=1e-9,
+                     atol=1e-12, max_step=max_step, stats=stats,
+                     on_stop=lambda i, t, y: got.setdefault(t, y[0]))
+    assert list(got) == stops
+    assert max(abs(v / math.exp(t) - 1.0) for t, v in got.items()) < 1e-8
+    assert stats["steps_accepted"] < len(stops)
 
 
 def test_one_loop_per_dimension():

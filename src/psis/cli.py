@@ -2,8 +2,8 @@
 
 Subcommands share one JSON configuration file (see experiment.py):
 
-    psis synthesize --config run.json
-    psis simulate   --config run.json [--mode direct|tau] [--no-clobber] [--no-timestamp]
+    psis synthesize --config run.json [--no-clobber] [--no-timestamp]
+    psis simulate   --config run.json [...]
     psis verify     --config run.json [...]
     psis sweep      --config run.json [--scales 0.1,1,10] [...]
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from . import output as out
 from .errors import (
@@ -58,14 +58,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="JSON configuration file")
-        sp.add_argument(
-            "--mode", choices=("direct", "tau"), default=None,
-            help="override the integration clock from the config",
-        )
-        sp.add_argument(
-            "--scales", default=None,
-            help="comma-separated scale factors (sweep only)",
-        )
+        if name == "sweep":
+            sp.add_argument(
+                "--scales", default=None,
+                help="comma-separated scale factors overriding verify.scales",
+            )
         sp.add_argument(
             "--no-clobber", action="store_true",
             help="refuse to overwrite existing output files",
@@ -307,8 +304,6 @@ def main(argv: list[str] | None = None) -> int:
     spec: ExperimentSpec | None = None
     try:
         spec = load_config(args.config)
-        if args.mode is not None and args.mode != spec.sim.mode:
-            spec = replace(spec, sim=replace(spec.sim, mode=args.mode))
         return _HANDLERS[args.command](spec, args)
     except (ConfigurationError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

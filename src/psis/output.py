@@ -25,6 +25,20 @@ def fmt_float(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _path_in_the_way(path: str) -> str | None:
+    """Why path cannot be written as a file, if what stands in the way is
+    on disk: path is a directory, or its nearest existing ancestor is a
+    plain file.  None otherwise."""
+    if os.path.isdir(path):
+        return "Is a directory"
+    ancestor = os.path.dirname(path)
+    while ancestor and not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if ancestor and not os.path.isdir(ancestor):
+        return f"{ancestor!r} is not a directory"
+    return None
+
+
 def _write_text(path: str, text: str) -> None:
     """Write text to path as utf-8 with \\n newlines, creating the parent
     directory.  A path that cannot be written is a ConfigurationError."""
@@ -34,14 +48,9 @@ def _write_text(path: str, text: str) -> None:
             os.makedirs(parent, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    except FileExistsError:
-        # makedirs found a file where the parent directory should be
-        raise ConfigurationError(
-            f"cannot write output {path!r}: {parent!r} is not a directory"
-        ) from None
     except (OSError, ValueError) as exc:
         # ValueError: a path with an embedded null byte
-        reason = getattr(exc, "strerror", None) or exc
+        reason = _path_in_the_way(path) or getattr(exc, "strerror", None) or exc
         raise ConfigurationError(f"cannot write output {path!r}: {reason}") from None
 
 
@@ -61,17 +70,9 @@ def check_writable(paths: Sequence[str | None]) -> None:
     bound to fail on, with its texts: an existing directory, and a path
     whose nearest existing ancestor is a plain file."""
     for path in paths:
-        if path is None:
-            continue
-        if os.path.isdir(path):
-            raise ConfigurationError(f"cannot write output {path!r}: Is a directory")
-        ancestor = os.path.dirname(path)
-        while ancestor and not os.path.exists(ancestor):
-            ancestor = os.path.dirname(ancestor)
-        if ancestor and not os.path.isdir(ancestor):
-            raise ConfigurationError(
-                f"cannot write output {path!r}: {ancestor!r} is not a directory"
-            )
+        reason = None if path is None else _path_in_the_way(path)
+        if reason is not None:
+            raise ConfigurationError(f"cannot write output {path!r}: {reason}")
 
 
 def write_csv(path: str, traj: Trajectory) -> None:

@@ -643,64 +643,6 @@ def _post_grid(cfg: SimConfig) -> list[float]:
     return stops
 
 
-class _Recorder:
-    """Assembles samples in time order from integrator callbacks."""
-
-    def __init__(
-        self,
-        cfg: SimConfig,
-        offset: tuple[float, ...],
-        u_fn,
-        z_fns,
-        etas: tuple[float, ...],
-        kinds: tuple,
-    ):
-        self.cfg = cfg
-        self.offset = offset
-        self.u_fn = u_fn
-        self.z_fns = z_fns
-        self.etas = etas
-        self.kinds = kinds
-        self.samples: list[Sample] = []
-
-    def record_pre(self, t: float, w: Sequence[float]) -> None:
-        x = tuple(map(add, w, self.offset))
-        z = tuple([fn(w, t) for fn in self.z_fns])
-        if not all(map(math.isfinite, z)):
-            raise DivergenceError(f"stage errors are not finite: z={z!r}", t)
-        u = self.u_fn(w, t)
-        # explicit left-to-right sums: sum() compensates float sums from
-        # Python 3.12 on, which would move the last bits between versions
-        V = 0.0
-        decay = 0.0
-        for eta, kind, zi in zip(self.etas, self.kinds, z):
-            V += zi * zi
-            decay += eta * zi * zeta(kind, zi)
-        gap = self.cfg.T_p - t
-        dV = -2.0 / gap * decay
-        self.samples.append(Sample(t=t, x=x, u=u, z=z, V=V, dV=dV))
-
-    def record_post(self, t: float, w: Sequence[float]) -> None:
-        x = tuple(map(add, w, self.offset))
-        self.samples.append(Sample(t=t, x=x, u=0.0, z=None, V=None, dV=None))
-
-
-class _TorqueRecorder:
-    """Samples of the raw pendulum: the state and the applied torque, with
-    no error bookkeeping on either side of the instant."""
-
-    def __init__(self, torque_fn: Callable[[Sequence[float], float], float]):
-        self.torque_fn = torque_fn
-        self.samples: list[Sample] = []
-
-    def record_pre(self, t: float, x: Sequence[float]) -> None:
-        self.samples.append(
-            Sample(t=t, x=tuple(x), u=self.torque_fn(x, t), z=None, V=None, dV=None)
-        )
-
-    record_post = record_pre
-
-
 # (order, tau clock?) -> maker of the chain's vector field, built on first use
 _CHAIN_FIELDS: dict[tuple[int, bool], Callable] = {}
 
@@ -759,15 +701,14 @@ def _check_compatibility(plant: PlantModel, controller: Controller, cfg: SimConf
 
 @dataclass(frozen=True)
 class _Leg:
-    """One pre-instant stretch of integration on its own clock s.
+    """The pre-instant stretch of integration, on its own clock s from 0.
 
-    rhs runs from s0 through stops, and labels[i] is the time t recorded at
-    stops[i].  With to_t set, accepted steps inside the terminal window are
-    recorded as well, at t = to_t(s).
+    rhs runs from s = 0 through stops, and labels[i] is the time t recorded
+    at stops[i].  With to_t set, accepted steps inside the terminal window
+    are recorded as well, at t = to_t(s).
     """
 
     rhs: Callable[[float, list[float]], list[float]]
-    s0: float
     stops: Sequence[float]
     labels: Sequence[float]
     max_step: float
@@ -776,61 +717,61 @@ class _Leg:
 
 def _run_phases(
     cfg: SimConfig,
-    T_p: float,
-    legs: Sequence[_Leg],
+    leg: _Leg,
     w0: list[float],
-    rec,
+    record_pre: Callable[[float, Sequence[float]], Sample],
+    record_post: Callable[[float, Sequence[float]], Sample],
     rhs_cross: Callable[[float, list[float]], list[float]],
     rhs_post: Callable[[float, list[float]], list[float]],
     meta: dict,
 ) -> Trajectory:
     """The phase structure every simulation path shares.
 
-    Runs the legs up to the standoff, crosses the instant with one Euler step
-    of rhs_cross, records the state at T_p, and integrates rhs_post over the
-    post-instant grid.  rec supplies record_pre, record_post and samples.
-    meta plus the integrator counters labels the trajectory, and equally the
-    partial one attached to an integration breakdown.  A pre-instant sample
-    whose control or stage errors fail in float arithmetic, or whose stage
-    errors are not finite, ends the run with a DivergenceError at that
-    sample's t.
+    Records w0 at t = 0, integrates the leg to the standoff, crosses the
+    instant with one Euler step of rhs_cross, records the state at T_p, and
+    integrates rhs_post over the post-instant grid.  record_pre and
+    record_post turn (t, state) into the Sample kept before and from T_p on.
+    The trajectory is labelled with meta plus the integrator counters, and
+    so is the partial one attached to an integration breakdown.  A
+    pre-instant sample whose control or stage errors fail in float
+    arithmetic, or whose stage errors are not finite, ends the run with a
+    DivergenceError at that sample's t.
     """
+    samples: list[Sample] = []
     stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
-    window_start = 0.95 * T_p
+    window_start = 0.95 * cfg.T_p
 
     def trajectory() -> Trajectory:
-        return Trajectory(samples=rec.samples, meta={**meta, **stats})
+        return Trajectory(samples=samples, meta={**meta, **stats})
 
-    def record_pre(t: float, w: Sequence[float]) -> None:
+    def pre(t: float, w: Sequence[float]) -> None:
         try:
-            rec.record_pre(t, w)
+            samples.append(record_pre(t, w))
         except _ARITHMETIC_ERRORS as exc:
             raise DivergenceError(f"sample could not be evaluated: {exc}", t) from None
 
-    w = w0
+    on_step = None
+    if leg.to_t is not None:
+        def on_step(s: float, w: list[float]) -> None:
+            t = leg.to_t(s)
+            if t >= window_start:
+                pre(t, w)
+
     try:
-        record_pre(0.0, w0)
-        for leg in legs:
-            on_step = None
-            if leg.to_t is not None:
-                def on_step(s: float, ww: list[float], to_t=leg.to_t) -> None:
-                    t = to_t(s)
-                    if t >= window_start:
-                        record_pre(t, ww)
-            w = _adaptive_path(
-                leg.rhs, w, leg.s0, leg.stops,
-                rtol=cfg.rtol, atol=cfg.atol, max_step=leg.max_step, stats=stats,
-                on_stop=lambda i, s, ww, labels=leg.labels: record_pre(labels[i], ww),
-                on_step=on_step,
-            )
+        pre(0.0, w0)
+        w = _adaptive_path(
+            leg.rhs, w0, 0.0, leg.stops,
+            rtol=cfg.rtol, atol=cfg.atol, max_step=leg.max_step, stats=stats,
+            on_stop=lambda i, s, w: pre(leg.labels[i], w), on_step=on_step,
+        )
         w = _cross_instant(rhs_cross, w, cfg, stats)
-        rec.record_post(T_p, w)
+        samples.append(record_post(cfg.T_p, w))
         post = _post_grid(cfg)
         if post:
             _adaptive_path(
-                rhs_post, w, T_p, post,
+                rhs_post, w, cfg.T_p, post,
                 rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step, stats=stats,
-                on_stop=lambda i, t, ww: rec.record_post(t, ww),
+                on_stop=lambda i, t, w: samples.append(record_post(t, w)),
             )
     except (StiffnessError, DivergenceError) as exc:
         exc.partial = trajectory()
@@ -848,6 +789,9 @@ def _cross_instant(rhs, w_std: list[float], cfg: SimConfig, stats: dict) -> list
     return [w_std[j] + cfg.eps_stop * f_std[j] for j in range(len(w_std))]
 
 
+_TAU_MAX_STEP = 0.05
+
+
 def simulate(plant: PlantModel, controller: Controller, cfg: SimConfig) -> Trajectory:
     """Run the closed loop and return the sampled trajectory.
 
@@ -857,21 +801,42 @@ def simulate(plant: PlantModel, controller: Controller, cfg: SimConfig) -> Traje
     """
     n = _check_compatibility(plant, controller, cfg)
     sc = controller.config
+    T_p = sc.T_p
     twin = zero_setpoint_twin(controller)
     offset = (sc.c,) + (0.0,) * (n - 1)
     w0 = [cfg.x0[j] - offset[j] for j in range(n)]
     u_fn = _zero_input if cfg.open_loop else twin.compiled_u
-    rec = _Recorder(
-        cfg, offset, u_fn, twin.compiled_z,
-        tuple(s.eta for s in sc.stages), tuple(s.kind for s in sc.stages),
-    )
+    z_fns = twin.compiled_z
+    etas = tuple(s.eta for s in sc.stages)
+    kinds = tuple(s.kind for s in sc.stages)
+
+    def record_pre(t: float, w: Sequence[float]) -> Sample:
+        x = tuple(map(add, w, offset))
+        z = tuple([fn(w, t) for fn in z_fns])
+        if not all(map(math.isfinite, z)):
+            raise DivergenceError(f"stage errors are not finite: z={z!r}", t)
+        u = u_fn(w, t)
+        # explicit left-to-right sums: sum() compensates float sums from
+        # Python 3.12 on, which would move the last bits between versions
+        V = 0.0
+        decay = 0.0
+        for eta, kind, zi in zip(etas, kinds, z):
+            V += zi * zi
+            decay += eta * zi * zeta(kind, zi)
+        dV = -2.0 / (T_p - t) * decay
+        return Sample(t=t, x=x, u=u, z=z, V=V, dV=dV)
+
+    def record_post(t: float, w: Sequence[float]) -> Sample:
+        x = tuple(map(add, w, offset))
+        return Sample(t=t, x=x, u=0.0, z=None, V=None, dV=None)
+
     meta = {
         "plant": plant_description(plant),
         "n": sc.n,
         "c": sc.c,
-        "T_p": sc.T_p,
-        "etas": [s.eta for s in sc.stages],
-        "kinds": [s.kind.value for s in sc.stages],
+        "T_p": T_p,
+        "etas": list(etas),
+        "kinds": [k.value for k in kinds],
         "x0": list(cfg.x0),
         "t_end": cfg.t_end,
         "eps_stop": cfg.eps_stop,
@@ -886,27 +851,21 @@ def simulate(plant: PlantModel, controller: Controller, cfg: SimConfig) -> Traje
     rhs = _chain_rhs(n, u_fn)
     pre = _pre_grid(cfg)
     if cfg.mode == "tau":
-        leg = _tau_leg(cfg, sc.T_p, u_fn, pre)
+        # tau = -ln((T_p - t)/T_p) runs from 0 to the standoff, stopping at
+        # ln(T_p/(T_p - t_k)) for every grid point t_k and at ln(T_p/eps_stop)
+        # for the standoff itself
+        tau_stops = [
+            math.log(T_p / cfg.eps_stop) if tk == cfg.t_standoff
+            else math.log(T_p / (T_p - tk))
+            for tk in pre
+        ]
+        leg = _Leg(_chain_rhs(n, u_fn, T_p), tau_stops, pre, _TAU_MAX_STEP,
+                   to_t=lambda tau: -T_p * math.expm1(-tau))
     else:
-        leg = _Leg(rhs, 0.0, pre, pre, cfg.max_step, to_t=lambda t: t)
+        leg = _Leg(rhs, pre, pre, cfg.max_step, to_t=lambda t: t)
     return _run_phases(
-        cfg, sc.T_p, [leg], w0, rec, rhs, _chain_rhs(n, _zero_input), meta
+        cfg, leg, w0, record_pre, record_post, rhs, _chain_rhs(n, _zero_input), meta
     )
-
-
-_TAU_MAX_STEP = 0.05
-
-
-def _tau_leg(cfg: SimConfig, T_p: float, u_fn, pre: list[float]) -> _Leg:
-    """The leg on tau = -ln((T_p - t)/T_p) from 0 to the standoff, stopping
-    at tau = ln(T_p/(T_p - t_k)) for every point t_k of the pre-instant grid
-    and at ln(T_p/eps_stop) for the standoff itself."""
-    tau_stops = [
-        math.log(T_p / cfg.eps_stop) if tk == cfg.t_standoff else math.log(T_p / (T_p - tk))
-        for tk in pre
-    ]
-    return _Leg(_chain_rhs(len(cfg.x0), u_fn, T_p), 0.0, tau_stops, pre, _TAU_MAX_STEP,
-                to_t=lambda tau: -T_p * math.expm1(-tau))
 
 
 def simulate_tau(plant: PlantModel, controller: Controller, cfg: SimConfig) -> Trajectory:
@@ -931,7 +890,8 @@ def simulate_pendulum_raw(
     This is the physical-space cross-check for the linearized closed-loop
     path: the same phase structure (standoff, Euler crossing, free segment),
     but no setpoint shift and no error bookkeeping, so the samples carry
-    z = V = dV = None and u holds the applied torque.  Tight tolerances are
+    z = V = dV = None and u holds the applied torque.  It always integrates
+    on the direct clock, whatever cfg.mode says.  Tight tolerances are
     not appropriate here when torque_fn encodes a feedback law in raw
     coordinates, because the stage errors hit the roundoff floor of the
     setpoint well before the standoff; pass a mid-precision config and a
@@ -942,6 +902,9 @@ def simulate_pendulum_raw(
 
     def rhs(t: float, x: list[float]) -> list[float]:
         return [x[1], pendulum_accel(plant, x, torque_fn(x, t))]
+
+    def record(t: float, x: Sequence[float]) -> Sample:
+        return Sample(t=t, x=tuple(x), u=torque_fn(x, t), z=None, V=None, dV=None)
 
     meta = {
         "raw": True,
@@ -954,6 +917,6 @@ def simulate_pendulum_raw(
     }
     pre = _pre_grid(cfg)
     return _run_phases(
-        cfg, cfg.T_p, [_Leg(rhs, 0.0, pre, pre, cfg.max_step)], list(cfg.x0),
-        _TorqueRecorder(torque_fn), rhs, rhs, meta,
+        cfg, _Leg(rhs, pre, pre, cfg.max_step), list(cfg.x0), record, record,
+        rhs, rhs, meta,
     )

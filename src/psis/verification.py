@@ -7,11 +7,11 @@ A single simulated run is judged on three kinds of evidence:
     matter; settling early would be just as much of a miss as settling late,
     because the design pins the settling instant itself, not an upper bound
     on it.
-  * lyapunov_audit: along the trajectory, V = sum z_i^2 must decay at the
-    exact analytic rate, and that rate must sit inside a two-sided envelope
-    obtained from the mean-value concavity bound applied to the rate
-    kernels.  The envelope is recomputed sample by sample and compared with
-    a finite-difference slope of the recorded V.
+  * lyapunov_audit: along the trajectory, the recorded decay rate dV of
+    V = sum z_i^2 must sit inside a two-sided envelope obtained from the
+    mean-value concavity bound applied to the rate kernels.  The envelope is
+    rebuilt sample by sample from the recorded z and V, and the recorded dV
+    is compared with a finite-difference slope of the recorded V as well.
   * control_vanishing_check: the input must die out as t approaches T_p and
     be exactly zero afterwards, confirming the law spends its effort early
     rather than diverging into the singular gain.
@@ -70,17 +70,10 @@ def settling_instant(
         )
     T_p = traj.meta["T_p"]
     t_standoff = traj.meta["t_standoff"]
-    t, z, _, _ = traj.pre_instant_arrays()
+    t, _, V, _ = traj.pre_instant_arrays()
     if abs(t[-1] - t_standoff) > 1e-12 * T_p:
         raise AuditError("trajectory is missing its sample at the standoff")
-    norms = []
-    for zi in z:
-        # an explicit left-to-right sum: sum() compensates float sums from
-        # Python 3.12 on, which would move the last bits between versions
-        acc = 0.0
-        for v in zi:
-            acc += v * v
-        norms.append(math.sqrt(acc))
+    norms = [math.sqrt(v) for v in V]
 
     window_end = window_factor * T_p
     in_window = [nm for ti, nm in zip(t, norms) if ti <= window_end]
@@ -148,19 +141,31 @@ def lyapunov_bounds(
     if not (0.0 <= t < T_p):
         raise DomainError(f"t must lie in [0, T_p={T_p}), got {t!r}")
     gap = T_p - t
-    # explicit left-to-right sums, as in settling_instant
-    decay = l1 = v_sum = eta_sum = 0.0
+    # explicit left-to-right sums in the simulator's order: sum() compensates
+    # float sums from Python 3.12 on, which would move the last bits
+    decay = v_sum = 0.0
     for e, v in zip(etas, z):
         decay += e * v * zeta(kind, v)
-        l1 += abs(v)
         v_sum += v * v
+    lower, upper = _envelope(z, v_sum, etas, kind, gap)
+    return -2.0 / gap * decay, lower, upper
+
+
+def _envelope(
+    z: Sequence[float], V: float, etas: Sequence[float], kind: RcdfKind, gap: float
+) -> tuple[float, float]:
+    """(lower, upper) of lyapunov_bounds at stage errors z, with
+    V = sum z_i^2 and gap = T_p - t."""
+    n = len(z)
+    l1 = eta_sum = 0.0
+    for e, v in zip(etas, z):
+        l1 += abs(v)
         eta_sum += e
-    dV = -2.0 / gap * decay
     a = l1 / n
     upper = -2.0 * n * min(etas) * a * zeta(kind, a) / gap
-    root_v = math.sqrt(v_sum)
+    root_v = math.sqrt(V)
     lower = -2.0 * eta_sum * root_v * zeta(kind, root_v) / gap
-    return dV, lower, upper
+    return lower, upper
 
 
 @dataclass(frozen=True)
@@ -193,20 +198,19 @@ def mixed_kernels(kinds: Sequence[str]) -> str | None:
 
 
 def lyapunov_audit(
-    traj: Trajectory,
-    slack_abs: float = 1e-6,
-    slack_rel: float = 1e-3,
-    residual_window: tuple[float, float] = (0.05, 0.95),
+    traj: Trajectory, slack_abs: float = 1e-6, slack_rel: float = 1e-3
 ) -> LyapunovAudit:
-    """Check the recorded decay against the envelope and a numeric slope.
+    """Judge the recorded decay rate dV against the envelope and a numeric
+    slope of the recorded V.
 
-    Bounds are audited with slack slack_abs + slack_rel * |dV| at every
-    pre-instant sample whose V exceeds a tiny floor (below it the quantities
-    are pure roundoff).  The numeric slope of V uses a three-point stencil on
-    the non-uniform sample times; its deviation from the analytic rate is
-    reported as a residual normalized by max(1, |dV|), over the fractional
-    time window residual_window (away from the endpoints, where the stencil
-    is one-sided or the dynamics are singular).
+    At every pre-instant sample whose V exceeds a tiny floor (below it the
+    quantities are pure roundoff), the recorded dV must lie inside the
+    envelope of lyapunov_bounds, built from the recorded z and V, with slack
+    slack_abs + slack_rel * |dV|.  The numeric slope of V uses a three-point
+    stencil on the non-uniform sample times; its deviation from the recorded
+    dV is reported as a residual normalized by max(1, |dV|), over
+    [0.05 T_p, 0.95 T_p] (away from the endpoints, where the stencil is
+    one-sided or the dynamics are singular).
     """
     kinds = traj.meta.get("kinds", [])
     problem = mixed_kernels(kinds)
@@ -225,14 +229,15 @@ def lyapunov_audit(
             skipped += 1
             continue
         audited += 1
-        dv, lo, up = lyapunov_bounds(z[i], etas, kind, T_p, float(t[i]))
+        dv = dV[i]
+        lo, up = _envelope(z[i], V[i], etas, kind, T_p - t[i])
         slack = slack_abs + slack_rel * abs(dv)
         if dv < lo - slack:
             violations.append(BoundViolation(float(t[i]), "lower", dv, lo))
         if dv > up + slack:
             violations.append(BoundViolation(float(t[i]), "upper", dv, up))
 
-    lo_t, hi_t = residual_window[0] * T_p, residual_window[1] * T_p
+    lo_t, hi_t = 0.05 * T_p, 0.95 * T_p
     max_residual = 0.0
     for i in range(1, len(t) - 1):
         if not (lo_t <= t[i] <= hi_t) or V[i] < _V_FLOOR:
@@ -361,20 +366,18 @@ class ControlVanishing:
     vanishes: bool
 
 
-def control_vanishing_check(
-    traj: Trajectory, tol: float, window_factor: float = 0.95
-) -> ControlVanishing:
+def control_vanishing_check(traj: Trajectory, tol: float) -> ControlVanishing:
     """Confirm the input dies into the instant and is cut exactly after it.
 
-    The absolute size of u inside the terminal window scales with the
-    initial condition, so the verdict uses |u| at the standoff (within
-    10 * tol) plus exact zeros after T_p; the window maximum and its ratio
-    to the overall maximum are reported for context.
+    The absolute size of u inside the terminal window [0.95 T_p, T_p)
+    scales with the initial condition, so the verdict uses |u| at the
+    standoff (within 10 * tol) plus exact zeros after T_p; the window
+    maximum and its ratio to the overall maximum are reported for context.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ConfigurationError(f"tolerance must be finite and positive, got {tol!r}")
     T_p = float(traj.meta["T_p"])
-    window_start = window_factor * T_p
+    window_start = 0.95 * T_p
     pre = [s for s in traj.samples if s.z is not None]
     post = [s for s in traj.samples if s.z is None]
     if not pre:

@@ -96,12 +96,6 @@ class TestSimulate:
         # a config file runs on the tau clock unless it names another
         assert report["config"]["sim"]["mode"] == "tau"
 
-    def test_mode_flag_overrides_config(self, tmp_path):
-        cfg = write_config(tmp_path, chain_data())
-        assert main(["simulate", "--config", cfg, "--mode", "direct"]) == 0
-        report = json.loads((tmp_path / "chain2.json").read_text())
-        assert report["config"]["sim"]["mode"] == "direct"
-
     @pytest.mark.parametrize("T_p", [1e-6, 1e-12])
     def test_tiny_prescribed_instant_completes(self, tmp_path, T_p):
         # the step-collapse floor scales with the horizon, so a short T_p
@@ -175,6 +169,26 @@ class TestConfigFailures:
         cfg = write_config(tmp_path, chain_data())
         assert main(["sweep", "--config", cfg, "--scales", "a,b"]) == 2
         assert "--scales" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("synthesize", "--scales", "1"),
+        ("simulate", "--scales", "1"),
+        ("verify", "--scales", "1"),
+        ("synthesize", "--mode", "tau"),
+        ("simulate", "--mode", "direct"),
+        ("verify", "--mode", "direct"),
+        ("sweep", "--mode", "direct"),
+    ])
+    def test_flag_outside_its_subcommand_is_refused(self, tmp_path, capsys,
+                                                    command, flag, value):
+        # --scales belongs to sweep alone, and the clock is the config's
+        # sim.mode; a flag a subcommand would ignore is an error
+        cfg = write_config(tmp_path, chain_data())
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", cfg, flag, value])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
 
 
 def blowup_data():

@@ -279,6 +279,17 @@ class TestUnwritablePaths:
             )
         assert plain.read_text() == ""
 
+    def test_a_file_two_levels_above(self, tmp_path, writers):
+        # the text names the plain file however deep below it the path lies
+        plain = tmp_path / "plainfile"
+        plain.write_text("")
+        path = str(plain / "a" / "b.csv")
+        with pytest.raises(ConfigurationError) as info:
+            writers["csv"](path)
+        assert str(info.value) == (
+            f"cannot write output {path!r}: {str(plain)!r} is not a directory"
+        )
+
     def test_a_null_byte_in_the_path(self, tmp_path, writers):
         # config validation takes any JSON string as a path
         path = str(tmp_path / "run\0.out")

@@ -237,6 +237,18 @@ class TestLyapunovAudit:
         audit = lyapunov_audit(bad)
         assert audit.max_equality_residual > 100.0 * clean.max_equality_residual
 
+    def test_corrupted_decay_rate_breaks_the_envelope(self):
+        # the envelope judges the recorded dV, so a rate that is off shows
+        # as a bound violation at its own sample, not just in the residual
+        traj = pendulum_run()
+        victim = traj.samples.index(traj.sample_at(0.201))
+        s = traj.samples[victim]
+        bad_samples = list(traj.samples)
+        bad_samples[victim] = Sample(t=s.t, x=s.x, u=s.u, z=s.z, V=s.V, dV=10.0 * s.dV)
+        audit = lyapunov_audit(Trajectory(samples=bad_samples, meta=dict(traj.meta)))
+        assert not audit.passes
+        assert [(v.t, v.side) for v in audit.violations] == [(s.t, "lower")]
+
     def test_mixed_kernel_families_rejected(self):
         traj = pendulum_run()
         bad = Trajectory(samples=traj.samples, meta={**traj.meta, "kinds": ["tan", "linear"]})

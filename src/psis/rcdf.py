@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import ConfigurationError, DomainError, SingularityError
 
@@ -73,26 +73,62 @@ class RcdfSpec:
             raise ConfigurationError(f"eta must exceed 1, got {self.eta}")
 
 
+# Names the kernel sources call.
+KERNEL_GLOBALS = {"atan": math.atan, "expm1": math.expm1, "copysign": math.copysign}
+
+# The float operations of every kernel, written once as a Python expression
+# in {v} for a finite v: zeta evaluates them compiled, and the simulator's
+# recorder inlines the same text.
+_KERNEL_SOURCES: dict[RcdfKind, str] = {
+    RcdfKind.TAN: "({v} * {v} + 1.0) * atan({v})",
+    RcdfKind.LINEAR: "{v}",
+    # 1 - exp(-|v|) via expm1 keeps precision for small |v|; sign(0) is 0
+    RcdfKind.LOGEXP: "0.0 if {v} == 0.0 else copysign(-expm1(-abs({v})), {v})",
+}
+
+
+def _not_finite(v: float) -> float:
+    raise DomainError(f"kernel argument must be finite, got {v!r}")
+
+
+def _compile_kernel(source: str) -> Callable[[float], float]:
+    body = source.format(v="v")
+    namespace = {**KERNEL_GLOBALS, "isfinite": math.isfinite, "_not_finite": _not_finite}
+    return eval(f"lambda v: ({body}) if isfinite(v) else _not_finite(v)", namespace)
+
+
+_KERNEL_FUNCTIONS = {kind: _compile_kernel(src) for kind, src in _KERNEL_SOURCES.items()}
+
+
+def _table_entry(table: dict, kind: RcdfKind):
+    entry = table.get(kind)
+    if entry is None:
+        raise ConfigurationError(f"unhandled RCDF kind {kind!r}")
+    return entry
+
+
+def kernel_source(kind: RcdfKind, name: str) -> str:
+    """zeta(kind, name) as a parenthesized Python expression, for code that
+    inlines the kernel at a finite name; KERNEL_GLOBALS holds the names it
+    calls.  It performs zeta's float operations, so it gives the same bits."""
+    return f"({_table_entry(_KERNEL_SOURCES, kind).format(v=name)})"
+
+
+def kernel_function(kind: RcdfKind) -> Callable[[float], float]:
+    """zeta(kind, .) as a function of v alone, for loops that evaluate one
+    kernel many times: the kind is looked up once."""
+    return _table_entry(_KERNEL_FUNCTIONS, kind)
+
+
 def zeta(kind: RcdfKind, v: float) -> float:
     """Kernel value zeta(v).
 
     Every kernel is odd, zero only at zero, and strictly increasing, which
     is what makes -psi a genuine convergence law.  sign(0) is taken as 0 so
-    the logexp kernel is exactly zero at the origin.
+    the logexp kernel is exactly zero at the origin.  A non-finite v is a
+    DomainError.
     """
-    if not math.isfinite(v):
-        raise DomainError(f"kernel argument must be finite, got {v!r}")
-    if kind is RcdfKind.TAN:
-        return (v * v + 1.0) * math.atan(v)
-    if kind is RcdfKind.LINEAR:
-        return v
-    if kind is RcdfKind.LOGEXP:
-        if v == 0.0:
-            return 0.0
-        # 1 - exp(-|v|) via expm1 keeps precision for small |v|.
-        magnitude = -math.expm1(-abs(v))
-        return magnitude if v > 0.0 else -magnitude
-    raise ConfigurationError(f"unhandled RCDF kind {kind!r}")
+    return kernel_function(kind)(v)
 
 
 def psi(spec: RcdfSpec, v: float, t: float, T_p: float) -> float:

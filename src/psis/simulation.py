@@ -33,7 +33,9 @@ once, as a template: on first use for a state dimension n it is unrolled
 over n scalar locals and compiled, the way symdiff.compile_expr compiles a
 control law, so a stage costs no per-component list or generator.  Every
 component keeps the float operations of a loop over lists, in the same
-order, so the samples and counters are the same bits either way.
+order, so the samples and counters are the same bits either way.  Each
+law's sample recorder is generated the same way, once per controller, from
+one walk of the law (see _recorder_source).
 """
 
 from __future__ import annotations
@@ -41,16 +43,16 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import asdict, dataclass, field, replace
-from operator import add
 from typing import Callable, Sequence, Union
 
+from . import symdiff as sd
 from .errors import (
     AuditError,
     ConfigurationError,
     DivergenceError,
     StiffnessError,
 )
-from .rcdf import zeta
+from .rcdf import KERNEL_GLOBALS, kernel_source
 from .synthesis import Controller, zero_setpoint_twin
 
 # ---------------------------------------------------------------------------
@@ -247,6 +249,8 @@ class Trajectory:
     def sample_at(self, t_query: float) -> Sample:
         """The sample nearest t_query, if it lies within 1e-12 * |t_last|;
         the match has no absolute floor, so it holds at any scale of T_p."""
+        if not self.samples:
+            raise AuditError("trajectory has no samples")
         nearest = min(self.samples, key=lambda s: abs(s.t - t_query))
         if abs(nearest.t - t_query) <= 1e-12 * abs(self.samples[-1].t):
             return nearest
@@ -684,6 +688,86 @@ def _zero_input(w: Sequence[float], t: float) -> float:
     return 0.0
 
 
+# The recorders of one law, as a template: $-names are filled in per
+# controller by _recorder_source.
+_RECORDER_TEMPLATE = string.Template('''\
+def make(c):
+    def record(t, x):
+$body
+        return Sample(t, $x, $u, z, $V, -2.0 / ($T_p - t) * ($decay))
+
+    def record_free(t, x):
+        return Sample(t, $x, 0.0, None, None, None)
+
+    return record, record_free
+''')
+
+
+def _tuple_text(items: Sequence[str]) -> str:
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+def _recorder_source(controller: Controller, open_loop: bool) -> str:
+    """The per-sample recorders of a zero-setpoint law.
+
+    make(c) returns (record, record_free) for the setpoint c; both take the
+    setpoint-shifted state x at time t.  record gives the Sample before
+    T_p.  It walks the law's DAG once: the z nodes first, then the check
+    that z is finite, then the nodes u needs beyond them (u is 0.0 on an
+    open loop).  V and dV inline each stage's kernel.  record_free gives
+    the Sample from T_p on.  Every value keeps the float operations of
+    evaluating each z and u on its own and of summing V and dV in a loop
+    over the stages, in the same order, so the samples are the same bits.
+    """
+    sc = controller.config
+    lines: list[str] = []
+    emit = sd.code_emitter(lines)
+    roots = [emit(z) for z in controller.z_exprs]
+    z = [f"z{i}" for i in range(1, sc.n + 1)]
+    lines += [f"{zi} = {root}" for zi, root in zip(z, roots)]
+    lines += [
+        f"z = {_tuple_text(z)}",
+        f"if not ({' and '.join(f'isfinite({zi})' for zi in z)}):",
+        '    raise DivergenceError(f"stage errors are not finite: z={z!r}", t)',
+    ]
+    u = "0.0" if open_loop else emit(controller.u_expr)
+    return _RECORDER_TEMPLATE.substitute(
+        body="\n".join(" " * 8 + line for line in lines),
+        # + 0.0 as in adding the offset (c, 0, ..., 0): it turns -0.0 into 0.0
+        x=_tuple_text(["x[0] + c"] + [f"x[{j}] + 0.0" for j in range(1, sc.n)]),
+        u=u,
+        T_p=repr(sc.T_p),
+        # left-to-right sums from 0.0, as a loop over the stages adds them:
+        # the leading 0.0 turns a sum of -0.0 terms into 0.0
+        V=" + ".join(["0.0"] + [f"{zi} * {zi}" for zi in z]),
+        decay=" + ".join(["0.0"] + [
+            f"{stage.eta!r} * {zi} * {kernel_source(stage.kind, zi)}"
+            for stage, zi in zip(sc.stages, z)
+        ]),
+    )
+
+
+def _recorder(controller: Controller, open_loop: bool) -> Callable:
+    """make(c) of _recorder_source, compiled on first use and cached on the
+    controller.  Two threads building it at once compile equal code; either
+    may stay."""
+    make = controller.recorders.get(open_loop)
+    if make is None:
+        source = _recorder_source(controller, open_loop)
+        namespace = {
+            **sd.COMPILED_GLOBALS,
+            **KERNEL_GLOBALS,
+            "isfinite": math.isfinite,
+            "DivergenceError": DivergenceError,
+            "Sample": Sample,
+        }
+        exec(compile(source, "<psis.recorder>", "exec"), namespace)
+        make = namespace["make"]
+        make.__psis_source__ = source  # kept for debugging and tests
+        make = controller.recorders.setdefault(open_loop, make)
+    return make
+
+
 def _check_compatibility(plant: PlantModel, controller: Controller, cfg: SimConfig) -> int:
     n = plant_order(plant)
     if controller.config.n != n:
@@ -803,32 +887,11 @@ def simulate(plant: PlantModel, controller: Controller, cfg: SimConfig) -> Traje
     sc = controller.config
     T_p = sc.T_p
     twin = zero_setpoint_twin(controller)
-    offset = (sc.c,) + (0.0,) * (n - 1)
-    w0 = [cfg.x0[j] - offset[j] for j in range(n)]
+    w0 = [cfg.x0[0] - sc.c, *cfg.x0[1:]]
     u_fn = _zero_input if cfg.open_loop else twin.compiled_u
-    z_fns = twin.compiled_z
+    record_pre, record_post = _recorder(twin, cfg.open_loop)(sc.c)
     etas = tuple(s.eta for s in sc.stages)
     kinds = tuple(s.kind for s in sc.stages)
-
-    def record_pre(t: float, w: Sequence[float]) -> Sample:
-        x = tuple(map(add, w, offset))
-        z = tuple([fn(w, t) for fn in z_fns])
-        if not all(map(math.isfinite, z)):
-            raise DivergenceError(f"stage errors are not finite: z={z!r}", t)
-        u = u_fn(w, t)
-        # explicit left-to-right sums: sum() compensates float sums from
-        # Python 3.12 on, which would move the last bits between versions
-        V = 0.0
-        decay = 0.0
-        for eta, kind, zi in zip(etas, kinds, z):
-            V += zi * zi
-            decay += eta * zi * zeta(kind, zi)
-        dV = -2.0 / (T_p - t) * decay
-        return Sample(t=t, x=x, u=u, z=z, V=V, dV=dV)
-
-    def record_post(t: float, w: Sequence[float]) -> Sample:
-        x = tuple(map(add, w, offset))
-        return Sample(t=t, x=x, u=0.0, z=None, V=None, dV=None)
 
     meta = {
         "plant": plant_description(plant),

@@ -18,15 +18,16 @@ table holds its nodes weakly, so dead expressions are freed, and a lock
 makes each lookup-or-insert atomic, so threads synthesizing at once still
 share one node per structure.
 
-Every recursive walker (evaluate, simplify, partial, to_infix, compile_expr)
-runs through _walk, which keeps a memo on node identity for the one call:
-each distinct node is visited once, and the result is that of a walk over
-the tree the DAG stands for.  node_count still counts tree occurrences, a
-shared subexpression once per place it appears.
+Every recursive walker (evaluate, simplify, partial, to_infix, code_emitter)
+runs through _walk, which keeps a memo on node identity for the one call
+(code_emitter's lasts over the roots of one program): each distinct node is
+visited once, and the result is that of a walk over the tree the DAG stands
+for.  node_count still counts tree occurrences, a shared subexpression once
+per place it appears.
 
 The operator vocabulary lives in two tables, _BINARY_OPS and _UNARY_OPS,
 which give each node class its printed and compiled name and its float
-function; evaluate, simplify, to_infix and compile_expr all read them.  Pow
+function; evaluate, simplify, to_infix and code_emitter all read them.  Pow
 keeps its own rules everywhere, because its exponent is part of the node.
 Only the derivative rules in _partial are spelt out per class.
 
@@ -40,6 +41,7 @@ Notes on conventions:
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import struct
@@ -289,10 +291,17 @@ def _nodes(expr: Expr) -> list[Expr]:
     return order
 
 
-def _walk(expr: Expr, step: Callable[[Expr, Callable[[Expr], _R]], _R]) -> _R:
+def _walk(
+    expr: Expr,
+    step: Callable[[Expr, Callable[[Expr], _R]], _R],
+    memo: dict[Expr, _R] | None = None,
+) -> _R:
     """step(node, recur) for the root, where recur(child) runs step on the
-    child; each distinct node's result is computed once and reused."""
-    memo: dict[Expr, _R] = {}
+    child; each distinct node's result is computed once and reused.  A memo
+    passed in carries the results over from earlier walks with the same
+    step."""
+    if memo is None:
+        memo = {}
 
     def recur(node: Expr) -> _R:
         if node in memo:
@@ -588,6 +597,48 @@ def to_infix(expr: Expr) -> str:
 # compilation
 
 
+def code_emitter(lines: list[str]) -> Callable[[Expr], str]:
+    """A function emit(expr) that appends to lines the straight-line code
+    computing expr at (x, t), one assignment to a local v<k> per distinct
+    node, and returns the local, literal, x[j] or t that holds its value.
+
+    Nodes emitted by an earlier call are not emitted again, so the roots of
+    one program share their common subexpressions; other code may be
+    appended to lines between calls.  The code performs no domain checking
+    (see compile_expr), and COMPILED_GLOBALS holds the names it calls.
+    """
+    memo: dict[Expr, str] = {}
+    count = itertools.count()
+
+    def step(e: Expr, name_of: Callable[[Expr], str]) -> str:
+        if isinstance(e, Const):
+            return repr(e.value)
+        if isinstance(e, StateVar):
+            return f"x[{e.index - 1}]"
+        if isinstance(e, TimeVar):
+            return "t"
+        if type(e) in _BINARY_OPS:
+            code = f"{name_of(e.left)} {_BINARY_OPS[type(e)].name} {name_of(e.right)}"
+        elif isinstance(e, Pow):
+            # parenthesized base: ** binds tighter than a leading unary minus
+            code = f"({name_of(e.base)}) ** {repr(e.exponent)}"
+        elif type(e) in _UNARY_OPS:
+            code = f"{_UNARY_OPS[type(e)].name}({name_of(e.arg)})"
+        else:
+            raise StructureError(f"unknown node type {type(e).__name__}")
+        name = f"v{next(count)}"
+        lines.append(f"{name} = {code}")
+        return name
+
+    return lambda expr: _walk(expr, step, memo)
+
+
+# The names emitted code calls; repr() writes a non-finite constant as a
+# bare name.  Copy it before exec, which adds entries of its own.
+COMPILED_GLOBALS = {op.name: op.fn for op in _UNARY_OPS.values()}
+COMPILED_GLOBALS.update(inf=math.inf, nan=math.nan)
+
+
 def compile_expr(expr: Expr, n_states: int) -> Callable[[Sequence[float], float], float]:
     """Compile expr into a plain Python function f(x, t) -> float.
 
@@ -604,32 +655,10 @@ def compile_expr(expr: Expr, n_states: int) -> Callable[[Sequence[float], float]
             f"expression uses x{max(used)} but was compiled for {n_states} states"
         )
     lines: list[str] = []
-
-    def emit(e: Expr, name_of: Callable[[Expr], str]) -> str:
-        if isinstance(e, Const):
-            return repr(e.value)
-        if isinstance(e, StateVar):
-            return f"x[{e.index - 1}]"
-        if isinstance(e, TimeVar):
-            return "t"
-        if type(e) in _BINARY_OPS:
-            code = f"{name_of(e.left)} {_BINARY_OPS[type(e)].name} {name_of(e.right)}"
-        elif isinstance(e, Pow):
-            # parenthesized base: ** binds tighter than a leading unary minus
-            code = f"({name_of(e.base)}) ** {repr(e.exponent)}"
-        elif type(e) in _UNARY_OPS:
-            code = f"{_UNARY_OPS[type(e)].name}({name_of(e.arg)})"
-        else:
-            raise StructureError(f"unknown node type {type(e).__name__}")
-        name = f"v{len(lines)}"
-        lines.append(f"    {name} = {code}")
-        return name
-
-    result = _walk(expr, emit)
-    source = "def _compiled(x, t):\n" + "\n".join(lines) + f"\n    return {result}\n"
-    namespace = {op.name: op.fn for op in _UNARY_OPS.values()}
-    # repr() writes a non-finite constant as a bare name
-    namespace.update(inf=math.inf, nan=math.nan)
+    result = code_emitter(lines)(expr)
+    body = "\n".join(f"    {line}" for line in lines)
+    source = f"def _compiled(x, t):\n{body}\n    return {result}\n"
+    namespace = dict(COMPILED_GLOBALS)
     exec(compile(source, "<psis.symdiff>", "exec"), namespace)
     fn = namespace["_compiled"]
     fn.__psis_source__ = source  # kept for debugging and tests

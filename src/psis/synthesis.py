@@ -103,8 +103,10 @@ class Controller:
         return sd.compile_expr(self.u_expr, self.config.n)
 
     @cached_property
-    def compiled_z(self) -> tuple[Callable[[Sequence[float], float], float], ...]:
-        return tuple(sd.compile_expr(z, self.config.n) for z in self.z_exprs)
+    def recorders(self) -> dict[bool, Callable]:
+        """The simulator's compiled per-sample recorders of this law, by
+        open_loop; each is built on first use (simulation._recorder)."""
+        return {}
 
     @cached_property
     def _twin(self) -> "Controller":

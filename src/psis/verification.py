@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .errors import AuditError, ConfigurationError, DomainError, IntegrationError
-from .rcdf import RcdfKind, zeta
+from .rcdf import RcdfKind, kernel_function, zeta
 from .simulation import PlantModel, SimConfig, Trajectory, simulate
 from .synthesis import Controller
 
@@ -147,25 +147,35 @@ def lyapunov_bounds(
     for e, v in zip(etas, z):
         decay += e * v * zeta(kind, v)
         v_sum += v * v
-    lower, upper = _envelope(z, v_sum, etas, kind, gap)
+    lower, upper = _envelope(etas, kind)(z, v_sum, gap)
     return -2.0 / gap * decay, lower, upper
 
 
 def _envelope(
-    z: Sequence[float], V: float, etas: Sequence[float], kind: RcdfKind, gap: float
-) -> tuple[float, float]:
-    """(lower, upper) of lyapunov_bounds at stage errors z, with
-    V = sum z_i^2 and gap = T_p - t."""
-    n = len(z)
-    l1 = eta_sum = 0.0
-    for e, v in zip(etas, z):
-        l1 += abs(v)
+    etas: Sequence[float], kind: RcdfKind
+) -> Callable[[Sequence[float], float, float], tuple[float, float]]:
+    """envelope(z, V, gap) -> (lower, upper) of lyapunov_bounds for stages
+    with these exponents, at stage errors z with V = sum z_i^2 and
+    gap = T_p - t.  n, min eta and sum eta are computed here, once."""
+    n = len(etas)
+    eta_sum = 0.0
+    for e in etas:
         eta_sum += e
-    a = l1 / n
-    upper = -2.0 * n * min(etas) * a * zeta(kind, a) / gap
-    root_v = math.sqrt(V)
-    lower = -2.0 * eta_sum * root_v * zeta(kind, root_v) / gap
-    return lower, upper
+    upper_coef = -2.0 * n * min(etas)
+    lower_coef = -2.0 * eta_sum
+    kernel = kernel_function(kind)
+
+    def envelope(z: Sequence[float], V: float, gap: float) -> tuple[float, float]:
+        l1 = 0.0
+        for v in z:
+            l1 += abs(v)
+        a = l1 / n
+        upper = upper_coef * a * kernel(a) / gap
+        root_v = math.sqrt(V)
+        lower = lower_coef * root_v * kernel(root_v) / gap
+        return lower, upper
+
+    return envelope
 
 
 @dataclass(frozen=True)
@@ -221,21 +231,20 @@ def lyapunov_audit(
     T_p = float(traj.meta["T_p"])
     t, z, V, dV = traj.pre_instant_arrays()
 
+    envelope = _envelope(etas, kind)
     violations: list[BoundViolation] = []
-    audited = 0
     skipped = 0
-    for i in range(len(t)):
-        if V[i] < _V_FLOOR:
+    for ti, zi, vi, dv in zip(t, z, V, dV):
+        if vi < _V_FLOOR:
             skipped += 1
             continue
-        audited += 1
-        dv = dV[i]
-        lo, up = _envelope(z[i], V[i], etas, kind, T_p - t[i])
+        lo, up = envelope(zi, vi, T_p - ti)
         slack = slack_abs + slack_rel * abs(dv)
         if dv < lo - slack:
-            violations.append(BoundViolation(float(t[i]), "lower", dv, lo))
+            violations.append(BoundViolation(float(ti), "lower", dv, lo))
         if dv > up + slack:
-            violations.append(BoundViolation(float(t[i]), "upper", dv, up))
+            violations.append(BoundViolation(float(ti), "upper", dv, up))
+    audited = len(t) - skipped
 
     lo_t, hi_t = 0.05 * T_p, 0.95 * T_p
     max_residual = 0.0

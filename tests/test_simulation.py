@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import random
 
 import pytest
 
@@ -15,7 +16,7 @@ from psis.errors import (
     IntegrationError,
     StiffnessError,
 )
-from psis.rcdf import RcdfKind, RcdfSpec, psi
+from psis.rcdf import RcdfKind, RcdfSpec, psi, zeta
 from psis.simulation import (
     IntegratorChain,
     Pendulum,
@@ -29,8 +30,15 @@ from psis.simulation import (
     simulate_pendulum_raw,
     simulate_tau,
     torque_map,
+    _recorder,
 )
-from psis.synthesis import SynthesisConfig, eval_control, synthesize
+from psis.synthesis import (
+    SynthesisConfig,
+    error_coordinates,
+    eval_control,
+    synthesize,
+    zero_setpoint_twin,
+)
 from psis.verification import run_tolerance, settling_instant
 
 
@@ -125,6 +133,10 @@ class TestTrajectoryContainer:
         assert traj.sample_at(0.5) is s
         with pytest.raises(AuditError):
             traj.sample_at(0.25)
+
+    def test_sample_at_on_an_empty_trajectory_is_an_audit_error(self):
+        with pytest.raises(AuditError, match="no samples"):
+            Trajectory(samples=[], meta={}).sample_at(0.0)
 
     def test_sample_at_returns_the_nearest_match(self):
         # two samples inside the match window: the nearer one wins, not the
@@ -283,6 +295,32 @@ class TestDenseOutput:
         text = repr([dataclasses.astuple(s) for s in samples])
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
+    # the same digest for one chain per kernel kind and one mixing all
+    # three, so every kernel's z, u, V and dV bits are pinned on both clocks
+    @pytest.mark.parametrize("kinds, etas, c, x0, mode, digest", [
+        (("tan",) * 4, (5.0, 4.0, 3.0, 2.0), 0.0, (1.0, 0.0, 0.0, 0.0),
+         "direct", "7ccedc5a102e3fa7"),
+        (("tan",) * 4, (5.0, 4.0, 3.0, 2.0), 0.0, (1.0, 0.0, 0.0, 0.0),
+         "tau", "0348fe9287c62346"),
+        (("logexp",) * 3, (4.0, 3.0, 2.0), 0.0, (1.0, 0.0, 0.0),
+         "direct", "fc32090ef78664aa"),
+        (("logexp",) * 3, (4.0, 3.0, 2.0), 0.0, (1.0, 0.0, 0.0),
+         "tau", "cb3366f0d5b8923a"),
+        (("tan", "linear", "logexp"), (4.0, 3.0, 2.0), 0.3, (1.0, 0.5, 0.0),
+         "direct", "8287e84fda682165"),
+        (("tan", "linear", "logexp"), (4.0, 3.0, 2.0), 0.3, (1.0, 0.5, 0.0),
+         "tau", "92dc2853bd6c29d9"),
+    ])
+    def test_chain_samples_are_pinned_for_every_kernel(
+        self, kinds, etas, c, x0, mode, digest
+    ):
+        stages = tuple(RcdfSpec(kind=RcdfKind(k), eta=e) for k, e in zip(kinds, etas))
+        ctrl = synthesize(SynthesisConfig(n=len(etas), c=c, T_p=1.0, stages=stages))
+        cfg = SimConfig(x0=x0, T_p=1.0, t_end=1.2, mode=mode)
+        samples = simulate(IntegratorChain(len(x0)), ctrl, cfg).samples
+        text = repr([dataclasses.astuple(s) for s in samples])
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
 
 class TestEquilibriumStart:
     def test_setpoint_start_stays_put_exactly(self):
@@ -338,6 +376,76 @@ class TestCompatibilityChecks:
         cfg = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2)
         with pytest.raises(ConfigurationError):
             simulate(IntegratorChain(2), ctrl, cfg)
+
+
+def close(a, b, rel=1e-15):
+    """a equals b to rel, with no absolute floor: a zero must be a zero."""
+    return a == b or abs(a - b) <= rel * abs(b)
+
+
+class TestGeneratedRecorder:
+    """simulate records every pre-instant sample with one function compiled
+    per law, which walks the law once for z and u and inlines the kernels."""
+
+    @pytest.mark.parametrize("kinds", [
+        ("tan",) * 3, ("linear",) * 3, ("logexp",) * 3, ("tan", "linear", "logexp"),
+    ])
+    def test_matches_the_law_at_random_points(self, kinds):
+        etas = (4.0, 3.0, 2.0)
+        stages = tuple(RcdfSpec(kind=RcdfKind(k), eta=e) for k, e in zip(kinds, etas))
+        ctrl = synthesize(SynthesisConfig(n=3, c=0.0, T_p=1.0, stages=stages))
+        record, _ = _recorder(ctrl, False)(0.0)
+        rng = random.Random(11)
+        points = [([rng.uniform(-2.0, 2.0) for _ in range(3)], rng.uniform(0.0, 0.99))
+                  for _ in range(200)]
+        # every sign of zero in every component: z_1 is +-0.0, where the
+        # logexp law meets sign(0) = 0 and its kernel's zero branch
+        points += [([a, b, c], t) for a in (0.0, -0.0) for b in (0.0, -0.0)
+                   for c in (0.0, -0.0) for t in (0.0, 0.5)]
+        zero_signs = set()
+        for x, t in points:
+            s = record(t, x)
+            z = error_coordinates(ctrl, x, t)
+            assert all(close(a, b) for a, b in zip(s.z, z))
+            assert close(s.u, eval_control(ctrl, x, t))
+            zero_signs |= {math.copysign(1.0, v) for v in s.z if v == 0.0}
+            # V and dV are the loop over the stages, bit for bit
+            V = decay = 0.0
+            for stage, v in zip(stages, s.z):
+                V += v * v
+                decay += stage.eta * v * zeta(stage.kind, v)
+            assert (s.V, s.dV) == (V, -2.0 / (1.0 - t) * decay)
+            assert (s.t, s.x) == (t, tuple(x))
+        assert zero_signs == {1.0, -1.0}
+
+    def test_open_loop_records_the_same_errors_and_no_input(self):
+        ctrl = make_controller(n=3, etas=(4.0, 3.0, 2.0), kind=RcdfKind.TAN)
+        closed, _ = _recorder(ctrl, False)(0.0)
+        opened, _ = _recorder(ctrl, True)(0.0)
+        for x, t in (((1.0, -0.5, 0.25), 0.0), ((0.1, 0.2, 0.3), 0.9)):
+            a, b = closed(t, x), opened(t, x)
+            assert (b.z, b.V, b.dV) == (a.z, a.V, a.dV)
+            assert a.u != 0.0 and b.u == 0.0
+
+    def test_shifts_the_state_by_the_setpoint(self):
+        # x = w + (c, 0, ..., 0) component by component, so a -0.0 is
+        # recorded as 0.0
+        twin = zero_setpoint_twin(make_controller(c=0.15, T_p=0.5))
+        record, record_free = _recorder(twin, False)(0.15)
+        for s in (record(0.0, [-0.06, -0.0]), record_free(0.6, [-0.06, -0.0])):
+            assert s.x == (-0.06 + 0.15, 0.0)
+            assert math.copysign(1.0, s.x[1]) == 1.0
+        free = record_free(0.6, [-0.06, -0.0])
+        assert (free.t, free.u, free.z, free.V, free.dV) == (0.6, 0.0, None, None, None)
+
+    def test_readme_pendulum_recorder_source_is_pinned(self):
+        # sha256[:16] of the generated source for README's pendulum twin;
+        # the recorder is compiled once and cached on the controller
+        twin = zero_setpoint_twin(make_controller(c=0.15, T_p=0.5))
+        make = _recorder(twin, False)
+        assert _recorder(twin, False) is make
+        digest = hashlib.sha256(make.__psis_source__.encode()).hexdigest()[:16]
+        assert digest == "f7fbf5e465f99193"
 
 
 class TestBreakdownReporting:

@@ -16,6 +16,7 @@ printed to stdout but never written into a report.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import fields
@@ -81,6 +82,9 @@ def _parse_scales(text: str) -> list[float]:
         raise ConfigurationError(f"--scales must be comma-separated numbers, got {text!r}")
     if not scales:
         raise ConfigurationError("--scales parsed to an empty list")
+    for i, v in enumerate(scales):
+        if not math.isfinite(v):
+            raise ConfigurationError(f"--scales[{i}] must be finite, got {v!r}")
     return scales
 
 

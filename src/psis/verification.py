@@ -18,14 +18,13 @@ A single simulated run is judged on three kinds of evidence:
 
 sweep_initial_conditions repeats the settling audit across scaled initial
 conditions, which is the operational meaning of "for every initial
-condition" on a desk-sized budget.
+condition" on a desk-sized budget.  Its runs are pure-Python integrations,
+so it runs them one after another on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -181,9 +180,9 @@ def _envelope(
 @dataclass(frozen=True)
 class BoundViolation:
     t: float
-    side: str      # "lower" or "upper"
+    side: str      # "lower", "upper", or "nonfinite" (V or dV overflowed)
     dV: float
-    bound: float
+    bound: float   # nan for a nonfinite sample, which has no envelope
 
 
 @dataclass(frozen=True)
@@ -216,10 +215,11 @@ def lyapunov_audit(
     At every pre-instant sample whose V exceeds a tiny floor (below it the
     quantities are pure roundoff), the recorded dV must lie inside the
     envelope of lyapunov_bounds, built from the recorded z and V, with slack
-    slack_abs + slack_rel * |dV|.  The numeric slope of V uses a three-point
-    stencil on the non-uniform sample times; its deviation from the recorded
-    dV is reported as a residual normalized by max(1, |dV|), over
-    [0.05 T_p, 0.95 T_p] (away from the endpoints, where the stencil is
+    slack_abs + slack_rel * |dV|.  A sample whose V or dV is not finite has
+    no envelope and is a "nonfinite" violation.  The numeric slope of V uses
+    a three-point stencil on the non-uniform sample times; its deviation from
+    the recorded dV is reported as a residual normalized by max(1, |dV|),
+    over [0.05 T_p, 0.95 T_p] (away from the endpoints, where the stencil is
     one-sided or the dynamics are singular).
     """
     kinds = traj.meta.get("kinds", [])
@@ -237,6 +237,9 @@ def lyapunov_audit(
     for ti, zi, vi, dv in zip(t, z, V, dV):
         if vi < _V_FLOOR:
             skipped += 1
+            continue
+        if not (math.isfinite(vi) and math.isfinite(dv)):
+            violations.append(BoundViolation(float(ti), "nonfinite", dv, math.nan))
             continue
         lo, up = envelope(zi, vi, T_p - ti)
         slack = slack_abs + slack_rel * abs(dv)
@@ -461,17 +464,10 @@ class SweepReport:
 
 
 def thread_count(n_jobs: int) -> int:
-    """Worker count for sweeps; the PSIS_THREADS variable overrides."""
-    env = os.environ.get("PSIS_THREADS")
-    if env is not None:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ConfigurationError(f"PSIS_THREADS must be an integer, got {env!r}")
-        if workers < 1:
-            raise ConfigurationError(f"PSIS_THREADS must be positive, got {workers}")
-        return min(workers, n_jobs)
-    return min(os.cpu_count() or 1, n_jobs)
+    """Threads a sweep of n_jobs runs uses: always 1, since sweeps run
+    serially.  It stays only because perfbench/worker.py records it, and
+    goes with ROADMAP item 4."""
+    return 1
 
 
 def sweep_initial_conditions(
@@ -492,9 +488,8 @@ def sweep_initial_conditions(
     Runs that error out are recorded with the message and fail the sweep,
     and so is a scale whose tolerance lies below the integration accuracy
     floor (see unresolvable_tolerance), without being run.
-    Runs execute in a thread pool sized by PSIS_THREADS (or the CPU count);
-    results are keyed by scale order, so the report does not depend on
-    scheduling.
+    Runs execute one after another on the calling thread, in the order of
+    scales.
     """
     scales = [float(s) for s in scales]
     if not scales:
@@ -521,8 +516,7 @@ def sweep_initial_conditions(
                 error=f"{type(exc).__name__}: {exc}",
             )
 
-    with ThreadPoolExecutor(max_workers=thread_count(len(scales))) as pool:
-        rows = tuple(pool.map(one, scales))
+    rows = tuple(one(scale) for scale in scales)
 
     certified = [
         r.evidence for r in rows

@@ -170,6 +170,20 @@ class TestConfigFailures:
         assert main(["sweep", "--config", cfg, "--scales", "a,b"]) == 2
         assert "--scales" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, bad", [
+        ("nan", "[0] must be finite, got nan"),
+        ("1,inf", "[1] must be finite, got inf"),
+    ], ids=["nan", "inf"])
+    def test_non_finite_scales_flag(self, tmp_path, capsys, text, bad):
+        # the factor comes from the command line, so the text names --scales,
+        # not the sim.x0 it would have scaled
+        cfg = write_config(tmp_path, chain_data())
+        assert main(["sweep", "--config", cfg, "--scales", text]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: --scales{bad}\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
+
     @pytest.mark.parametrize("command, flag, value", [
         ("synthesize", "--scales", "1"),
         ("simulate", "--scales", "1"),
@@ -306,6 +320,25 @@ class TestVerify:
         assert report["verdict"] == "fail"
         assert report["settling"]["t_settle"] is None
         assert report["config"]["sim"]["open_loop"] is True
+
+    @pytest.mark.parametrize("x0, open_loop", [
+        ([1e200, 0.0], False),
+        ([1e150, 0.0], True),
+    ], ids=["closed_loop", "open_loop"])
+    def test_overflowed_decay_fails_by_verdict(self, tmp_path, capsys, x0, open_loop):
+        # V = sum z_i^2 overflows to inf: the decay audit has no envelope
+        # there, so the run fails its verdict instead of being refused
+        data = chain_data(run_id="ovf")
+        data["sim"]["x0"] = x0
+        data["sim"]["open_loop"] = open_loop
+        cfg = write_config(tmp_path, data)
+        assert main(["verify", "--config", cfg]) == 4
+        out, err = capsys.readouterr()
+        assert "verdict: fail" in out
+        assert err == ""
+        report = json.loads((tmp_path / "ovf.json").read_text())
+        assert report["verdict"] == "fail"
+        assert report["lyapunov"]["violations"] > 0
 
     def test_mixed_kernels_are_refused_before_simulating(self, tmp_path, capsys):
         data = chain_data()

@@ -3,9 +3,11 @@ inequality, input vanishing, and the initial-condition sweep."""
 
 import math
 import random
+import threading
 
 import pytest
 
+import psis.verification
 from psis.errors import AuditError, ConfigurationError, DomainError
 from psis.rcdf import RcdfKind, RcdfSpec, zeta
 from psis.simulation import (
@@ -249,6 +251,31 @@ class TestLyapunovAudit:
         assert not audit.passes
         assert [(v.t, v.side) for v in audit.violations] == [(s.t, "lower")]
 
+    def test_overflowed_decay_is_a_violation_not_an_error(self):
+        # at x0 = (1e200, 0) V = z1^2 overflows to inf; the kernel is never
+        # evaluated there, and the audit fails instead of raising
+        ctrl = make_controller()
+        cfg = SimConfig(x0=(1e200, 0.0), T_p=1.0, t_end=1.2, rtol=1e-7, atol=1e-10)
+        traj = simulate(IntegratorChain(2), ctrl, cfg)
+        assert math.isinf(traj.samples[0].V)
+        audit = lyapunov_audit(traj)
+        assert not audit.passes
+        first = audit.violations[0]
+        assert (first.t, first.side) == (0.0, "nonfinite")
+        assert math.isnan(first.bound)
+
+    def test_overflowed_rate_at_a_finite_v_is_a_violation(self):
+        # dV = -2/(T_p - t) * sum eta_i z_i^2 can overflow where V does not
+        # (open loop from 1e149 near T_p); an infinite slack must not let it pass
+        traj = pendulum_run()
+        victim = traj.samples.index(traj.sample_at(0.201))
+        s = traj.samples[victim]
+        bad_samples = list(traj.samples)
+        bad_samples[victim] = Sample(t=s.t, x=s.x, u=s.u, z=s.z, V=s.V, dV=-math.inf)
+        audit = lyapunov_audit(Trajectory(samples=bad_samples, meta=dict(traj.meta)))
+        assert not audit.passes
+        assert [(v.t, v.side) for v in audit.violations] == [(s.t, "nonfinite")]
+
     def test_mixed_kernel_families_rejected(self):
         traj = pendulum_run()
         bad = Trajectory(samples=traj.samples, meta={**traj.meta, "kinds": ["tan", "linear"]})
@@ -477,20 +504,38 @@ class TestSweep:
             sweep_initial_conditions(IntegratorChain(2), ctrl, cfg, scales=())
 
 
-class TestThreadCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("PSIS_THREADS", "2")
-        assert thread_count(8) == 2
-        assert thread_count(1) == 1
+class TestSerialSweep:
+    def test_rows_run_on_the_calling_thread(self, monkeypatch):
+        seen = []
 
-    def test_env_validation(self, monkeypatch):
-        monkeypatch.setenv("PSIS_THREADS", "zero")
-        with pytest.raises(ConfigurationError):
-            thread_count(4)
-        monkeypatch.setenv("PSIS_THREADS", "0")
-        with pytest.raises(ConfigurationError):
-            thread_count(4)
+        def recording(*args, **kwargs):
+            seen.append(threading.get_ident())
+            return simulate(*args, **kwargs)
 
-    def test_defaults_to_cpu_count_capped_by_jobs(self, monkeypatch):
+        monkeypatch.setattr(psis.verification, "simulate", recording)
+        ctrl = make_controller()
+        cfg = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2)
+        report = sweep_initial_conditions(
+            IntegratorChain(2), ctrl, cfg, scales=(0.5, 1.0, 2.0)
+        )
+        assert seen == [threading.get_ident()] * 3
+        assert [r.scale for r in report.rows] == [0.5, 1.0, 2.0]
+
+    def test_psis_threads_is_ignored(self, monkeypatch):
+        # a sweep reads no environment variable, so a stale PSIS_THREADS,
+        # even an invalid one, changes nothing
+        ctrl = make_controller()
+        cfg = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2)
+
+        def sweep():
+            return sweep_initial_conditions(
+                IntegratorChain(2), ctrl, cfg, scales=(0.5, 2.0)
+            )
+
         monkeypatch.delenv("PSIS_THREADS", raising=False)
-        assert thread_count(1) == 1
+        unset = sweep()
+        monkeypatch.setenv("PSIS_THREADS", "zero")
+        assert sweep() == unset
+
+    def test_thread_count_is_one(self):
+        assert [thread_count(n) for n in (1, 4, 64)] == [1, 1, 1]

@@ -127,12 +127,12 @@ def _cmd_simulate(spec: ExperimentSpec, args: argparse.Namespace) -> int:
             "run_id": spec.run_id,
             "config": effective_config(spec),
             "integrator": _integrator_block(traj.meta),
-            "n_samples": len(traj.samples),
+            "n_samples": len(traj.t),
             "files": {"csv": paths.csv, "svg": paths.svg},
         })
         written.append(paths.report)
 
-    print(f"samples: {len(traj.samples)}")
+    print(f"samples: {len(traj.t)}")
     print(f"steps: {traj.meta['steps_accepted']} accepted, "
           f"{traj.meta['steps_rejected']} rejected")
     print(f"wall time: {wall:.3f} s")
@@ -315,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     except IntegrationError as exc:
         print(f"integration failed at t={exc.t:.9g}: {exc}", file=sys.stderr)
         partial = getattr(exc, "partial", None)
-        if partial is not None and partial.samples and spec is not None \
+        if partial is not None and partial.t and spec is not None \
                 and spec.output.csv is not None:
             partial_path = spec.output.csv + ".partial"
             try:

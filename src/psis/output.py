@@ -3,7 +3,8 @@
 Identical inputs must produce byte-identical files, so floats are written
 with 17 significant digits (enough to round-trip a double), JSON keys are
 sorted, and the only nondeterministic element, the SVG timestamp comment,
-can be switched off.
+can be switched off.  Reports are strict JSON: a float that is not finite
+is written as a string.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def write_csv(path: str, traj: Trajectory) -> None:
     leave the z, V, and dV cells empty, because the stage errors are not
     defined there.
     """
-    n = len(traj.samples[0].x)
+    n = len(traj.x[0])
     header = (
         ["t"]
         + [f"x{i}" for i in range(1, n + 1)]
@@ -90,18 +91,19 @@ def write_csv(path: str, traj: Trajectory) -> None:
         + ["u", "V", "dV"]
     )
     lines = [",".join(header)]
-    for s in traj.samples:
-        cells = [fmt_float(s.t)]
-        cells += [fmt_float(v) for v in s.x]
-        if s.z is not None:
-            cells += [fmt_float(v) for v in s.z]
-            cells.append(fmt_float(s.u))
-            cells.append(fmt_float(s.V))
-            cells.append(fmt_float(s.dV))
-        else:
-            cells += [""] * n
-            cells.append(fmt_float(s.u))
-            cells += ["", ""]
+    for t, x, z, u, V, dV in zip(traj.t, traj.x, traj.z, traj.u, traj.V, traj.dV):
+        cells = [fmt_float(t)]
+        cells += [fmt_float(v) for v in x]
+        cells += [fmt_float(v) for v in z]
+        cells += [fmt_float(u), fmt_float(V), fmt_float(dV)]
+        lines.append(",".join(cells))
+    empty = [""] * n
+    n_pre = len(traj.z)
+    for t, x, u in zip(traj.t[n_pre:], traj.x[n_pre:], traj.u[n_pre:]):
+        cells = [fmt_float(t)]
+        cells += [fmt_float(v) for v in x]
+        cells += empty
+        cells += [fmt_float(u), "", ""]
         lines.append(",".join(cells))
     _write_text(path, "\n".join(lines) + "\n")
 
@@ -122,8 +124,22 @@ def write_sweep_csv(path: str, report: SweepReport) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
+def _strict_json(value):
+    """value with each float that is not finite replaced by the string
+    "Infinity", "-Infinity" or "NaN": JSON (RFC 8259) has no number for
+    them, and float() reads the strings back."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0.0 else "-Infinity")
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
+
+
 def render_report(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The report as strict JSON, keys sorted; see _strict_json."""
+    return json.dumps(_strict_json(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_report(path: str, payload: dict) -> None:
@@ -235,7 +251,7 @@ def _torque_series(traj: Trajectory) -> list[float] | None:
     if plant.get("type") != "pendulum":
         return None
     pendulum = Pendulum(**{f.name: plant[f.name] for f in fields(Pendulum)})
-    return [torque_map(pendulum, s.x, s.u) for s in traj.samples]
+    return [torque_map(pendulum, x, u) for x, u in zip(traj.x, traj.u)]
 
 
 def render_svg(traj: Trajectory, title: str, include_timestamp: bool = True) -> str:
@@ -245,18 +261,18 @@ def render_svg(traj: Trajectory, title: str, include_timestamp: bool = True) -> 
     SVG comment and is the only part allowed to differ between identical
     runs, so it can be disabled for byte-level comparisons.
     """
-    ts = [s.t for s in traj.samples]
-    n = len(traj.samples[0].x)
+    ts = traj.t
+    n = len(traj.x[0])
     t_range = (ts[0], ts[-1])
 
-    states = [[s.x[j] for s in traj.samples] for j in range(n)]
+    states = [[x[j] for x in traj.x] for j in range(n)]
     setpoint = traj.meta.get("c")
     state_vals = [v for series in states for v in series]
     if setpoint is not None:
         state_vals.append(setpoint)
     p1 = _Panel(0, f"{title}: state", t_range, (min(state_vals), max(state_vals)))
 
-    us = [s.u for s in traj.samples]
+    us = traj.u
     torque = _torque_series(traj)
     input_vals = us + (torque or [])
     p2 = _Panel(_PANEL_H, f"{title}: input", t_range, (min(input_vals), max(input_vals)))

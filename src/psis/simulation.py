@@ -36,14 +36,21 @@ component keeps the float operations of a loop over lists, in the same
 order, so the samples and counters are the same bits either way.  Each
 law's sample recorder is generated the same way, once per controller, from
 one walk of the law (see _recorder_source).
+
+A Trajectory holds its samples as parallel columns (t, x, u, and z, V, dV
+over the pre-instant rows, which come first).  The recorders append to
+them a row at a time, and the audits and writers read them directly;
+Sample records are built only when Trajectory.samples or sample_at asks.
 """
 
 from __future__ import annotations
 
 import math
 import string
-from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Sequence, Union
+from bisect import bisect_left
+from dataclasses import asdict, dataclass, replace
+from itertools import repeat
+from typing import Callable, Iterable, Sequence, Union
 
 from . import symdiff as sd
 from .errors import (
@@ -226,34 +233,82 @@ class Sample:
     dV: float | None
 
 
-@dataclass
 class Trajectory:
-    samples: list[Sample]
-    meta: dict = field(default_factory=dict)
+    """A sampled run, stored as parallel columns plus its meta dict.
+
+    Row i is the instant t[i] with state x[i] (a tuple) and input u[i]; the
+    times never decrease.  The rows that carry stage errors come first:
+    z[i] (a tuple), V[i] = sum z_i^2 and its analytic decay rate dV[i]
+    cover rows 0 .. len(z) - 1, the pre-instant rows of a closed-loop run.
+    The rows after them, at and after T_p (and every row of a raw pendulum
+    run), have none.
+
+    Trajectory(samples, meta) fills the columns from Sample records.  The
+    samples property rebuilds the records from the columns on each access;
+    psis itself reads the columns.
+    """
+
+    __slots__ = ("t", "x", "u", "z", "V", "dV", "meta")
+
+    def __init__(self, samples: Iterable[Sample] = (), meta: dict | None = None) -> None:
+        self.t, self.x, self.u, self.z, self.V, self.dV = [], [], [], [], [], []
+        self.meta = {} if meta is None else meta
+        for s in samples:
+            if s.z is not None:
+                if len(self.z) < len(self.t):
+                    raise ConfigurationError(
+                        f"the sample at t={s.t!r} carries stage errors after one "
+                        "that does not; such samples must come first"
+                    )
+                self.z.append(s.z)
+                self.V.append(s.V)
+                self.dV.append(s.dV)
+            self.t.append(s.t)
+            self.x.append(s.x)
+            self.u.append(s.u)
+        if not all(a <= b for a, b in zip(self.t, self.t[1:])):
+            raise ConfigurationError("sample times must not decrease")
+
+    @property
+    def samples(self) -> list[Sample]:
+        """The rows as Sample records, built anew on each access."""
+        n = len(self.z)
+        none = repeat(None)
+        return [
+            *map(Sample, self.t, self.x, self.u, self.z, self.V, self.dV),
+            *map(Sample, self.t[n:], self.x[n:], self.u[n:], none, none, none),
+        ]
 
     def pre_instant_arrays(
         self,
     ) -> tuple[list[float], list[tuple[float, ...]], list[float], list[float]]:
-        """(t, z, V, dV) lists over the samples strictly before T_p; z holds
-        the recorded stage-error tuples."""
-        pre = [s for s in self.samples if s.z is not None]
-        if not pre:
+        """(t, z, V, dV): copies of the columns over the rows that carry
+        stage errors, the samples strictly before T_p."""
+        n = len(self.z)
+        if not n:
             raise AuditError("trajectory has no samples before the prescribed instant")
-        return (
-            [s.t for s in pre],
-            [s.z for s in pre],
-            [s.V for s in pre],
-            [s.dV for s in pre],
-        )
+        return self.t[:n], self.z[:], self.V[:], self.dV[:]
 
     def sample_at(self, t_query: float) -> Sample:
         """The sample nearest t_query, if it lies within 1e-12 * |t_last|;
-        the match has no absolute floor, so it holds at any scale of T_p."""
-        if not self.samples:
+        the match has no absolute floor, so it holds at any scale of T_p.
+        Of equally near samples the earliest is taken.  The times are
+        sorted, so the search bisects them."""
+        t = self.t
+        if not t:
             raise AuditError("trajectory has no samples")
-        nearest = min(self.samples, key=lambda s: abs(s.t - t_query))
-        if abs(nearest.t - t_query) <= 1e-12 * abs(self.samples[-1].t):
-            return nearest
+        i = bisect_left(t, t_query)
+        if i == len(t) or (i > 0 and abs(t[i - 1] - t_query) <= abs(t[i] - t_query)):
+            # the distances fall towards t_query, so the equally near
+            # samples (repeats, or rounding ties) lie just before i - 1
+            i -= 1
+            gap = abs(t[i] - t_query)
+            while i > 0 and abs(t[i - 1] - t_query) == gap:
+                i -= 1
+        if abs(t[i] - t_query) <= 1e-12 * abs(t[-1]):
+            if i < len(self.z):
+                return Sample(t[i], self.x[i], self.u[i], self.z[i], self.V[i], self.dV[i])
+            return Sample(t[i], self.x[i], self.u[i], None, None, None)
         raise AuditError(f"no sample recorded at t={t_query!r}")
 
 
@@ -689,15 +744,30 @@ def _zero_input(w: Sequence[float], t: float) -> float:
 
 
 # The recorders of one law, as a template: $-names are filled in per
-# controller by _recorder_source.
+# controller by _recorder_source.  A row is computed in full before any of
+# it is appended, so a sample that raises leaves the columns as they were.
 _RECORDER_TEMPLATE = string.Template('''\
-def make(c):
+def make(c, traj):
+    add_t, add_x, add_u = traj.t.append, traj.x.append, traj.u.append
+    add_z, add_V, add_dV = traj.z.append, traj.V.append, traj.dV.append
+
     def record(t, x):
 $body
-        return Sample(t, $x, $u, z, $V, -2.0 / ($T_p - t) * ($decay))
+        row_x = $x
+        V = $V
+        dV = -2.0 / ($T_p - t) * ($decay)
+        add_t(t)
+        add_x(row_x)
+        add_u($u)
+        add_z(z)
+        add_V(V)
+        add_dV(dV)
 
     def record_free(t, x):
-        return Sample(t, $x, 0.0, None, None, None)
+        row_x = $x
+        add_t(t)
+        add_x(row_x)
+        add_u(0.0)
 
     return record, record_free
 ''')
@@ -710,14 +780,15 @@ def _tuple_text(items: Sequence[str]) -> str:
 def _recorder_source(controller: Controller, open_loop: bool) -> str:
     """The per-sample recorders of a zero-setpoint law.
 
-    make(c) returns (record, record_free) for the setpoint c; both take the
-    setpoint-shifted state x at time t.  record gives the Sample before
-    T_p.  It walks the law's DAG once: the z nodes first, then the check
-    that z is finite, then the nodes u needs beyond them (u is 0.0 on an
-    open loop).  V and dV inline each stage's kernel.  record_free gives
-    the Sample from T_p on.  Every value keeps the float operations of
-    evaluating each z and u on its own and of summing V and dV in a loop
-    over the stages, in the same order, so the samples are the same bits.
+    make(c, traj) returns (record, record_free) for the setpoint c; both
+    take the setpoint-shifted state x at time t and append its row to the
+    columns of traj.  record gives a row before T_p.  It walks the law's
+    DAG once: the z nodes first, then the check that z is finite, then the
+    nodes u needs beyond them (u is 0.0 on an open loop).  V and dV inline
+    each stage's kernel.  record_free gives a row from T_p on, with no
+    stage errors.  Every value keeps the float operations of evaluating
+    each z and u on its own and of summing V and dV in a loop over the
+    stages, in the same order, so the rows are the same bits.
     """
     sc = controller.config
     lines: list[str] = []
@@ -759,7 +830,6 @@ def _recorder(controller: Controller, open_loop: bool) -> Callable:
             **KERNEL_GLOBALS,
             "isfinite": math.isfinite,
             "DivergenceError": DivergenceError,
-            "Sample": Sample,
         }
         exec(compile(source, "<psis.recorder>", "exec"), namespace)
         make = namespace["make"]
@@ -803,8 +873,9 @@ def _run_phases(
     cfg: SimConfig,
     leg: _Leg,
     w0: list[float],
-    record_pre: Callable[[float, Sequence[float]], Sample],
-    record_post: Callable[[float, Sequence[float]], Sample],
+    traj: Trajectory,
+    record_pre: Callable[[float, Sequence[float]], None],
+    record_post: Callable[[float, Sequence[float]], None],
     rhs_cross: Callable[[float, list[float]], list[float]],
     rhs_post: Callable[[float, list[float]], list[float]],
     meta: dict,
@@ -814,23 +885,20 @@ def _run_phases(
     Records w0 at t = 0, integrates the leg to the standoff, crosses the
     instant with one Euler step of rhs_cross, records the state at T_p, and
     integrates rhs_post over the post-instant grid.  record_pre and
-    record_post turn (t, state) into the Sample kept before and from T_p on.
-    The trajectory is labelled with meta plus the integrator counters, and
-    so is the partial one attached to an integration breakdown.  A
+    record_post append the row of (t, state) to the columns of the empty
+    trajectory traj, before and from T_p on.  The trajectory is labelled
+    with meta plus the integrator counters, and so is the partial one
+    attached to an integration breakdown.  A
     pre-instant sample whose control or stage errors fail in float
     arithmetic, or whose stage errors are not finite, ends the run with a
     DivergenceError at that sample's t.
     """
-    samples: list[Sample] = []
     stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
     window_start = 0.95 * cfg.T_p
 
-    def trajectory() -> Trajectory:
-        return Trajectory(samples=samples, meta={**meta, **stats})
-
     def pre(t: float, w: Sequence[float]) -> None:
         try:
-            samples.append(record_pre(t, w))
+            record_pre(t, w)
         except _ARITHMETIC_ERRORS as exc:
             raise DivergenceError(f"sample could not be evaluated: {exc}", t) from None
 
@@ -849,18 +917,20 @@ def _run_phases(
             on_stop=lambda i, s, w: pre(leg.labels[i], w), on_step=on_step,
         )
         w = _cross_instant(rhs_cross, w, cfg, stats)
-        samples.append(record_post(cfg.T_p, w))
+        record_post(cfg.T_p, w)
         post = _post_grid(cfg)
         if post:
             _adaptive_path(
                 rhs_post, w, cfg.T_p, post,
                 rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step, stats=stats,
-                on_stop=lambda i, t, w: samples.append(record_post(t, w)),
+                on_stop=lambda i, t, w: record_post(t, w),
             )
     except (StiffnessError, DivergenceError) as exc:
-        exc.partial = trajectory()
+        exc.partial = traj
         raise
-    return trajectory()
+    finally:
+        traj.meta = {**meta, **stats}
+    return traj
 
 
 def _cross_instant(rhs, w_std: list[float], cfg: SimConfig, stats: dict) -> list[float]:
@@ -889,7 +959,8 @@ def simulate(plant: PlantModel, controller: Controller, cfg: SimConfig) -> Traje
     twin = zero_setpoint_twin(controller)
     w0 = [cfg.x0[0] - sc.c, *cfg.x0[1:]]
     u_fn = _zero_input if cfg.open_loop else twin.compiled_u
-    record_pre, record_post = _recorder(twin, cfg.open_loop)(sc.c)
+    traj = Trajectory()
+    record_pre, record_post = _recorder(twin, cfg.open_loop)(sc.c, traj)
     etas = tuple(s.eta for s in sc.stages)
     kinds = tuple(s.kind for s in sc.stages)
 
@@ -927,7 +998,7 @@ def simulate(plant: PlantModel, controller: Controller, cfg: SimConfig) -> Traje
     else:
         leg = _Leg(rhs, pre, pre, cfg.max_step, to_t=lambda t: t)
     return _run_phases(
-        cfg, leg, w0, record_pre, record_post, rhs, _chain_rhs(n, _zero_input), meta
+        cfg, leg, w0, traj, record_pre, record_post, rhs, _chain_rhs(n, _zero_input), meta
     )
 
 
@@ -966,8 +1037,14 @@ def simulate_pendulum_raw(
     def rhs(t: float, x: list[float]) -> list[float]:
         return [x[1], pendulum_accel(plant, x, torque_fn(x, t))]
 
-    def record(t: float, x: Sequence[float]) -> Sample:
-        return Sample(t=t, x=tuple(x), u=torque_fn(x, t), z=None, V=None, dV=None)
+    traj = Trajectory()
+
+    def record(t: float, x: Sequence[float]) -> None:
+        row_x = tuple(x)
+        u = torque_fn(x, t)
+        traj.t.append(t)
+        traj.x.append(row_x)
+        traj.u.append(u)
 
     meta = {
         "raw": True,
@@ -980,6 +1057,6 @@ def simulate_pendulum_raw(
     }
     pre = _pre_grid(cfg)
     return _run_phases(
-        cfg, _Leg(rhs, pre, pre, cfg.max_step), list(cfg.x0), record, record,
+        cfg, _Leg(rhs, pre, pre, cfg.max_step), list(cfg.x0), traj, record, record,
         rhs, rhs, meta,
     )

@@ -390,17 +390,17 @@ def control_vanishing_check(traj: Trajectory, tol: float) -> ControlVanishing:
         raise ConfigurationError(f"tolerance must be finite and positive, got {tol!r}")
     T_p = float(traj.meta["T_p"])
     window_start = 0.95 * T_p
-    pre = [s for s in traj.samples if s.z is not None]
-    post = [s for s in traj.samples if s.z is None]
-    if not pre:
+    n_pre = len(traj.z)
+    if not n_pre:
         raise AuditError("trajectory has no pre-instant samples")
-    window = [abs(s.u) for s in pre if s.t >= window_start]
+    pre_u = traj.u[:n_pre]
+    window = [abs(u) for t, u in zip(traj.t, pre_u) if t >= window_start]
     if not window:
         raise AuditError("no samples inside the terminal window")
     max_window = max(window)
-    max_overall = max(abs(s.u) for s in pre)
-    last_pre = abs(pre[-1].u)
-    post_zero = all(s.u == 0.0 for s in post)
+    max_overall = max(map(abs, pre_u))
+    last_pre = abs(pre_u[-1])
+    post_zero = all(u == 0.0 for u in traj.u[n_pre:])
     return ControlVanishing(
         window_start=window_start,
         max_abs_u_window=max_window,

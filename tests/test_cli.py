@@ -2,6 +2,7 @@
 report/stdout contract, all driven through main() in process."""
 
 import json
+import math
 
 import pytest
 
@@ -339,6 +340,21 @@ class TestVerify:
         report = json.loads((tmp_path / "ovf.json").read_text())
         assert report["verdict"] == "fail"
         assert report["lyapunov"]["violations"] > 0
+
+    def test_overflowed_report_is_strict_json(self, tmp_path):
+        # inf is written as the string "Infinity", not as a bare token that
+        # strict JSON parsers refuse
+        data = chain_data(run_id="ovf")
+        data["sim"]["x0"] = [1e200, 0.0]
+        cfg = write_config(tmp_path, data)
+        assert main(["verify", "--config", cfg]) == 4
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        report = json.loads((tmp_path / "ovf.json").read_text(), parse_constant=refuse)
+        assert report["settling"]["norm_at_standoff"] == "Infinity"
+        assert float(report["settling"]["pre_window_floor"]) == math.inf
 
     def test_mixed_kernels_are_refused_before_simulating(self, tmp_path, capsys):
         data = chain_data()

@@ -186,6 +186,25 @@ class TestReportJson:
         write_report(str(path), payload)
         assert json.loads(path.read_text()) == payload
 
+    def test_non_finite_floats_are_strings(self):
+        payload = {"a": math.inf, "b": [-math.inf, (math.nan, 1.5)], "c": {"d": math.nan}}
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        parsed = json.loads(render_report(payload), parse_constant=refuse)
+        assert parsed == {"a": "Infinity", "b": ["-Infinity", ["NaN", 1.5]],
+                          "c": {"d": "NaN"}}
+
+    def test_finite_reports_are_unchanged(self):
+        rng = random.Random(5)
+        payload = {
+            "floats": [rng.uniform(-1e300, 1e300) for _ in range(20)],
+            "nested": {"t": (0.1, -0.0, 5e-324), "flag": True, "none": None, "n": 3},
+            "text": "Infinity",
+        }
+        assert render_report(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
 
 class TestSvg:
     def test_self_contained_document(self):

@@ -39,7 +39,13 @@ from psis.synthesis import (
     synthesize,
     zero_setpoint_twin,
 )
-from psis.verification import run_tolerance, settling_instant
+from psis.output import render_svg, write_csv
+from psis.verification import (
+    control_vanishing_check,
+    lyapunov_audit,
+    run_tolerance,
+    settling_instant,
+)
 
 
 def make_controller(n=2, c=0.0, T_p=1.0, etas=(3.0, 2.0), kind=RcdfKind.LINEAR):
@@ -130,7 +136,8 @@ class TestTrajectoryContainer:
     def test_sample_at_exact_hit_and_miss(self):
         s = Sample(t=0.5, x=(1.0,), u=0.2, z=(1.0,), V=1.0, dV=-1.0)
         traj = Trajectory(samples=[s], meta={})
-        assert traj.sample_at(0.5) is s
+        # the trajectory keeps columns, so the match is an equal record
+        assert traj.sample_at(0.5) == s
         with pytest.raises(AuditError):
             traj.sample_at(0.25)
 
@@ -144,8 +151,8 @@ class TestTrajectoryContainer:
         early = Sample(t=1.0 - 5e-13, x=(1.0,), u=0.2, z=(1.0,), V=1.0, dV=-1.0)
         exact = Sample(t=1.0, x=(0.0,), u=0.0, z=None, V=None, dV=None)
         traj = Trajectory(samples=[early, exact], meta={})
-        assert traj.sample_at(1.0) is exact
-        assert traj.sample_at(1.0 - 5e-13) is early
+        assert traj.sample_at(1.0) == exact
+        assert traj.sample_at(1.0 - 5e-13) == early
 
     @pytest.mark.parametrize(
         "T_p, eps_stop", [(1e-12, None), (1e-6, None), (1.0, 1e-14)],
@@ -187,6 +194,143 @@ class TestTrajectoryContainer:
         traj = Trajectory(samples=samples, meta={})
         t, z, V, dV = traj.pre_instant_arrays()
         assert (t, z, V, dV) == ([0.0], [(1.0, 2.0)], [5.0], [-1.0])
+
+
+def nearest_by_search(samples, t_query):
+    """sample_at as a search over every record: the first of the nearest
+    ones, if it lies within 1e-12 * |t_last|, else None."""
+    if not samples:
+        return None
+    nearest = min(samples, key=lambda s: abs(s.t - t_query))
+    if abs(nearest.t - t_query) <= 1e-12 * abs(samples[-1].t):
+        return nearest
+    return None
+
+
+def sample_at_or_none(traj, t_query):
+    try:
+        return traj.sample_at(t_query)
+    except AuditError:
+        return None
+
+
+class TestColumns:
+    """A trajectory is six columns; Sample records are built only when the
+    samples view or sample_at is asked for one."""
+
+    def test_hand_built_samples_fill_the_columns(self):
+        samples = [
+            Sample(t=0.0, x=(1.0, 2.0), u=0.5, z=(1.0, 2.0), V=5.0, dV=-1.0),
+            Sample(t=0.5, x=(0.5, 1.0), u=0.25, z=(0.5, 1.0), V=1.25, dV=-0.5),
+            Sample(t=1.0, x=(0.0, 0.0), u=0.0, z=None, V=None, dV=None),
+        ]
+        traj = Trajectory(samples=samples, meta={"T_p": 1.0})
+        assert traj.t == [0.0, 0.5, 1.0]
+        assert traj.x == [(1.0, 2.0), (0.5, 1.0), (0.0, 0.0)]
+        assert traj.u == [0.5, 0.25, 0.0]
+        # z, V and dV cover the leading rows that carry stage errors
+        assert traj.z == [(1.0, 2.0), (0.5, 1.0)]
+        assert (traj.V, traj.dV) == ([5.0, 1.25], [-1.0, -0.5])
+        assert traj.samples == samples
+        assert traj.meta == {"T_p": 1.0}
+        assert Trajectory().samples == []
+
+    def test_stage_error_rows_come_first(self):
+        samples = [
+            Sample(t=0.0, x=(1.0,), u=0.0, z=None, V=None, dV=None),
+            Sample(t=0.5, x=(1.0,), u=0.0, z=(1.0,), V=1.0, dV=0.0),
+        ]
+        with pytest.raises(ConfigurationError, match="must come first"):
+            Trajectory(samples=samples)
+
+    def test_times_must_not_decrease(self):
+        samples = [
+            Sample(t=0.5, x=(1.0,), u=0.0, z=None, V=None, dV=None),
+            Sample(t=0.25, x=(1.0,), u=0.0, z=None, V=None, dV=None),
+        ]
+        with pytest.raises(ConfigurationError, match="must not decrease"):
+            Trajectory(samples=samples)
+
+    @pytest.mark.parametrize("mode", ["direct", "tau"])
+    def test_samples_view_is_the_zipped_columns(self, mode):
+        ctrl = make_controller(n=3, etas=(4.0, 3.0, 2.0), kind=RcdfKind.TAN)
+        cfg = SimConfig(x0=(1.0, 0.0, 0.0), T_p=1.0, t_end=1.2, mode=mode)
+        traj = simulate(IntegratorChain(3), ctrl, cfg)
+        n_pre = len(traj.z)
+        assert len(traj.t) == len(traj.x) == len(traj.u) > n_pre
+        assert n_pre == len(traj.V) == len(traj.dV) > 0
+        assert all(t < 1.0 for t in traj.t[:n_pre])
+        assert all(t >= 1.0 for t in traj.t[n_pre:])
+        pad = [None] * (len(traj.t) - n_pre)
+        rows = zip(traj.t, traj.x, traj.u, traj.z + pad, traj.V + pad, traj.dV + pad)
+        assert traj.samples == [Sample(*row) for row in rows]
+        # each access builds new records; nothing is cached
+        assert traj.samples is not traj.samples
+
+    def test_sample_at_agrees_with_the_nearest_sample_search(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            # sorted times with repeats and near-repeats one ulp apart
+            times = sorted(rng.choice([0.0, 1.0, 1e-3, 7.5])
+                           * rng.choice([rng.random(), 1.0, 0.5])
+                           for _ in range(rng.randint(1, 12)))
+            times = sorted(t if rng.random() < 0.7 else math.nextafter(t, 10.0)
+                           for t in times)
+            n_pre = rng.randint(0, len(times))
+            samples = [
+                Sample(t=t, x=(float(i),), u=float(i),
+                       z=(float(i),) if i < n_pre else None,
+                       V=float(i) if i < n_pre else None,
+                       dV=-float(i) if i < n_pre else None)
+                for i, t in enumerate(times)
+            ]
+            traj = Trajectory(samples=samples)
+            span = abs(times[-1])
+            queries = list(times)
+            queries += [math.nextafter(t, d) for t in times for d in (-math.inf, math.inf)]
+            queries += [t + k * 1e-12 * span for t in times for k in (-1.0, -0.5, 0.5, 1.0, 2.0)]
+            queries += [(a + b) / 2.0 for a, b in zip(times, times[1:])]
+            queries += [times[0] - 1.0, times[0] - 1e-13, times[-1] + 1e-13,
+                        times[-1] + 1.0, -math.inf, math.inf, math.nan]
+            queries += [rng.uniform(-1.0, 9.0) for _ in range(10)]
+            for q in queries:
+                assert sample_at_or_none(traj, q) == nearest_by_search(samples, q), q
+
+    def test_sample_at_on_a_simulated_run(self):
+        ctrl = make_controller(c=0.15, T_p=0.5)
+        cfg = SimConfig(x0=(0.09, 0.1), T_p=0.5, t_end=0.6, mode="tau")
+        traj = simulate(Pendulum(), ctrl, cfg)
+        samples = traj.samples
+        rng = random.Random(3)
+        queries = [rng.choice(traj.t) for _ in range(200)]
+        queries += [math.nextafter(q, 1.0) for q in queries[:50]]
+        queries += [rng.uniform(-0.1, 0.7) for _ in range(50)]
+        queries += [0.5, cfg.t_standoff, 0.6, -1e-13, 0.6 + 1e-13]
+        for q in queries:
+            assert sample_at_or_none(traj, q) == nearest_by_search(samples, q), q
+
+    def test_simulate_audits_and_writers_build_no_sample(self, monkeypatch, tmp_path):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a Sample was built")
+
+        monkeypatch.setattr(Sample, "__init__", refuse)
+        runs = [
+            (IntegratorChain(3), make_controller(n=3, etas=(4.0, 3.0, 2.0)), (1.0, 0.0, 0.0)),
+            (Pendulum(), make_controller(c=0.15, T_p=0.5), (0.09, 0.1)),
+        ]
+        for plant, ctrl, x0 in runs:
+            T_p = ctrl.config.T_p
+            tol = run_tolerance(1e-4, 1e-6, x0)
+            for mode in ("direct", "tau"):
+                cfg = SimConfig(x0=x0, T_p=T_p, t_end=1.2 * T_p, mode=mode)
+                traj = simulate(plant, ctrl, cfg)
+                settling_instant(traj, tol)
+                lyapunov_audit(traj)
+                control_vanishing_check(traj, tol)
+                write_csv(str(tmp_path / f"{mode}.csv"), traj)
+                render_svg(traj, mode)
+        with pytest.raises(AssertionError, match="a Sample was built"):
+            traj.samples
 
 
 class TestClosedLoopPhases:
@@ -383,9 +527,26 @@ def close(a, b, rel=1e-15):
     return a == b or abs(a - b) <= rel * abs(b)
 
 
+def row_recorders(ctrl, open_loop=False, c=0.0):
+    """(record, record_free) of the generated recorder, each returning as a
+    Sample the one row it appended to the columns of a fresh trajectory."""
+    make = _recorder(ctrl, open_loop)
+
+    def recorder(which):
+        def call(t, x):
+            traj = Trajectory()
+            make(c, traj)[which](t, x)
+            [row] = traj.samples
+            return row
+        return call
+
+    return recorder(0), recorder(1)
+
+
 class TestGeneratedRecorder:
     """simulate records every pre-instant sample with one function compiled
-    per law, which walks the law once for z and u and inlines the kernels."""
+    per law, which walks the law once for z and u, inlines the kernels and
+    appends the row to the trajectory's columns."""
 
     @pytest.mark.parametrize("kinds", [
         ("tan",) * 3, ("linear",) * 3, ("logexp",) * 3, ("tan", "linear", "logexp"),
@@ -394,7 +555,7 @@ class TestGeneratedRecorder:
         etas = (4.0, 3.0, 2.0)
         stages = tuple(RcdfSpec(kind=RcdfKind(k), eta=e) for k, e in zip(kinds, etas))
         ctrl = synthesize(SynthesisConfig(n=3, c=0.0, T_p=1.0, stages=stages))
-        record, _ = _recorder(ctrl, False)(0.0)
+        record, _ = row_recorders(ctrl)
         rng = random.Random(11)
         points = [([rng.uniform(-2.0, 2.0) for _ in range(3)], rng.uniform(0.0, 0.99))
                   for _ in range(200)]
@@ -420,8 +581,8 @@ class TestGeneratedRecorder:
 
     def test_open_loop_records_the_same_errors_and_no_input(self):
         ctrl = make_controller(n=3, etas=(4.0, 3.0, 2.0), kind=RcdfKind.TAN)
-        closed, _ = _recorder(ctrl, False)(0.0)
-        opened, _ = _recorder(ctrl, True)(0.0)
+        closed, _ = row_recorders(ctrl)
+        opened, _ = row_recorders(ctrl, open_loop=True)
         for x, t in (((1.0, -0.5, 0.25), 0.0), ((0.1, 0.2, 0.3), 0.9)):
             a, b = closed(t, x), opened(t, x)
             assert (b.z, b.V, b.dV) == (a.z, a.V, a.dV)
@@ -431,7 +592,7 @@ class TestGeneratedRecorder:
         # x = w + (c, 0, ..., 0) component by component, so a -0.0 is
         # recorded as 0.0
         twin = zero_setpoint_twin(make_controller(c=0.15, T_p=0.5))
-        record, record_free = _recorder(twin, False)(0.15)
+        record, record_free = row_recorders(twin, c=0.15)
         for s in (record(0.0, [-0.06, -0.0]), record_free(0.6, [-0.06, -0.0])):
             assert s.x == (-0.06 + 0.15, 0.0)
             assert math.copysign(1.0, s.x[1]) == 1.0
@@ -445,7 +606,7 @@ class TestGeneratedRecorder:
         make = _recorder(twin, False)
         assert _recorder(twin, False) is make
         digest = hashlib.sha256(make.__psis_source__.encode()).hexdigest()[:16]
-        assert digest == "f7fbf5e465f99193"
+        assert digest == "c886db68a522b3e3"
 
 
 class TestBreakdownReporting:
@@ -498,6 +659,49 @@ class TestBreakdownReporting:
             simulate(IntegratorChain(2), ctrl, cfg)
         assert info.value.t == 0.0
         assert info.value.partial.samples == []
+
+    # sha256[:16] of repr([dataclasses.astuple(s) for s in partial.samples]):
+    # the stiff start keeps its t = 0 row on both clocks
+    @pytest.mark.parametrize("n, etas, kind, T_p, x0, mode, error, rows, digest", [
+        (2, (3.0, 2.0), RcdfKind.LINEAR, 1e-200, (1.0, 0.0), "direct",
+         DivergenceError, 0, "4f53cda18c2baa0c"),
+        (2, (3.0, 2.0), RcdfKind.LINEAR, 1.0, (1e308, 0.0), "direct",
+         DivergenceError, 0, "4f53cda18c2baa0c"),
+        (4, (5.0, 4.0, 3.0, 2.0), RcdfKind.TAN, 1.0, (10.0, 0.0, 0.0, 0.0), "direct",
+         StiffnessError, 1, "01992a7549b8eaad"),
+        (4, (5.0, 4.0, 3.0, 2.0), RcdfKind.TAN, 1.0, (10.0, 0.0, 0.0, 0.0), "tau",
+         StiffnessError, 1, "01992a7549b8eaad"),
+    ], ids=["unevaluable", "overflowed", "stiff-direct", "stiff-tau"])
+    def test_partial_columns_are_not_ragged(
+        self, n, etas, kind, T_p, x0, mode, error, rows, digest
+    ):
+        ctrl = make_controller(n=n, T_p=T_p, etas=etas, kind=kind)
+        cfg = SimConfig(x0=x0, T_p=T_p, t_end=1.2 * T_p, sample_dt=2.5e-4 * T_p, mode=mode)
+        with pytest.raises(error) as info:
+            simulate(IntegratorChain(n), ctrl, cfg)
+        partial = info.value.partial
+        columns = (partial.t, partial.x, partial.u, partial.z, partial.V, partial.dV)
+        assert [len(col) for col in columns] == [rows] * 6
+        text = repr([dataclasses.astuple(s) for s in partial.samples])
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+    def test_a_row_that_raises_appends_nothing(self):
+        ctrl = make_controller()
+        traj = Trajectory()
+        record, _ = _recorder(ctrl, False)(0.0, traj)
+        record(0.0, [1.0, 0.0])
+        with pytest.raises(DivergenceError, match="stage errors are not finite"):
+            record(0.5, [1e308, 0.0])
+        # the row that raised left no cell behind in any column
+        columns = (traj.t, traj.x, traj.u, traj.z, traj.V, traj.dV)
+        assert [len(col) for col in columns] == [1] * 6
+        # here z is finite and u divides by (T_p - t)**2, which underflows
+        tiny = Trajectory()
+        record, _ = _recorder(make_controller(T_p=1e-200), False)(0.0, tiny)
+        with pytest.raises(ZeroDivisionError):
+            record(0.0, [1.0, 0.0])
+        columns = (tiny.t, tiny.x, tiny.u, tiny.z, tiny.V, tiny.dV)
+        assert [len(col) for col in columns] == [0] * 6
 
     def test_stiff_start_names_step_size_and_error_estimate(self):
         ctrl = make_controller(n=4, etas=(5.0, 4.0, 3.0, 2.0), kind=RcdfKind.TAN)

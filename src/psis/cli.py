@@ -105,9 +105,7 @@ def _cmd_synthesize(spec: ExperimentSpec, args: argparse.Namespace) -> int:
 
 def _cmd_simulate(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     paths = spec.output
-    outputs = [paths.csv, paths.svg, paths.report]
-    out.check_clobber(outputs, args.no_clobber)
-    out.check_writable(outputs)
+    out.check_outputs([paths.csv, paths.svg, paths.report], args.config, args.no_clobber)
     controller = synthesize(spec.synthesis)
     started = time.perf_counter()
     traj = simulate(spec.plant, controller, spec.sim)
@@ -146,8 +144,7 @@ def _cmd_verify(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     if problem is not None:
         raise ConfigurationError(problem)
     paths = spec.output
-    out.check_clobber([paths.report], args.no_clobber)
-    out.check_writable([paths.report])
+    out.check_outputs([paths.report], args.config, args.no_clobber)
     controller = synthesize(spec.synthesis)
     vp = spec.verify
     started = time.perf_counter()
@@ -231,9 +228,8 @@ def _cmd_sweep(spec: ExperimentSpec, args: argparse.Namespace) -> int:
         raise ConfigurationError("sweep needs output.csv to derive its file names")
     scales = _parse_scales(args.scales) if args.scales else list(spec.verify.scales)
     summary_path, per_run_paths = _sweep_paths(spec.output.csv, scales)
-    outputs = [summary_path, spec.output.report] + per_run_paths
-    out.check_clobber(outputs, args.no_clobber)
-    out.check_writable(outputs)
+    out.check_outputs([summary_path, spec.output.report, *per_run_paths],
+                      args.config, args.no_clobber)
     controller = synthesize(spec.synthesis)
     vp = spec.verify
 

@@ -55,23 +55,32 @@ def _write_text(path: str, text: str) -> None:
         raise ConfigurationError(f"cannot write output {path!r}: {reason}") from None
 
 
-def check_clobber(paths: Sequence[str | None], no_clobber: bool) -> None:
-    """With no_clobber set, refuse to overwrite any existing output file."""
-    if not no_clobber:
-        return
-    existing = [p for p in paths if p is not None and os.path.exists(p)]
+def check_outputs(
+    paths: Sequence[str | None], config: str | None = None, no_clobber: bool = False
+) -> None:
+    """Refuse, before any work is done, output paths (None: not written)
+    that must not or cannot be written: one that resolves to the config
+    file, two that resolve to one file, an existing file under no_clobber,
+    and the paths _write_text is bound to fail on, with its texts."""
+    wanted = [p for p in paths if p is not None]
+    config_file = config and os.path.realpath(config)
+    seen: dict[str, str] = {}
+    for path in wanted:
+        resolved = os.path.realpath(path)
+        if resolved == config_file:
+            raise ConfigurationError(
+                f"refusing to overwrite the config file {config!r} with output {path!r}"
+            )
+        if resolved in seen:
+            raise ConfigurationError(f"outputs {seen[resolved]!r} and {path!r} are the same file")
+        seen[resolved] = path
+    existing = [p for p in wanted if no_clobber and os.path.exists(p)]
     if existing:
         raise ConfigurationError(
             "refusing to overwrite existing output(s): " + ", ".join(sorted(existing))
         )
-
-
-def check_writable(paths: Sequence[str | None]) -> None:
-    """Refuse, before any work is done, the output paths _write_text is
-    bound to fail on, with its texts: an existing directory, and a path
-    whose nearest existing ancestor is a plain file."""
-    for path in paths:
-        reason = None if path is None else _path_in_the_way(path)
+    for path in wanted:
+        reason = _path_in_the_way(path)
         if reason is not None:
             raise ConfigurationError(f"cannot write output {path!r}: {reason}")
 

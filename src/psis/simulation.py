@@ -34,8 +34,9 @@ over n scalar locals and compiled, the way symdiff.compile_expr compiles a
 control law, so a stage costs no per-component list or generator.  Every
 component keeps the float operations of a loop over lists, in the same
 order, so the samples and counters are the same bits either way.  Each
-law's sample recorder is generated the same way, once per controller, from
-one walk of the law (see _recorder_source).
+law is generated the same way, once per controller, from one walk of its
+DAG: one program holds u, the chain's vector fields on both clocks and the
+sample recorders (see _program_source).
 
 A Trajectory holds its samples as parallel columns (t, x, u, and z, V, dV
 over the pre-instant rows, which come first).  The recorders append to
@@ -48,6 +49,7 @@ from __future__ import annotations
 import math
 import string
 from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import asdict, dataclass, replace
 from itertools import repeat
 from typing import Callable, Iterable, Sequence, Union
@@ -102,6 +104,17 @@ class Pendulum:
             raise ConfigurationError(
                 f"friction must be finite and nonnegative, got {self.friction!r}"
             )
+        try:  # the coefficients of the dynamics, as torque_map computes them
+            inertia = self.mass * self.length ** 2
+        except OverflowError:
+            inertia = math.inf
+        for name, v in (("mass * length**2", inertia),
+                        ("gravity / length", self.gravity / self.length),
+                        ("friction / mass", self.friction / self.mass)):
+            if not math.isfinite(v):
+                raise ConfigurationError(f"{name} must be finite, got {v!r}")
+        if inertia <= 0.0:
+            raise ConfigurationError(f"mass * length**2 must be positive, got {inertia!r}")
 
 
 PlantModel = Union[IntegratorChain, Pendulum]
@@ -150,6 +163,10 @@ def pendulum_energy(plant: Pendulum, x: Sequence[float]) -> float:
 
 
 _MODES = ("direct", "tau")
+
+# The terminal window [TERMINAL_WINDOW_START * T_p, T_p): simulate records every
+# accepted step boundary in it, and control_vanishing_check audits u over it.
+TERMINAL_WINDOW_START = 0.95
 
 # Largest t_end / sample_dt a run may ask for.  Every grid point becomes a
 # sample, so the cap keeps a long horizon from exhausting memory.
@@ -702,51 +719,21 @@ def _post_grid(cfg: SimConfig) -> list[float]:
     return stops
 
 
-# (order, tau clock?) -> maker of the chain's vector field, built on first use
-_CHAIN_FIELDS: dict[tuple[int, bool], Callable] = {}
-
-
-def _chain_rhs(
-    n: int, u_fn, T_p: float | None = None
-) -> Callable[[float, list[float]], list[float]]:
-    """The order-n chain's vector field [w[1], ..., w[n-1], u(w, t)], spelt
-    out without slicing.  With T_p given it is the field on the tau clock:
-    every entry times the remaining time T_p - t."""
-    tau = T_p is not None
-    make = _CHAIN_FIELDS.get((n, tau))
-    if make is None:
-        scale = "gap * " if tau else ""
-        entries = ", ".join(
-            [f"{scale}w[{j}]" for j in range(1, n)] + [f"{scale}u(w, t)"]
-        )
-        if tau:
-            head = (
-                "    def f(tau, w):\n"
-                "        gap = T_p * exp(-tau)  # T_p - t, computed without cancellation\n"
-                "        t = T_p - gap\n"
-            )
-        else:
-            head = "    def f(t, w):\n"
-        source = f"def make(u, T_p):\n{head}        return [{entries}]\n    return f\n"
-        namespace = {"exp": math.exp}
-        exec(compile(source, "<psis.chain>", "exec"), namespace)
-        make = _CHAIN_FIELDS.setdefault((n, tau), namespace["make"])
-    return make(u_fn, T_p)
-
-
-def _zero_input(w: Sequence[float], t: float) -> float:
-    """Input of the open-loop self-test and of the chain after the instant.
-
-    An uncontrolled chain cannot settle, so a trajectory produced with this
-    input exercises the verifier's failure path on honest data.
-    """
-    return 0.0
-
-
-# The recorders of one law, as a template: $-names are filled in per
-# controller by _recorder_source.  A row is computed in full before any of
+# The program of one law, as a template: $-names are filled in per
+# controller by _program_source.  A row is computed in full before any of
 # it is appended, so a sample that raises leaves the columns as they were.
-_RECORDER_TEMPLATE = string.Template('''\
+_PROGRAM_TEMPLATE = string.Template('''\
+${u_def}def field(t, x):
+    return [$entries]
+
+def field_tau(tau, x):
+    gap = $T_p * exp(-tau)  # T_p - t, computed without cancellation
+    t = $T_p - gap
+    return [$entries_tau]
+
+def free_field(t, x):
+    return [$free_entries]
+
 def make(c, traj):
     add_t, add_x, add_u = traj.t.append, traj.x.append, traj.u.append
     add_z, add_V, add_dV = traj.z.append, traj.V.append, traj.dV.append
@@ -777,33 +764,46 @@ def _tuple_text(items: Sequence[str]) -> str:
     return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
 
-def _recorder_source(controller: Controller, open_loop: bool) -> str:
-    """The per-sample recorders of a zero-setpoint law.
-
-    make(c, traj) returns (record, record_free) for the setpoint c; both
-    take the setpoint-shifted state x at time t and append its row to the
-    columns of traj.  record gives a row before T_p.  It walks the law's
-    DAG once: the z nodes first, then the check that z is finite, then the
-    nodes u needs beyond them (u is 0.0 on an open loop).  V and dV inline
-    each stage's kernel.  record_free gives a row from T_p on, with no
-    stage errors.  Every value keeps the float operations of evaluating
-    each z and u on its own and of summing V and dV in a loop over the
-    stages, in the same order, so the rows are the same bits.
+def _program_source(controller: Controller, open_loop: bool) -> str:
+    """The simulator's code for a zero-setpoint law, from one walk of its
+    DAG: the z nodes, then the nodes u needs beyond them (every z node is
+    a node of u).  It defines u(x, t) (none on an open loop, where u is the
+    literal 0.0), the chain's field(t, x) = [x[1], ..., x[n-1], u(x, t)],
+    field_tau(tau, x), the same times T_p - t on the clock
+    tau = -ln((T_p - t)/T_p), the input-free free_field(t, x), and
+    make(c, traj) -> (record, record_free) for the setpoint c.  Both append
+    the row of the setpoint-shifted state x at time t to traj's columns:
+    record before T_p, checking that z is finite before u's own nodes and
+    inlining each stage's kernel in V and dV; record_free from T_p on.
+    Every value keeps the float operations of evaluating each z and u on
+    its own and of summing V and dV stage by stage, so it is the same bits.
     """
     sc = controller.config
     lines: list[str] = []
     emit = sd.code_emitter(lines)
     roots = [emit(z) for z in controller.z_exprs]
+    z_lines = lines[:]
     z = [f"z{i}" for i in range(1, sc.n + 1)]
-    lines += [f"{zi} = {root}" for zi, root in zip(z, roots)]
-    lines += [
+    record = z_lines + [f"{zi} = {root}" for zi, root in zip(z, roots)] + [
         f"z = {_tuple_text(z)}",
         f"if not ({' and '.join(f'isfinite({zi})' for zi in z)}):",
         '    raise DivergenceError(f"stage errors are not finite: z={z!r}", t)',
     ]
-    u = "0.0" if open_loop else emit(controller.u_expr)
-    return _RECORDER_TEMPLATE.substitute(
-        body="\n".join(" " * 8 + line for line in lines),
+    if open_loop:
+        u, u_call, u_def = "0.0", "0.0", ""
+    else:
+        u = emit(controller.u_expr)
+        record += lines[len(z_lines):]
+        u_call = "u(x, t)"
+        u_body = "".join(f"    {line}\n" for line in lines)
+        u_def = f"def u(x, t):\n{u_body}    return {u}\n\n"
+    shifts = [f"x[{j}]" for j in range(1, sc.n)]
+    return _PROGRAM_TEMPLATE.substitute(
+        u_def=u_def,
+        entries=", ".join(shifts + [u_call]),
+        entries_tau=", ".join(f"gap * {e}" for e in shifts + [u_call]),
+        free_entries=", ".join(shifts + ["0.0"]),
+        body="\n".join(" " * 8 + line for line in record),
         # + 0.0 as in adding the offset (c, 0, ..., 0): it turns -0.0 into 0.0
         x=_tuple_text(["x[0] + c"] + [f"x[{j}] + 0.0" for j in range(1, sc.n)]),
         u=u,
@@ -818,27 +818,30 @@ def _recorder_source(controller: Controller, open_loop: bool) -> str:
     )
 
 
-def _recorder(controller: Controller, open_loop: bool) -> Callable:
-    """make(c) of _recorder_source, compiled on first use and cached on the
-    controller.  Two threads building it at once compile equal code; either
-    may stay."""
-    make = controller.recorders.get(open_loop)
-    if make is None:
-        source = _recorder_source(controller, open_loop)
+# The compiled _program_source of one law; u is None on an open loop.
+_Program = namedtuple("_Program", "u field field_tau free_field make source")
+
+
+def _program(controller: Controller, open_loop: bool) -> _Program:
+    """The program of a zero-setpoint law, compiled on first use and cached
+    on the controller.  Two threads building it at once compile equal code;
+    either may stay."""
+    program = controller.recorders.get(open_loop)
+    if program is None:
+        source = _program_source(controller, open_loop)
         namespace = {
             **sd.COMPILED_GLOBALS,
             **KERNEL_GLOBALS,
             "isfinite": math.isfinite,
             "DivergenceError": DivergenceError,
         }
-        exec(compile(source, "<psis.recorder>", "exec"), namespace)
-        make = namespace["make"]
-        make.__psis_source__ = source  # kept for debugging and tests
-        make = controller.recorders.setdefault(open_loop, make)
-    return make
+        exec(compile(source, "<psis.program>", "exec"), namespace)
+        program = _Program(*map(namespace.get, _Program._fields[:-1]), source)
+        program = controller.recorders.setdefault(open_loop, program)
+    return program
 
 
-def _check_compatibility(plant: PlantModel, controller: Controller, cfg: SimConfig) -> int:
+def _check_compatibility(plant: PlantModel, controller: Controller, cfg: SimConfig) -> None:
     n = plant_order(plant)
     if controller.config.n != n:
         raise ConfigurationError(
@@ -850,7 +853,6 @@ def _check_compatibility(plant: PlantModel, controller: Controller, cfg: SimConf
         raise ConfigurationError(
             f"simulation T_p={cfg.T_p} differs from controller T_p={controller.config.T_p}"
         )
-    return n
 
 
 @dataclass(frozen=True)
@@ -894,7 +896,7 @@ def _run_phases(
     DivergenceError at that sample's t.
     """
     stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
-    window_start = 0.95 * cfg.T_p
+    window_start = TERMINAL_WINDOW_START * cfg.T_p
 
     def pre(t: float, w: Sequence[float]) -> None:
         try:
@@ -953,36 +955,23 @@ def simulate(plant: PlantModel, controller: Controller, cfg: SimConfig) -> Traje
     integrator breakdown the raised error carries the samples collected so
     far in its `partial` attribute.
     """
-    n = _check_compatibility(plant, controller, cfg)
+    _check_compatibility(plant, controller, cfg)
     sc = controller.config
     T_p = sc.T_p
-    twin = zero_setpoint_twin(controller)
     w0 = [cfg.x0[0] - sc.c, *cfg.x0[1:]]
-    u_fn = _zero_input if cfg.open_loop else twin.compiled_u
+    program = _program(zero_setpoint_twin(controller), cfg.open_loop)
     traj = Trajectory()
-    record_pre, record_post = _recorder(twin, cfg.open_loop)(sc.c, traj)
-    etas = tuple(s.eta for s in sc.stages)
-    kinds = tuple(s.kind for s in sc.stages)
-
+    record_pre, record_post = program.make(sc.c, traj)
     meta = {
         "plant": plant_description(plant),
         "n": sc.n,
         "c": sc.c,
-        "T_p": T_p,
-        "etas": list(etas),
-        "kinds": [k.value for k in kinds],
+        "etas": [s.eta for s in sc.stages],
+        "kinds": [s.kind.value for s in sc.stages],
+        **asdict(cfg),
         "x0": list(cfg.x0),
-        "t_end": cfg.t_end,
-        "eps_stop": cfg.eps_stop,
-        "rtol": cfg.rtol,
-        "atol": cfg.atol,
-        "max_step": cfg.max_step,
-        "sample_dt": cfg.sample_dt,
-        "mode": cfg.mode,
-        "open_loop": cfg.open_loop,
         "t_standoff": cfg.t_standoff,
     }
-    rhs = _chain_rhs(n, u_fn)
     pre = _pre_grid(cfg)
     if cfg.mode == "tau":
         # tau = -ln((T_p - t)/T_p) runs from 0 to the standoff, stopping at
@@ -993,12 +982,12 @@ def simulate(plant: PlantModel, controller: Controller, cfg: SimConfig) -> Traje
             else math.log(T_p / (T_p - tk))
             for tk in pre
         ]
-        leg = _Leg(_chain_rhs(n, u_fn, T_p), tau_stops, pre, _TAU_MAX_STEP,
+        leg = _Leg(program.field_tau, tau_stops, pre, _TAU_MAX_STEP,
                    to_t=lambda tau: -T_p * math.expm1(-tau))
     else:
-        leg = _Leg(rhs, pre, pre, cfg.max_step, to_t=lambda t: t)
+        leg = _Leg(program.field, pre, pre, cfg.max_step, to_t=lambda t: t)
     return _run_phases(
-        cfg, leg, w0, traj, record_pre, record_post, rhs, _chain_rhs(n, _zero_input), meta
+        cfg, leg, w0, traj, record_pre, record_post, program.field, program.free_field, meta
     )
 
 

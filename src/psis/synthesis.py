@@ -100,12 +100,14 @@ class Controller:
 
     @cached_property
     def compiled_u(self) -> Callable[[Sequence[float], float], float]:
+        """u compiled on its own as f(x, t); simulate uses its own program
+        of the law instead (simulation._program)."""
         return sd.compile_expr(self.u_expr, self.config.n)
 
     @cached_property
-    def recorders(self) -> dict[bool, Callable]:
-        """The simulator's compiled per-sample recorders of this law, by
-        open_loop; each is built on first use (simulation._recorder)."""
+    def recorders(self) -> dict[bool, tuple]:
+        """The simulator's programs of this law (vector fields and sample
+        recorders) by open_loop, each built on first use (simulation._program)."""
         return {}
 
     @cached_property

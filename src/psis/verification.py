@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 from .errors import AuditError, ConfigurationError, DomainError, IntegrationError
 from .rcdf import RcdfKind, kernel_function, zeta
-from .simulation import PlantModel, SimConfig, Trajectory, simulate
+from .simulation import TERMINAL_WINDOW_START, PlantModel, SimConfig, Trajectory, simulate
 from .synthesis import Controller
 
 
@@ -382,14 +382,15 @@ def control_vanishing_check(traj: Trajectory, tol: float) -> ControlVanishing:
     """Confirm the input dies into the instant and is cut exactly after it.
 
     The absolute size of u inside the terminal window [0.95 T_p, T_p)
-    scales with the initial condition, so the verdict uses |u| at the
-    standoff (within 10 * tol) plus exact zeros after T_p; the window
-    maximum and its ratio to the overall maximum are reported for context.
+    (simulation.TERMINAL_WINDOW_START) scales with the initial condition,
+    so the verdict uses |u| at the standoff (within 10 * tol) plus exact
+    zeros after T_p; the window maximum and its ratio to the overall
+    maximum are reported for context.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ConfigurationError(f"tolerance must be finite and positive, got {tol!r}")
     T_p = float(traj.meta["T_p"])
-    window_start = 0.95 * T_p
+    window_start = TERMINAL_WINDOW_START * T_p
     n_pre = len(traj.z)
     if not n_pre:
         raise AuditError("trajectory has no pre-instant samples")

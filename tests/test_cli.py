@@ -166,6 +166,16 @@ class TestConfigFailures:
         assert main(["simulate", "--config", cfg]) == 2
         assert "sample points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
+    def test_pendulum_whose_torque_map_overflows(self, tmp_path, capsys, command):
+        # every parameter is finite, but mass * length**2 is not
+        cfg = write_config(tmp_path, pendulum_data(plant={"type": "pendulum", "length": 1e200}))
+        assert main([command, "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "configuration error: mass * length**2 must be finite, got inf\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
+
     def test_bad_scales_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path, chain_data())
         assert main(["sweep", "--config", cfg, "--scales", "a,b"]) == 2
@@ -542,6 +552,35 @@ class TestUnwritableOutput:
             f"{str(tmp_path / 'plainfile' / 'run.csv')!r}: "
             f"{str(tmp_path / 'plainfile')!r} is not a directory\n"
         )
+
+    @pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
+    def test_a_report_onto_the_config_exits_two(self, tmp_path, capsys, no_simulation,
+                                                command):
+        # run_id p names the default report p.json, the config's own name
+        cfg = write_config(tmp_path, chain_data(run_id="p"), name="p.json")
+        before = (tmp_path / "p.json").read_bytes()
+        assert main([command, "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"configuration error: refusing to overwrite the config file {cfg!r} "
+            f"with output {cfg!r}\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["p.json"]
+        assert (tmp_path / "p.json").read_bytes() == before
+
+    def test_sweep_scales_that_name_one_file_exit_two(self, tmp_path, capsys,
+                                                      no_simulation):
+        # 0.1 and 1e-1 are one scale, and both would be written to p.scale_0.1.csv
+        cfg = write_config(tmp_path, chain_data(run_id="p"))
+        assert main(["sweep", "--config", cfg, "--scales", "0.1,1e-1,1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        twice = str(tmp_path / "p.scale_0.1.csv")
+        assert err == (
+            f"configuration error: outputs {twice!r} and {twice!r} are the same file\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
 
     def test_verify_with_an_unwritable_report_exits_two(self, tmp_path, capsys,
                                                         no_simulation):

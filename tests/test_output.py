@@ -9,8 +9,7 @@ import pytest
 
 from psis.errors import ConfigurationError
 from psis.output import (
-    check_clobber,
-    check_writable,
+    check_outputs,
     fmt_float,
     render_report,
     render_svg,
@@ -61,13 +60,30 @@ class TestClobberGuard:
         p = tmp_path / "out.csv"
         p.write_text("x")
         with pytest.raises(ConfigurationError, match="out.csv"):
-            check_clobber([str(p)], no_clobber=True)
+            check_outputs([str(p)], no_clobber=True)
 
     def test_allows_when_disabled_or_absent(self, tmp_path):
         p = tmp_path / "out.csv"
         p.write_text("x")
-        check_clobber([str(p)], no_clobber=False)
-        check_clobber([str(tmp_path / "other.csv"), None], no_clobber=True)
+        check_outputs([str(p)], no_clobber=False)
+        check_outputs([str(tmp_path / "other.csv"), None], no_clobber=True)
+
+    def test_refuses_the_config_file(self, tmp_path):
+        config = tmp_path / "p.json"
+        config.write_text("{}")
+        (tmp_path / "sub").mkdir()
+        for spelt in (str(config), str(tmp_path / "sub" / ".." / "p.json")):
+            with pytest.raises(ConfigurationError, match="the config file"):
+                check_outputs([str(tmp_path / "p.csv"), spelt], config=str(config))
+        check_outputs([str(tmp_path / "p.csv")], config=str(config))
+
+    def test_refuses_two_outputs_that_are_one_file(self, tmp_path):
+        one = str(tmp_path / "p.scale_0.1.csv")
+        with pytest.raises(ConfigurationError, match="are the same file"):
+            check_outputs([one, None, str(tmp_path / "p.csv"), one])
+        (tmp_path / "sub").mkdir()
+        with pytest.raises(ConfigurationError, match="are the same file"):
+            check_outputs([one, str(tmp_path / "sub" / ".." / "p.scale_0.1.csv")])
 
 
 class TestWritableGuard:
@@ -83,14 +99,14 @@ class TestWritableGuard:
         (tmp_path / "plainfile").write_text("")
         path = str(tmp_path / name)
         with pytest.raises(ConfigurationError) as info:
-            check_writable([None, path])
+            check_outputs([None, path])
         reason = reason.format(plainfile=str(tmp_path / "plainfile"))
         assert str(info.value) == f"cannot write output {path!r}: {reason}"
 
     def test_allows_files_and_fresh_directories(self, tmp_path):
         (tmp_path / "old.csv").write_text("x")
-        check_writable([str(tmp_path / "old.csv"), None,
-                        str(tmp_path / "new" / "deeper" / "run.csv")])
+        check_outputs([str(tmp_path / "old.csv"), None,
+                       str(tmp_path / "new" / "deeper" / "run.csv")])
         assert not (tmp_path / "new").exists()
 
 

@@ -16,6 +16,7 @@ from psis.errors import (
     IntegrationError,
     StiffnessError,
 )
+from psis import symdiff
 from psis.rcdf import RcdfKind, RcdfSpec, psi, zeta
 from psis.simulation import (
     IntegratorChain,
@@ -30,7 +31,7 @@ from psis.simulation import (
     simulate_pendulum_raw,
     simulate_tau,
     torque_map,
-    _recorder,
+    _program,
 )
 from psis.synthesis import (
     SynthesisConfig,
@@ -68,6 +69,20 @@ class TestPlants:
         with pytest.raises(ConfigurationError):
             Pendulum(friction=-0.01)
         assert Pendulum(friction=0.0).friction == 0.0
+
+    @pytest.mark.parametrize("params, problem", [
+        ({"length": 1e200}, "mass * length**2 must be finite, got inf"),
+        ({"length": 1e-200}, "mass * length**2 must be positive, got 0.0"),
+        ({"gravity": 1e308}, "gravity / length must be finite, got inf"),
+        ({"length": 1e-310, "mass": 1e300}, "gravity / length must be finite, got inf"),
+        ({"mass": 1e-310, "friction": 1.0}, "friction / mass must be finite, got inf"),
+    ])
+    def test_pendulum_coefficients_must_be_usable(self, params, problem):
+        # each parameter passes its own check, but a coefficient of the
+        # dynamics does not: the torque map would overflow or divide by zero
+        with pytest.raises(ConfigurationError) as info:
+            Pendulum(**params)
+        assert str(info.value) == problem
 
     def test_plant_order(self):
         assert plant_order(IntegratorChain(4)) == 4
@@ -530,7 +545,7 @@ def close(a, b, rel=1e-15):
 def row_recorders(ctrl, open_loop=False, c=0.0):
     """(record, record_free) of the generated recorder, each returning as a
     Sample the one row it appended to the columns of a fresh trajectory."""
-    make = _recorder(ctrl, open_loop)
+    make = _program(ctrl, open_loop).make
 
     def recorder(which):
         def call(t, x):
@@ -544,9 +559,9 @@ def row_recorders(ctrl, open_loop=False, c=0.0):
 
 
 class TestGeneratedRecorder:
-    """simulate records every pre-instant sample with one function compiled
-    per law, which walks the law once for z and u, inlines the kernels and
-    appends the row to the trajectory's columns."""
+    """simulate records every pre-instant sample with one function of the
+    law's program, which walks the law once for z and u, inlines the
+    kernels and appends the row to the trajectory's columns."""
 
     @pytest.mark.parametrize("kinds", [
         ("tan",) * 3, ("linear",) * 3, ("logexp",) * 3, ("tan", "linear", "logexp"),
@@ -600,13 +615,53 @@ class TestGeneratedRecorder:
         assert (free.t, free.u, free.z, free.V, free.dV) == (0.6, 0.0, None, None, None)
 
     def test_readme_pendulum_recorder_source_is_pinned(self):
-        # sha256[:16] of the generated source for README's pendulum twin;
-        # the recorder is compiled once and cached on the controller
+        # sha256[:16] of the generated program (u, the vector fields and the
+        # recorders) for README's pendulum twin; the program is compiled
+        # once and cached on the controller
         twin = zero_setpoint_twin(make_controller(c=0.15, T_p=0.5))
-        make = _recorder(twin, False)
-        assert _recorder(twin, False) is make
-        digest = hashlib.sha256(make.__psis_source__.encode()).hexdigest()[:16]
-        assert digest == "c886db68a522b3e3"
+        program = _program(twin, False)
+        assert _program(twin, False) is program
+        digest = hashlib.sha256(program.source.encode()).hexdigest()[:16]
+        assert digest == "1f387393e14ab6f3"
+
+
+class TestLawProgram:
+    """simulate emits each law once, into one program that holds its vector
+    fields and recorders; compile_expr is not on its path."""
+
+    @pytest.mark.parametrize("mode, open_loop", [
+        ("direct", False), ("tau", False), ("direct", True), ("tau", True),
+    ])
+    def test_simulate_never_compiles_u_on_its_own(self, monkeypatch, mode, open_loop):
+        def refuse(*args):
+            raise AssertionError("simulate reached compile_expr")
+
+        monkeypatch.setattr(symdiff, "compile_expr", refuse)
+        # a fresh controller, whose twin has compiled nothing yet
+        ctrl = make_controller(n=3, c=0.25, etas=(4.0, 3.0, 2.0), kind=RcdfKind.TAN)
+        cfg = SimConfig(x0=(1.0, 0.0, 0.0), T_p=1.0, t_end=1.2, mode=mode,
+                        open_loop=open_loop)
+        traj = simulate(IntegratorChain(3), ctrl, cfg)
+        assert traj.meta["steps_accepted"] > 0
+        assert "compiled_u" not in vars(zero_setpoint_twin(ctrl))
+
+    def test_one_emission_per_law_and_loop_flag(self, monkeypatch):
+        emitted = []
+        real = symdiff.code_emitter
+
+        def counting(lines):
+            emitted.append(lines)
+            return real(lines)
+
+        monkeypatch.setattr(symdiff, "code_emitter", counting)
+        ctrl = make_controller(n=2, c=0.25)
+        for mode in ("direct", "tau", "direct", "tau"):
+            simulate(IntegratorChain(2), ctrl, SimConfig(
+                x0=(1.0, 0.0), T_p=1.0, t_end=1.2, mode=mode))
+        assert len(emitted) == 1
+        simulate(IntegratorChain(2), ctrl, SimConfig(
+            x0=(1.0, 0.0), T_p=1.0, t_end=1.2, open_loop=True))
+        assert len(emitted) == 2
 
 
 class TestBreakdownReporting:
@@ -688,7 +743,7 @@ class TestBreakdownReporting:
     def test_a_row_that_raises_appends_nothing(self):
         ctrl = make_controller()
         traj = Trajectory()
-        record, _ = _recorder(ctrl, False)(0.0, traj)
+        record, _ = _program(ctrl, False).make(0.0, traj)
         record(0.0, [1.0, 0.0])
         with pytest.raises(DivergenceError, match="stage errors are not finite"):
             record(0.5, [1e308, 0.0])
@@ -697,7 +752,7 @@ class TestBreakdownReporting:
         assert [len(col) for col in columns] == [1] * 6
         # here z is finite and u divides by (T_p - t)**2, which underflows
         tiny = Trajectory()
-        record, _ = _recorder(make_controller(T_p=1e-200), False)(0.0, tiny)
+        record, _ = _program(make_controller(T_p=1e-200), False).make(0.0, tiny)
         with pytest.raises(ZeroDivisionError):
             record(0.0, [1.0, 0.0])
         columns = (tiny.t, tiny.x, tiny.u, tiny.z, tiny.V, tiny.dV)

@@ -2,13 +2,15 @@
 
 `reference_path` below is the step loop as it reads over lists of floats,
 kept here only as a reference: each simulation runs once on the generated
-per-dimension loop and once with the reference patched in, and the samples,
-the meta (integrator counters included) and, on the failure paths, the
-error type, message, time and partial trajectory must agree exactly.
+per-dimension loop and law program, and once with the reference loop and
+`reference_chain_rhs`'s fields around `compiled_u` patched in, and the
+samples, the meta (integrator counters included) and, on the failure paths,
+the error type, message, time and partial trajectory must agree exactly.
 """
 
 import functools
 import math
+import random
 import threading
 
 import pytest
@@ -198,6 +200,25 @@ def reference_chain_rhs(n, u_fn, T_p=None):
     return f_tau
 
 
+def zero_input(w, t):
+    return 0.0
+
+
+_generated_program = S._program
+
+
+def reference_program(controller, open_loop):
+    """The law's generated program, with its vector fields replaced by the
+    reference fields around compiled_u (around zero_input on an open loop)."""
+    n, T_p = controller.config.n, controller.config.T_p
+    u_fn = zero_input if open_loop else controller.compiled_u
+    return _generated_program(controller, open_loop)._replace(
+        field=reference_chain_rhs(n, u_fn),
+        field_tau=reference_chain_rhs(n, u_fn, T_p),
+        free_field=reference_chain_rhs(n, zero_input),
+    )
+
+
 def outcome(run):
     """Everything a run leaves behind, in a form == compares bit for bit
     (repr tells -0.0 from 0.0 and keeps nan equal to itself)."""
@@ -214,7 +235,7 @@ def assert_same_as_reference(run, monkeypatch):
     generated = outcome(run)
     with monkeypatch.context() as m:
         m.setattr(S, "_adaptive_path", reference_path)
-        m.setattr(S, "_chain_rhs", reference_chain_rhs)
+        m.setattr(S, "_program", reference_program)
         reference = outcome(run)
     assert generated == reference
     return generated
@@ -348,6 +369,39 @@ def test_dense_stops_are_fourth_order_accurate(max_step):
     assert list(got) == stops
     assert max(abs(v / math.exp(t) - 1.0) for t, v in got.items()) < 1e-8
     assert stats["steps_accepted"] < len(stops)
+
+
+@pytest.mark.parametrize("kinds", [
+    ("linear",) * 3, ("tan",) * 3, ("logexp",) * 3, ("tan", "linear", "logexp"),
+], ids=["linear", "tan", "logexp", "mixed"])
+def test_program_fields_match_the_reference_fields(kinds):
+    # the law program's u and vector fields against reference_chain_rhs
+    # around compiled_u, by repr, so a -0.0 for a 0.0 fails
+    T_p = 0.5
+    stages = tuple(RcdfSpec(kind=RcdfKind(k), eta=e) for k, e in zip(kinds, (4.0, 3.0, 2.0)))
+    ctrl = synthesize(SynthesisConfig(n=3, c=0.0, T_p=T_p, stages=stages))
+    closed, opened = S._program(ctrl, False), S._program(ctrl, True)
+    assert opened.u is None
+    pairs = []
+    for program, u_fn in ((closed, ctrl.compiled_u), (opened, zero_input)):
+        pairs += [
+            (program.field, reference_chain_rhs(3, u_fn), T_p),
+            (program.field_tau, reference_chain_rhs(3, u_fn, T_p), 30.0),
+            (program.free_field, reference_chain_rhs(3, zero_input), T_p),
+        ]
+    rng = random.Random(5)
+    draws = [[rng.uniform(-2.0, 2.0) for _ in range(3)] for _ in range(100)]
+    signed_zeros = [[a, b, c] for a in (0.0, -0.0) for b in (0.0, -0.0) for c in (0.0, -0.0)]
+    for x in draws + signed_zeros:
+        for generated, reference, clock_end in pairs:
+            s = 0.0 if x in signed_zeros else rng.uniform(0.0, clock_end)
+            assert repr(generated(s, x)) == repr(reference(s, x))
+        t = rng.uniform(0.0, T_p)
+        assert repr(closed.u(x, t)) == repr(ctrl.compiled_u(x, t))
+    # one emission is enough: every z node is a node of u, so the program's
+    # u computes exactly the lines compile_expr does
+    u_def = closed.source.split("\n\ndef field(")[0]
+    assert len(u_def.splitlines()) == len(ctrl.compiled_u.__psis_source__.splitlines())
 
 
 def test_one_loop_per_dimension():

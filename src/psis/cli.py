@@ -212,6 +212,12 @@ _ROW_SETTLING = [
 ]
 
 
+def _scale_label(scale: float) -> str:
+    """The scale's :g text, or its repr where :g would merge it with another."""
+    text = f"{scale:g}"
+    return text if float(text) == scale else repr(scale)
+
+
 def _sweep_paths(csv_path: str, scales: list[float]) -> tuple[str, list[str]]:
     if "." in csv_path.rsplit("/", 1)[-1]:
         stem, dot, ext = csv_path.rpartition(".")
@@ -219,7 +225,7 @@ def _sweep_paths(csv_path: str, scales: list[float]) -> tuple[str, list[str]]:
     else:
         stem, ext = csv_path, ""
     summary = f"{stem}.sweep{ext}"
-    per_run = [f"{stem}.scale_{s:g}{ext}" for s in scales]
+    per_run = [f"{stem}.scale_{_scale_label(s)}{ext}" for s in scales]
     return summary, per_run
 
 
@@ -276,9 +282,9 @@ def _cmd_sweep(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     for row in report.rows:
         ev = row.evidence
         if ev is None:
-            print(f"scale {row.scale:g}: {row.state} {row.error}")
+            print(f"scale {_scale_label(row.scale)}: {row.state} {row.error}")
         else:
-            print(f"scale {row.scale:g}: {row.state} t_settle={ev.t_settle} "
+            print(f"scale {_scale_label(row.scale)}: {row.state} t_settle={ev.t_settle} "
                   f"floor={ev.pre_window_floor:.3e} "
                   f"standoff={ev.norm_at_standoff:.3e}")
     if report.spread is not None:

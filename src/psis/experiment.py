@@ -270,7 +270,9 @@ def load_config(path: str) -> ExperimentSpec:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, bytes that are not UTF-8, or an integer past
+        # the digit limit; RecursionError: arrays or objects nested too deep
         raise ConfigurationError(f"config {path!r} is not valid JSON: {exc}") from None
     return build_spec(data, base_dir=os.path.dirname(os.path.abspath(path)))
 

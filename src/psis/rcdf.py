@@ -17,6 +17,9 @@ at t = 0:
     linear:  zeta(v) = v                          v(t) = (T_p - t)^eta
     logexp:  zeta(v) = (1 - exp(-|v|)) * sign(v)  v(t) = ln(1 + (T_p - t)^eta)
 
+Each kernel is written down once, as one KernelForms record in KERNELS that
+holds every form of it; every other module reads the record.
+
 The tan closed form only exists while (T_p - t)^eta < pi/2; that guard is
 enforced here and nowhere else, because the synthesized controllers use the
 kernel itself, not the closed form.
@@ -27,8 +30,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
+from . import symdiff as sd
 from .errors import ConfigurationError, DomainError, SingularityError
 
 _HALF_PI = math.pi / 2.0
@@ -76,48 +80,63 @@ class RcdfSpec:
 # Names the kernel sources call.
 KERNEL_GLOBALS = {"atan": math.atan, "expm1": math.expm1, "copysign": math.copysign}
 
-# The float operations of every kernel, written once as a Python expression
-# in {v} for a finite v: zeta evaluates them compiled, and the simulator's
-# recorder inlines the same text.
-_KERNEL_SOURCES: dict[RcdfKind, str] = {
-    RcdfKind.TAN: "({v} * {v} + 1.0) * atan({v})",
-    RcdfKind.LINEAR: "{v}",
-    # 1 - exp(-|v|) via expm1 keeps precision for small |v|; sign(0) is 0
-    RcdfKind.LOGEXP: "0.0 if {v} == 0.0 else copysign(-expm1(-abs({v})), {v})",
-}
+
+class KernelForms(NamedTuple):
+    """Every form of one rate kernel zeta."""
+
+    source: str  # zeta's float operations, a Python expression in {v} for a finite v
+    function: Callable[[float], float]  # source compiled; DomainError at a non-finite v
+    expr: Callable[[sd.Expr], sd.Expr]  # zeta as an expression in v, for synthesis
+    closed: Callable[[float], float]  # closed-form v from s = (T_p - t)^eta
+    convex_bound: float  # x * zeta(x) is convex on [0, convex_bound]
 
 
 def _not_finite(v: float) -> float:
     raise DomainError(f"kernel argument must be finite, got {v!r}")
 
 
-def _compile_kernel(source: str) -> Callable[[float], float]:
+def _forms(source: str, expr: Callable[[sd.Expr], sd.Expr], closed: Callable[[float], float],
+           convex_bound: float = math.inf) -> KernelForms:
     body = source.format(v="v")
     namespace = {**KERNEL_GLOBALS, "isfinite": math.isfinite, "_not_finite": _not_finite}
-    return eval(f"lambda v: ({body}) if isfinite(v) else _not_finite(v)", namespace)
+    function = eval(f"lambda v: ({body}) if isfinite(v) else _not_finite(v)", namespace)
+    return KernelForms(source, function, expr, closed, convex_bound)
 
 
-_KERNEL_FUNCTIONS = {kind: _compile_kernel(src) for kind, src in _KERNEL_SOURCES.items()}
+def _tan_closed(s: float) -> float:
+    if s >= _HALF_PI:
+        raise DomainError(f"tan closed form needs (T_p - t)^eta < pi/2; got {s:.6g}")
+    return math.tan(s)
 
 
-def _table_entry(table: dict, kind: RcdfKind):
-    entry = table.get(kind)
-    if entry is None:
-        raise ConfigurationError(f"unhandled RCDF kind {kind!r}")
-    return entry
+KERNELS: dict[RcdfKind, KernelForms] = {
+    RcdfKind.TAN: _forms(
+        "({v} * {v} + 1.0) * atan({v})",
+        lambda v: (v * v + 1.0) * sd.Arctan(v),
+        _tan_closed,
+    ),
+    RcdfKind.LINEAR: _forms("{v}", lambda v: v, lambda s: s),
+    RcdfKind.LOGEXP: _forms(
+        # 1 - exp(-|v|) via expm1 keeps precision for small |v|; sign(0) is 0
+        "0.0 if {v} == 0.0 else copysign(-expm1(-abs({v})), {v})",
+        lambda v: (1.0 - sd.Exp(-sd.Abs(v))) * sd.Sign(v),
+        math.log1p,
+        convex_bound=2.0,  # (x zeta(x))'' = (2 - x) exp(-x) for x >= 0
+    ),
+}
 
 
 def kernel_source(kind: RcdfKind, name: str) -> str:
     """zeta(kind, name) as a parenthesized Python expression, for code that
     inlines the kernel at a finite name; KERNEL_GLOBALS holds the names it
     calls.  It performs zeta's float operations, so it gives the same bits."""
-    return f"({_table_entry(_KERNEL_SOURCES, kind).format(v=name)})"
+    return f"({KERNELS[kind].source.format(v=name)})"
 
 
 def kernel_function(kind: RcdfKind) -> Callable[[float], float]:
     """zeta(kind, .) as a function of v alone, for loops that evaluate one
     kernel many times: the kind is looked up once."""
-    return _table_entry(_KERNEL_FUNCTIONS, kind)
+    return KERNELS[kind].function
 
 
 def zeta(kind: RcdfKind, v: float) -> float:
@@ -156,19 +175,10 @@ def closed_form(spec: RcdfSpec, t: float, T_p: float) -> float:
     _check_horizon(T_p)
     if not math.isfinite(t) or t < 0.0 or t > T_p:
         raise DomainError(f"time must lie in [0, T_p={T_p}], got {t!r}")
-    s = (T_p - t) ** spec.eta
-    if spec.kind is RcdfKind.TAN:
-        if s >= _HALF_PI:
-            raise DomainError(
-                f"tan closed form needs (T_p - t)^eta < pi/2; "
-                f"got {s:.6g} at t={t} (T_p={T_p}, eta={spec.eta})"
-            )
-        return math.tan(s)
-    if spec.kind is RcdfKind.LINEAR:
-        return s
-    if spec.kind is RcdfKind.LOGEXP:
-        return math.log1p(s)
-    raise ConfigurationError(f"unhandled RCDF kind {spec.kind!r}")
+    try:
+        return KERNELS[spec.kind].closed((T_p - t) ** spec.eta)
+    except DomainError as exc:
+        raise DomainError(f"{exc} at t={t} (T_p={T_p}, eta={spec.eta})") from None
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ kernels.  A tiny expression tree over that vocabulary is simpler and easier
 to audit than a general computer-algebra dependency, so the engine lives
 here.
 
-Expressions are immutable frozen dataclasses, hash-consed at construction
+Expressions are immutable nodes, hash-consed at construction
 (Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", 2006): building a
 node structurally equal to a live one returns the live one.  An expression
 is therefore a DAG in which each distinct subexpression exists once, and
@@ -25,11 +25,13 @@ visited once, and the result is that of a walk over the tree the DAG stands
 for.  node_count still counts tree occurrences, a shared subexpression once
 per place it appears.
 
-The operator vocabulary lives in two tables, _BINARY_OPS and _UNARY_OPS,
-which give each node class its printed and compiled name and its float
-function; evaluate, simplify, to_infix and code_emitter all read them.  Pow
-keeps its own rules everywhere, because its exponent is part of the node.
-Only the derivative rules in _partial are spelt out per class.
+Each operator is declared once, as a subclass of _Binary or _Unary that
+states its printed and compiled name and its float function as class
+keywords (class Add(_Binary, name="+", fn=operator.add)).  evaluate,
+simplify, to_infix and code_emitter dispatch on those two bases and read the
+name and function from the node.  Pow keeps its own rules everywhere,
+because its exponent is part of the node.  Only the derivative rules in
+_partial are spelt out per class.
 
 Notes on conventions:
   * sign(0) evaluates to 0, matching the rate kernels.
@@ -47,8 +49,7 @@ import operator
 import struct
 import threading
 import weakref
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, TypeVar, Union
+from typing import Callable, Sequence, TypeVar, Union
 
 from .errors import EvaluationError, StructureError
 
@@ -66,7 +67,7 @@ class _Interned(type):
     def __call__(cls, *args, **kwargs):
         node = super().__call__(*args, **kwargs)  # normalizes and validates
         key = [cls]
-        for name in cls.__match_args__:  # the dataclass fields, in order
+        for name in cls.__match_args__:  # the node's fields, in order
             value = getattr(node, name)
             if type(value) is float:
                 if value != value:
@@ -78,10 +79,27 @@ class _Interned(type):
 
 
 class Expr(metaclass=_Interned):
-    """Base class for expression nodes; provides operator sugar."""
+    """Base class for expression nodes: immutable, printed like a dataclass
+    (Pow(base=TimeVar(), exponent=2.0)), with operator sugar."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)  # the intern table holds nodes weakly
     __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, name: str = "", fn: Callable[..., float] | None = None) -> None:
+        super().__init_subclass__()
+        if fn is not None:
+            cls.name = name
+            cls.fn = staticmethod(fn)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
         # copies and unpickled nodes go through the constructor, and so
@@ -124,109 +142,110 @@ def as_expr(value: "Expr | Number") -> Expr:
     raise StructureError(f"cannot lift {value!r} into an expression")
 
 
-@dataclass(frozen=True, eq=False)
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
+    __match_args__ = __slots__
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", float(self.value))
+    def __init__(self, value: float) -> None:
+        object.__setattr__(self, "value", float(value))
 
 
-@dataclass(frozen=True, eq=False)
 class StateVar(Expr):
     """State component x_index, 1-based."""
 
-    index: int
+    __slots__ = ("index",)
+    __match_args__ = __slots__
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.index, int) or self.index < 1:
-            raise StructureError(f"state index must be a positive int, got {self.index!r}")
+    def __init__(self, index: int) -> None:
+        if not isinstance(index, int) or index < 1:
+            raise StructureError(f"state index must be a positive int, got {index!r}")
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True, eq=False)
 class TimeVar(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Add(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True, eq=False)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True, eq=False)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True, eq=False)
-class Div(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True, eq=False)
 class Pow(Expr):
     """base raised to a fixed numeric exponent."""
 
-    base: Expr
-    exponent: float
+    __slots__ = ("base", "exponent")
+    __match_args__ = __slots__
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exponent", float(self.exponent))
+    def __init__(self, base: Expr, exponent: float) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", float(exponent))
         if not math.isfinite(self.exponent):
             raise StructureError(f"exponent must be finite, got {self.exponent!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class Sin(Expr):
-    arg: Expr
+class _Binary(Expr):
+    """An operator on two operands; name is its infix symbol."""
+
+    __slots__ = ("left", "right")
+    __match_args__ = __slots__
+    name: str
+    fn: Callable[[float, float], float]
+
+    def __init__(self, left: Expr, right: Expr) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True, eq=False)
-class Cos(Expr):
-    arg: Expr
+class Add(_Binary, name="+", fn=operator.add):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Tan(Expr):
-    arg: Expr
+class Sub(_Binary, name="-", fn=operator.sub):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Arctan(Expr):
-    arg: Expr
+class Mul(_Binary, name="*", fn=operator.mul):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Exp(Expr):
-    arg: Expr
+class Div(_Binary, name="/", fn=operator.truediv):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Ln(Expr):
-    arg: Expr
+class _Unary(Expr):
+    """A function of one operand; name is its printed and compiled name."""
+
+    __slots__ = ("arg",)
+    __match_args__ = __slots__
+    name: str
+    fn: Callable[[float], float]
+
+    def __init__(self, arg: Expr) -> None:
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True, eq=False)
-class Abs(Expr):
-    arg: Expr
+class Sin(_Unary, name="sin", fn=math.sin):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Sign(Expr):
-    arg: Expr
+class Cos(_Unary, name="cos", fn=math.cos):
+    __slots__ = ()
 
 
-# ---------------------------------------------------------------------------
-# operator tables
+class Tan(_Unary, name="tan", fn=math.tan):
+    __slots__ = ()
+
+
+class Arctan(_Unary, name="arctan", fn=math.atan):
+    __slots__ = ()
+
+
+class Exp(_Unary, name="exp", fn=math.exp):
+    __slots__ = ()
+
+
+class Ln(_Unary, name="ln", fn=math.log):
+    __slots__ = ()
+
+
+class Abs(_Unary, name="abs", fn=abs):
+    __slots__ = ()
 
 
 def _sign(v: float) -> float:
@@ -237,27 +256,8 @@ def _sign(v: float) -> float:
     return 0.0
 
 
-class _Op(NamedTuple):
-    name: str                     # infix symbol, or printed and compiled name
-    fn: Callable[..., float]      # the float function evaluate applies
-
-
-_BINARY_OPS: dict[type, _Op] = {
-    Add: _Op("+", operator.add),
-    Sub: _Op("-", operator.sub),
-    Mul: _Op("*", operator.mul),
-    Div: _Op("/", operator.truediv),
-}
-_UNARY_OPS: dict[type, _Op] = {
-    Sin: _Op("sin", math.sin),
-    Cos: _Op("cos", math.cos),
-    Tan: _Op("tan", math.tan),
-    Arctan: _Op("arctan", math.atan),
-    Exp: _Op("exp", math.exp),
-    Ln: _Op("ln", math.log),
-    Abs: _Op("abs", abs),
-    Sign: _Op("sign", _sign),
-}
+class Sign(_Unary, name="sign", fn=_sign):
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +265,9 @@ _UNARY_OPS: dict[type, _Op] = {
 
 
 def _children(node: Expr) -> tuple[Expr, ...]:
-    if type(node) in _BINARY_OPS:
+    if isinstance(node, _Binary):
         return (node.left, node.right)
-    if type(node) in _UNARY_OPS:
+    if isinstance(node, _Unary):
         return (node.arg,)
     if isinstance(node, Pow):
         return (node.base,)
@@ -351,23 +351,21 @@ def evaluate(expr: Expr, x: Sequence[float], t: float) -> float:
             return float(x[e.index - 1])
         if isinstance(e, TimeVar):
             return float(t)
-        op = _BINARY_OPS.get(type(e))
-        if op is not None:
+        if isinstance(e, _Binary):
             a = ev(e.left)
             b = ev(e.right)
             if b == 0.0 and isinstance(e, Div):
                 raise EvaluationError(f"division by zero at t={t!r}", "Div")
-            return op.fn(a, b)
+            return e.fn(a, b)
         if isinstance(e, Pow):
             return _pow(ev(e.base), e.exponent)
-        op = _UNARY_OPS.get(type(e))
-        if op is not None:
+        if isinstance(e, _Unary):
             a = ev(e.arg)
             kind = type(e).__name__
             if a <= 0.0 and isinstance(e, Ln):
                 raise EvaluationError(f"log of nonpositive value {a!r}", "Ln")
             try:
-                return op.fn(a)
+                return e.fn(a)
             except OverflowError:
                 raise EvaluationError(f"overflow in {kind}", kind) from None
             except ValueError:  # math domain error, e.g. tan(inf)
@@ -428,7 +426,7 @@ def _partial(e: Expr, d: Callable[[Expr], Expr], wrt: Expr) -> Expr:
         if e.exponent == 1.0:
             return inner
         return Mul(Mul(Const(e.exponent), Pow(e.base, e.exponent - 1.0)), inner)
-    if type(e) in _UNARY_OPS:
+    if isinstance(e, _Unary):
         inner = d(e.arg)
         if isinstance(e, Sin):
             outer: Expr = Cos(e.arg)
@@ -493,7 +491,7 @@ def _simplify(expr: Expr, simp: Callable[[Expr], Expr]) -> Expr:
     """One node's rewrite, where simp gives a child's simplified form."""
     if isinstance(expr, (Const, StateVar, TimeVar)):
         return expr
-    if type(expr) in _BINARY_OPS:
+    if isinstance(expr, _Binary):
         return _simplify_binary(type(expr), simp(expr.left), simp(expr.right))
     if isinstance(expr, Pow):
         base = simp(expr.base)
@@ -507,7 +505,7 @@ def _simplify(expr: Expr, simp: Callable[[Expr], Expr]) -> Expr:
             except EvaluationError:
                 pass
         return Pow(base, expr.exponent)
-    if type(expr) in _UNARY_OPS:
+    if isinstance(expr, _Unary):
         arg = simp(expr.arg)
         node = type(expr)(arg)
         if isinstance(arg, Const):
@@ -523,10 +521,10 @@ def _is_const(e: Expr, value: float) -> bool:
     return isinstance(e, Const) and e.value == value
 
 
-def _simplify_binary(op: type, a: Expr, b: Expr) -> Expr:
+def _simplify_binary(op: type[_Binary], a: Expr, b: Expr) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
         if op is not Div or b.value != 0.0:
-            return Const(_BINARY_OPS[op].fn(a.value, b.value))
+            return Const(op.fn(a.value, b.value))
     if op is Add:
         if _is_const(a, 0.0):
             return b
@@ -578,16 +576,14 @@ def to_infix(expr: Expr) -> str:
             return "t"
         if isinstance(e, Sub) and _is_const(e.left, 0.0):
             return f"(-{infix(e.right)})"
-        op = _BINARY_OPS.get(type(e))
-        if op is not None:
-            return f"({infix(e.left)} {op.name} {infix(e.right)})"
+        if isinstance(e, _Binary):
+            return f"({infix(e.left)} {e.name} {infix(e.right)})"
         if isinstance(e, Pow):
             p = e.exponent
             p_text = str(int(p)) if p == int(p) and abs(p) < 1e16 else repr(p)
             return f"({infix(e.base)} ^ {p_text})"
-        op = _UNARY_OPS.get(type(e))
-        if op is not None:
-            return f"{op.name}({infix(e.arg)})"
+        if isinstance(e, _Unary):
+            return f"{e.name}({infix(e.arg)})"
         raise StructureError(f"unknown node type {type(e).__name__}")
 
     return _walk(expr, text)
@@ -617,13 +613,13 @@ def code_emitter(lines: list[str]) -> Callable[[Expr], str]:
             return f"x[{e.index - 1}]"
         if isinstance(e, TimeVar):
             return "t"
-        if type(e) in _BINARY_OPS:
-            code = f"{name_of(e.left)} {_BINARY_OPS[type(e)].name} {name_of(e.right)}"
+        if isinstance(e, _Binary):
+            code = f"{name_of(e.left)} {e.name} {name_of(e.right)}"
         elif isinstance(e, Pow):
             # parenthesized base: ** binds tighter than a leading unary minus
             code = f"({name_of(e.base)}) ** {repr(e.exponent)}"
-        elif type(e) in _UNARY_OPS:
-            code = f"{_UNARY_OPS[type(e)].name}({name_of(e.arg)})"
+        elif isinstance(e, _Unary):
+            code = f"{e.name}({name_of(e.arg)})"
         else:
             raise StructureError(f"unknown node type {type(e).__name__}")
         name = f"v{next(count)}"
@@ -635,7 +631,7 @@ def code_emitter(lines: list[str]) -> Callable[[Expr], str]:
 
 # The names emitted code calls; repr() writes a non-finite constant as a
 # bare name.  Copy it before exec, which adds entries of its own.
-COMPILED_GLOBALS = {op.name: op.fn for op in _UNARY_OPS.values()}
+COMPILED_GLOBALS = {op.name: op.fn for op in _Unary.__subclasses__()}
 COMPILED_GLOBALS.update(inf=math.inf, nan=math.nan)
 
 

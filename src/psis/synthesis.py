@@ -28,24 +28,13 @@ from typing import Callable, Sequence
 
 from . import symdiff as sd
 from .errors import ConfigurationError, SingularityError, StructureError
-from .rcdf import RcdfKind, RcdfSpec, validate_stage_etas
-
-
-def kernel_expr(kind: RcdfKind, v: sd.Expr) -> sd.Expr:
-    """Rate kernel zeta as an expression in v."""
-    if kind is RcdfKind.TAN:
-        return (v * v + 1.0) * sd.Arctan(v)
-    if kind is RcdfKind.LINEAR:
-        return v
-    if kind is RcdfKind.LOGEXP:
-        return (1.0 - sd.Exp(-sd.Abs(v))) * sd.Sign(v)
-    raise ConfigurationError(f"unhandled RCDF kind {kind!r}")
+from .rcdf import KERNELS, RcdfSpec, validate_stage_etas
 
 
 def psi_expr(spec: RcdfSpec, v: sd.Expr, T_p: float) -> sd.Expr:
     """Rate law eta * zeta(v) / (T_p - t) as an expression in v and t."""
     gain = sd.Const(spec.eta) / (sd.Const(T_p) - sd.TimeVar())
-    return gain * kernel_expr(spec.kind, v)
+    return gain * KERNELS[spec.kind].expr(v)
 
 
 @dataclass(frozen=True)

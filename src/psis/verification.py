@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .errors import AuditError, ConfigurationError, DomainError, IntegrationError
-from .rcdf import RcdfKind, kernel_function, zeta
+from .rcdf import KERNELS, RcdfKind, kernel_function, zeta
 from .simulation import TERMINAL_WINDOW_START, PlantModel, SimConfig, Trajectory, simulate
 from .synthesis import Controller
 
@@ -131,8 +131,8 @@ def lyapunov_bounds(
             <= dV <=
         -2 n (min eta) (|z|_1 / n) zeta(|z|_1 / n) / (T_p - t).
 
-    For the logexp kernel the upper form relies on concavity of x*zeta(x),
-    which holds for |z|_1 / n <= 2 only; callers audit within that range.
+    The upper form needs x*zeta(x) convex over the |z_i|: everywhere for the
+    tan and linear kernels, on [0, 2] only for logexp (its convex_bound).
     """
     n = len(z)
     if n == 0 or len(etas) != n:
@@ -278,27 +278,19 @@ def lyapunov_audit(
 # concavity gap
 
 
-def _neg_x_zeta(kind: RcdfKind, bound: float | None) -> tuple[Callable, Callable, str]:
-    def h(x: float) -> float:
-        return -x * zeta(kind, x)
-
-    def ok(x: float) -> bool:
-        if x < 0.0:
-            return False
-        return bound is None or x <= bound
-
-    dom = f"[0, {bound}]" if bound is not None else "[0, inf)"
-    return h, ok, dom
+def _neg_x_zeta(kind: RcdfKind) -> tuple[Callable, Callable, str]:
+    kernel = kernel_function(kind)
+    bound = KERNELS[kind].convex_bound
+    dom = f"[0, {bound}]" if bound < math.inf else "[0, inf)"
+    return (lambda x: -x * kernel(x)), (lambda x: 0.0 <= x <= bound), dom
 
 
 _JENSEN_REGISTRY: dict[str, tuple[Callable, Callable, str]] = {
     "sqrt": (math.sqrt, lambda x: x >= 0.0, "[0, inf)"),
     "log1p": (math.log1p, lambda x: x >= 0.0, "[0, inf)"),
     "neg_square": (lambda x: -x * x, lambda x: True, "(-inf, inf)"),
-    # -x*zeta(x) per kernel family; concave on the stated domain only.
-    "neg_x_zeta_linear": _neg_x_zeta(RcdfKind.LINEAR, None),
-    "neg_x_zeta_tan": _neg_x_zeta(RcdfKind.TAN, None),
-    "neg_x_zeta_logexp": _neg_x_zeta(RcdfKind.LOGEXP, 2.0),
+    # -x*zeta(x) per kernel family; concave where x*zeta(x) is convex only.
+    **{f"neg_x_zeta_{kind.value}": _neg_x_zeta(kind) for kind in RcdfKind},
 }
 
 

@@ -154,6 +154,19 @@ class TestConfigFailures:
         assert main(["simulate", "--config", missing]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [
+        b'{"run_id": "\xff"}',                      # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,             # nested past the recursion limit
+        b'{"run_id": ' + b"1" * 5000 + b"}",         # past the integer digit limit
+    ], ids=["not-utf8", "too-deep", "huge-integer"])
+    def test_undecodable_config_file(self, tmp_path, capsys, content):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(content)
+        assert main(["verify", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config {str(cfg)!r} is not valid JSON: ")
+        assert "Traceback" not in err
+
     def test_bad_schema(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"plant": {"type": "chain", "n": 2}})
         assert main(["simulate", "--config", cfg]) == 2
@@ -405,6 +418,16 @@ class TestSweep:
         summary, per_run = _sweep_paths("/out/run.csv", [0.5, 2.0])
         assert summary == "/out/run.sweep.csv"
         assert per_run == ["/out/run.scale_0.5.csv", "/out/run.scale_2.csv"]
+
+    def test_distinct_scales_get_distinct_files(self, tmp_path, capsys):
+        # 1.0000001 prints as 1 under :g, so its name falls back to repr
+        cfg = write_config(tmp_path, chain_data())
+        assert main(["sweep", "--config", cfg, "--scales", "1,1.0000001"]) == 0
+        assert (tmp_path / "chain2.scale_1.csv").exists()
+        assert (tmp_path / "chain2.scale_1.0000001.csv").exists()
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("scale 1: ")
+        assert lines[1].startswith("scale 1.0000001: ")
 
     def test_passing_sweep_writes_everything(self, tmp_path, capsys):
         data = chain_data(verify={"scales": [0.5, 2.0]})

@@ -376,8 +376,9 @@ class TestCompile:
             expected = evaluate(e, x, t)
             assert math.isfinite(expected)
             assert fn(x, t) == pytest.approx(expected, rel=1e-15, abs=1e-300)
-        # every entry of the operator tables, and Pow, was exercised
-        assert drawn == set(sd._BINARY_OPS) | set(sd._UNARY_OPS) | {Pow}
+        # every operator class, and Pow, was exercised
+        operators = set(sd._Binary.__subclasses__()) | set(sd._Unary.__subclasses__())
+        assert drawn == operators | {Pow}
 
     def test_shared_subtrees_evaluated_once(self):
         shared = Mul(Add(X1, Const(1.0)), Sin(X1))
@@ -430,6 +431,47 @@ def doubling(leaf, times):
     for _ in range(times):
         e = Add(e, e)
     return e
+
+
+class TestNodeClasses:
+    NODES = [Const(0.5), X1, T, Pow(T, 2.0), Add(X1, T), Div(X2, X1), Sin(X1), Sign(T)]
+
+    @pytest.mark.parametrize("node", NODES, ids=lambda node: type(node).__name__)
+    def test_nodes_are_immutable(self, node):
+        for name in (*node.__match_args__, "other"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, Const(1.0))
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        assert not hasattr(node, "__dict__")
+
+    def test_repr_names_the_fields(self):
+        assert repr(Pow(T, 2)) == "Pow(base=TimeVar(), exponent=2.0)"
+        assert repr(Sub(X1, Const(-0.0))) == "Sub(left=StateVar(index=1), right=Const(value=-0.0))"
+        assert repr(Arctan(Abs(X2))) == "Arctan(arg=Abs(arg=StateVar(index=2)))"
+
+    def test_positional_patterns_match_the_fields(self):
+        def shape(e):
+            match e:
+                case Const(value):
+                    return ("const", value)
+                case StateVar(index):
+                    return ("x", index)
+                case TimeVar():
+                    return ("t",)
+                case Pow(base, exponent):
+                    return ("pow", shape(base), exponent)
+                case Mul(left, right) | Add(left, right):
+                    return (type(e).__name__, shape(left), shape(right))
+                case Exp(arg):
+                    return ("exp", shape(arg))
+            return None
+
+        e = Add(Mul(Const(2.0), Pow(X1, 3.0)), Exp(T))
+        assert shape(e) == (
+            "Add", ("Mul", ("const", 2.0), ("pow", ("x", 1), 3.0)), ("exp", ("t",))
+        )
+        assert shape(Div(X1, X2)) is None
 
 
 class TestInterning:

@@ -117,9 +117,10 @@ KERNELS: dict[RcdfKind, KernelForms] = {
     ),
     RcdfKind.LINEAR: _forms("{v}", lambda v: v, lambda s: s),
     RcdfKind.LOGEXP: _forms(
-        # 1 - exp(-|v|) via expm1 keeps precision for small |v|; sign(0) is 0
+        # 1 - exp(-|v|) via expm1 keeps precision for small |v|; sign(0) is 0.
+        # sd.Satexp's float function performs the same operations.
         "0.0 if {v} == 0.0 else copysign(-expm1(-abs({v})), {v})",
-        lambda v: (1.0 - sd.Exp(-sd.Abs(v))) * sd.Sign(v),
+        sd.Satexp,
         math.log1p,
         convex_bound=2.0,  # (x zeta(x))'' = (2 - x) exp(-x) for x >= 0
     ),

@@ -740,12 +740,13 @@ def make(c, traj):
 
     def record(t, x):
 $body
+        row_u = $u
         row_x = $x
         V = $V
         dV = -2.0 / ($T_p - t) * ($decay)
         add_t(t)
         add_x(row_x)
-        add_u($u)
+        add_u(row_u)
         add_z(z)
         add_V(V)
         add_dV(dV)
@@ -765,9 +766,12 @@ def _tuple_text(items: Sequence[str]) -> str:
 
 
 def _program_source(controller: Controller, open_loop: bool) -> str:
-    """The simulator's code for a zero-setpoint law, from one walk of its
-    DAG: the z nodes, then the nodes u needs beyond them (every z node is
-    a node of u).  It defines u(x, t) (none on an open loop, where u is the
+    """The simulator's code for a zero-setpoint law, from one emission of
+    its DAG with the z's and u as roots (the z's alone on an open loop):
+    the z nodes, then the nodes u needs beyond them (every z node is a node
+    of u).  A node read in one place is written inline; a z that u also
+    reads is read twice, so it keeps a local, and the record body names it.
+    It defines u(x, t) (none on an open loop, where u is the
     literal 0.0), the chain's field(t, x) = [x[1], ..., x[n-1], u(x, t)],
     field_tau(tau, x), the same times T_p - t on the clock
     tau = -ln((T_p - t)/T_p), the input-free free_field(t, x), and
@@ -775,16 +779,19 @@ def _program_source(controller: Controller, open_loop: bool) -> str:
     the row of the setpoint-shifted state x at time t to traj's columns:
     record before T_p, checking that z is finite before u's own nodes and
     inlining each stage's kernel in V and dV; record_free from T_p on.
+    record computes u before it appends anything, so a u that raises
+    leaves no partial row.
     Every value keeps the float operations of evaluating each z and u on
     its own and of summing V and dV stage by stage, so it is the same bits.
     """
     sc = controller.config
+    roots = list(controller.z_exprs) if open_loop else [*controller.z_exprs, controller.u_expr]
     lines: list[str] = []
-    emit = sd.code_emitter(lines)
-    roots = [emit(z) for z in controller.z_exprs]
+    emit = sd.code_emitter(roots, lines)
+    z_values = [emit(z) for z in controller.z_exprs]
     z_lines = lines[:]
     z = [f"z{i}" for i in range(1, sc.n + 1)]
-    record = z_lines + [f"{zi} = {root}" for zi, root in zip(z, roots)] + [
+    record = z_lines + [f"{zi} = {value}" for zi, value in zip(z, z_values)] + [
         f"z = {_tuple_text(z)}",
         f"if not ({' and '.join(f'isfinite({zi})' for zi in z)}):",
         '    raise DivergenceError(f"stage errors are not finite: z={z!r}", t)',

@@ -3,9 +3,10 @@
 Backstepping needs the exact time derivative of each virtual reference, and
 those references are built from a fixed vocabulary: arithmetic, powers with
 numeric exponents, and the handful of transcendentals appearing in the rate
-kernels.  A tiny expression tree over that vocabulary is simpler and easier
-to audit than a general computer-algebra dependency, so the engine lives
-here.
+kernels.  The logexp kernel is one node of its own, Satexp, because written
+out as (1 - exp(-|v|)) sign(v) it loses every digit for small |v|.  A tiny
+expression tree over that vocabulary is simpler and easier to audit than a
+general computer-algebra dependency, so the engine lives here.
 
 Expressions are immutable nodes, hash-consed at construction
 (Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", 2006): building a
@@ -24,6 +25,12 @@ runs through _walk, which keeps a memo on node identity for the one call
 visited once, and the result is that of a walk over the tree the DAG stands
 for.  node_count still counts tree occurrences, a shared subexpression once
 per place it appears.
+
+code_emitter turns the DAG into straight-line Python.  It counts up front
+how many places read each node, so a node read once is written inline in
+its reader's expression and only a node read more than once costs a local
+store and loads; the operations and their operands do not change, so
+neither do the values.
 
 Each operator is declared once, as a subclass of _Binary or _Unary that
 states its printed and compiled name and its float function as class
@@ -260,6 +267,17 @@ class Sign(_Unary, name="sign", fn=_sign):
     __slots__ = ()
 
 
+def _satexp(v: float) -> float:
+    # 1 - exp(-|v|) through expm1 keeps every digit for small |v|
+    return 0.0 if v == 0.0 else math.copysign(-math.expm1(-abs(v)), v)
+
+
+class Satexp(_Unary, name="satexp", fn=_satexp):
+    """(1 - exp(-|v|)) sign(v) as one exact node: the logexp rate kernel."""
+
+    __slots__ = ()
+
+
 # ---------------------------------------------------------------------------
 # walking the DAG
 
@@ -274,12 +292,12 @@ def _children(node: Expr) -> tuple[Expr, ...]:
     return ()
 
 
-def _nodes(expr: Expr) -> list[Expr]:
-    """Each distinct node once, children before parents; an explicit stack,
-    so deep expressions do not hit the recursion limit."""
+def _nodes(*roots: Expr) -> list[Expr]:
+    """Each distinct node under roots once, children before parents; an
+    explicit stack, so deep expressions do not hit the recursion limit."""
     seen: set[Expr] = set()
     order: list[Expr] = []
-    stack = [(expr, False)]
+    stack = [(root, False) for root in roots]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -444,6 +462,8 @@ def _partial(e: Expr, d: Callable[[Expr], Expr], wrt: Expr) -> Expr:
             # Derivative taken as sign(a) * a'; the kink at 0 is resolved to 0,
             # consistent with sign(0) = 0.
             outer = Sign(e.arg)
+        elif isinstance(e, Satexp):
+            outer = Exp(Sub(Const(0.0), Abs(e.arg)))
         else:  # Sign: flat away from 0, and 0 is assigned slope 0
             return Const(0.0)
         return Mul(outer, inner)
@@ -593,40 +613,70 @@ def to_infix(expr: Expr) -> str:
 # compilation
 
 
-def code_emitter(lines: list[str]) -> Callable[[Expr], str]:
-    """A function emit(expr) that appends to lines the straight-line code
-    computing expr at (x, t), one assignment to a local v<k> per distinct
-    node, and returns the local, literal, x[j] or t that holds its value.
+# The deepest bracket nesting an inlined operand may reach; a single-use node
+# that would nest deeper gets a local.  CPython refuses 200 nested brackets,
+# and its parser and compiler recurse once or more per level.
+_INLINE_DEPTH = 40
 
-    Nodes emitted by an earlier call are not emitted again, so the roots of
-    one program share their common subexpressions; other code may be
-    appended to lines between calls.  The code performs no domain checking
-    (see compile_expr), and COMPILED_GLOBALS holds the names it calls.
+
+def code_emitter(roots: Sequence[Expr], lines: list[str]) -> Callable[[Expr], str]:
+    """A function emit(root) that appends to lines the straight-line code
+    computing one of roots at (x, t) and returns the expression that holds
+    its value: a local, a literal, x[j], t, or inline code.
+
+    A node is read once per place that reads it: once by each parent slot
+    that holds it, and once for each time it is listed in roots.  A node
+    read once is written inline, parenthesized, inside its reader's code,
+    unless that would nest brackets deeper than _INLINE_DEPTH.  Any other
+    operation node gets an assignment to a local v<k>.  Inlining keeps each
+    operation's operands and tree, and Python does not reassociate float
+    arithmetic, so every value is the same bits as with one local per node.
+
+    Call emit on each root once, in any order; nodes emitted by an earlier
+    call are not emitted again, so the roots share their common
+    subexpressions, and other code may be appended to lines between calls.
+    The code performs no domain checking (see compile_expr), and
+    COMPILED_GLOBALS holds the names it calls.
     """
-    memo: dict[Expr, str] = {}
+    reads = dict.fromkeys(_nodes(*roots), 0)
+    for root in roots:
+        reads[root] += 1
+    for node in reads:
+        for child in _children(node):
+            reads[child] += 1
+    memo: dict[Expr, tuple[str, int]] = {}
     count = itertools.count()
 
-    def step(e: Expr, name_of: Callable[[Expr], str]) -> str:
+    def step(e: Expr, operand: Callable[[Expr], tuple[str, int]]) -> tuple[str, int]:
+        """e's text and the bracket depth the text nests to."""
         if isinstance(e, Const):
-            return repr(e.value)
+            return repr(e.value), 0
         if isinstance(e, StateVar):
-            return f"x[{e.index - 1}]"
+            return f"x[{e.index - 1}]", 1
         if isinstance(e, TimeVar):
-            return "t"
+            return "t", 0
         if isinstance(e, _Binary):
-            code = f"{name_of(e.left)} {e.name} {name_of(e.right)}"
+            (a, a_depth), (b, b_depth) = operand(e.left), operand(e.right)
+            code = f"{a} {e.name} {b}"
+            inline, depth = f"({code})", max(a_depth, b_depth) + 1
         elif isinstance(e, Pow):
             # parenthesized base: ** binds tighter than a leading unary minus
-            code = f"({name_of(e.base)}) ** {repr(e.exponent)}"
+            a, a_depth = operand(e.base)
+            code = f"({a}) ** {e.exponent!r}"
+            inline, depth = f"({code})", a_depth + 2
         elif isinstance(e, _Unary):
-            code = f"{e.name}({name_of(e.arg)})"
+            a, a_depth = operand(e.arg)
+            code = inline = f"{e.name}({a})"
+            depth = a_depth + 1
         else:
             raise StructureError(f"unknown node type {type(e).__name__}")
+        if reads[e] == 1 and depth <= _INLINE_DEPTH:
+            return inline, depth
         name = f"v{next(count)}"
         lines.append(f"{name} = {code}")
-        return name
+        return name, 0
 
-    return lambda expr: _walk(expr, step, memo)
+    return lambda root: _walk(root, step, memo)[0]
 
 
 # The names emitted code calls; repr() writes a non-finite constant as a
@@ -639,7 +689,7 @@ def compile_expr(expr: Expr, n_states: int) -> Callable[[Sequence[float], float]
     """Compile expr into a plain Python function f(x, t) -> float.
 
     Used in integration inner loops where tree-walking evaluation is too
-    slow.  Each distinct subexpression is computed once, into its own local.
+    slow.  Each distinct subexpression is computed once (see code_emitter).
     The compiled code performs no domain checking: at singular points it
     raises whatever the underlying arithmetic raises (ZeroDivisionError,
     ValueError), so callers must gate the input region themselves, as
@@ -651,7 +701,7 @@ def compile_expr(expr: Expr, n_states: int) -> Callable[[Sequence[float], float]
             f"expression uses x{max(used)} but was compiled for {n_states} states"
         )
     lines: list[str] = []
-    result = code_emitter(lines)(expr)
+    result = code_emitter([expr], lines)(expr)
     body = "\n".join(f"    {line}" for line in lines)
     source = f"def _compiled(x, t):\n{body}\n    return {result}\n"
     namespace = dict(COMPILED_GLOBALS)

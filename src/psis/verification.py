@@ -220,7 +220,8 @@ def lyapunov_audit(
     a three-point stencil on the non-uniform sample times; its deviation from
     the recorded dV is reported as a residual normalized by max(1, |dV|),
     over [0.05 T_p, 0.95 T_p] (away from the endpoints, where the stencil is
-    one-sided or the dynamics are singular).
+    one-sided or the dynamics are singular).  A sample that shares its time
+    with a neighbour has no three-point slope and no residual.
     """
     kinds = traj.meta.get("kinds", [])
     problem = mixed_kernels(kinds)
@@ -256,6 +257,8 @@ def lyapunov_audit(
             continue
         h1 = t[i] - t[i - 1]
         h2 = t[i + 1] - t[i]
+        if h1 == 0.0 or h2 == 0.0:
+            continue
         slope = (
             -V[i - 1] * h2 / (h1 * (h1 + h2))
             + V[i] * (h2 - h1) / (h1 * h2)

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+import psis.symdiff as sd
 from psis.errors import ConfigurationError, DomainError, SingularityError
 from psis.rcdf import (
+    KERNELS,
     RcdfKind,
     RcdfSpec,
     closed_form,
@@ -71,6 +73,16 @@ class TestZeta:
         # expm1 keeps 1 - exp(-v) accurate where naive subtraction loses digits
         v = 1e-12
         assert zeta(RcdfKind.LOGEXP, v) == pytest.approx(v, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.value)
+    def test_symbolic_kernel_is_the_float_kernel(self, kind):
+        # the form synthesis differentiates gives zeta's bits, tiny v included
+        expr = KERNELS[kind].expr(sd.StateVar(1))
+        fn = sd.compile_expr(expr, 1)
+        for v in (1e-17, -1e-17, 5e-324, 0.0, -0.0, 0.3, -2.5, 1e-8, 40.0):
+            want = repr(zeta(kind, v))
+            assert repr(sd.evaluate(expr, [v], 0.0)) == want
+            assert repr(fn([v], 0.0)) == want
 
     def test_all_kernels_odd(self):
         rng = random.Random(20260816)

@@ -8,9 +8,11 @@ samples, the meta (integrator counters included) and, on the failure paths,
 the error type, message, time and partial trajectory must agree exactly.
 """
 
+import collections
 import functools
 import math
 import random
+import re
 import threading
 
 import pytest
@@ -399,9 +401,28 @@ def test_program_fields_match_the_reference_fields(kinds):
         t = rng.uniform(0.0, T_p)
         assert repr(closed.u(x, t)) == repr(ctrl.compiled_u(x, t))
     # one emission is enough: every z node is a node of u, so the program's
-    # u computes exactly the lines compile_expr does
-    u_def = closed.source.split("\n\ndef field(")[0]
-    assert len(u_def.splitlines()) == len(ctrl.compiled_u.__psis_source__.splitlines())
+    # u, and the z's and u of its recorder, perform exactly the operations
+    # compile_expr's u does, and their only extra locals hold z roots that
+    # compile_expr writes inline
+    u_body = closed.source.split("\n\ndef field(")[0].splitlines()[1:]
+    compiled_body = ctrl.compiled_u.__psis_source__.splitlines()[1:]
+    assert operations(u_body) == operations(compiled_body)
+    record = closed.source.split("def record(t, x):\n")[1].split("row_x = ")[0]
+    law_lines = [line for line in record.splitlines() if re.match(r" *(v|z|row_u)", line)]
+    assert operations(law_lines) == operations(compiled_body)
+    z_locals = re.findall(r"^ *z\d+ = v\d+$", closed.source, re.MULTILINE)
+    extra = local_count(u_body) - local_count(compiled_body)
+    assert 0 <= extra <= len(z_locals)
+
+
+def operations(lines):
+    """How many times each operator and function appears in lines of
+    generated code."""
+    return collections.Counter(re.findall(r" (\*\*|[-+*/]) |\b([a-z]+)\(", "\n".join(lines)))
+
+
+def local_count(lines):
+    return sum(1 for line in lines if re.match(r" *v\d+ = ", line))
 
 
 def test_one_loop_per_dimension():

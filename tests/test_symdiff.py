@@ -25,6 +25,7 @@ from psis.symdiff import (
     Ln,
     Mul,
     Pow,
+    Satexp,
     Sign,
     Sin,
     StateVar,
@@ -83,6 +84,13 @@ class TestEvaluate:
         assert evaluate(Exp(X1), x, 0.0) == math.exp(0.7)
         assert evaluate(Ln(X1), x, 0.0) == math.log(0.7)
         assert evaluate(Abs(X1), [-0.7], 0.0) == 0.7
+        assert evaluate(Satexp(X1), [-0.7], 0.0) == math.expm1(-0.7)
+
+    def test_satexp_keeps_small_arguments(self):
+        # 1 - exp(-|v|) written out is exactly 0 below about 1.1e-16
+        for v, want in ((1e-17, 1e-17), (-1e-300, -1e-300), (5e-324, 5e-324),
+                        (0.0, 0.0), (-0.0, 0.0)):
+            assert repr(evaluate(Satexp(X1), [v], 0.0)) == repr(want)
 
     def test_sign_zero_is_zero(self):
         assert evaluate(Sign(X1), [0.0], 0.0) == 0.0
@@ -169,6 +177,9 @@ class TestPartial:
             (Arctan(Mul(X1, X1)), [0.8]),
             (Exp(Sub(X1, X2)), [0.5, 0.2]),
             (Ln(Add(Mul(X1, X1), Const(1.0))), [0.9]),
+            (Satexp(Sub(X1, X2)), [0.5, 0.2]),
+            (Satexp(Mul(X1, X1)), [-0.6]),
+            (Satexp(X1), [-0.3]),
         ]
         for expr, x in cases:
             for idx in sorted(state_indices(expr)):
@@ -187,6 +198,11 @@ class TestPartial:
         assert evaluate(d, [3.0], 0.0) == 1.0
         # the kink is resolved to slope 0, matching sign(0) = 0
         assert evaluate(d, [0.0], 0.0) == 0.0
+
+    def test_satexp_slope_is_one_at_zero(self):
+        # (1 - exp(-|v|)) sign(v) has slope exp(-|v|), so 1 at the origin
+        d = partial(Satexp(X1), X1)
+        assert [evaluate(d, [v], 0.0) for v in (0.0, -0.0, 2.0)] == [1.0, 1.0, math.exp(-2.0)]
 
     def test_sign_derivative_is_zero(self):
         d = partial(Sign(X1), X1)
@@ -340,7 +356,7 @@ class TestCompile:
         rng = random.Random(77)
         leaves = [X1, X2, X3, T, Const(0.5), Const(1.5)]
         binary = [Add, Sub, Mul, Div]
-        unary = [Sin, Cos, Tan, Arctan, Exp, Ln, Abs, Sign]
+        unary = [Sin, Cos, Tan, Arctan, Exp, Ln, Abs, Sign, Satexp]
         drawn = set()
 
         def positive(e):

@@ -239,6 +239,19 @@ class TestLyapunovAudit:
         audit = lyapunov_audit(bad)
         assert audit.max_equality_residual > 100.0 * clean.max_equality_residual
 
+    def test_repeated_time_has_no_residual(self):
+        # times may repeat; the stencil skips the two rows of a repeated
+        # time, and every other row keeps its neighbours' gaps
+        traj = pendulum_run()
+        clean = lyapunov_audit(traj)
+        victim = traj.samples.index(traj.sample_at(0.201))
+        samples = traj.samples
+        samples.insert(victim, samples[victim])
+        audit = lyapunov_audit(Trajectory(samples=samples, meta=dict(traj.meta)))
+        assert audit.passes
+        assert audit.n_audited == clean.n_audited + 1
+        assert 0.0 < audit.max_equality_residual <= clean.max_equality_residual
+
     def test_corrupted_decay_rate_breaks_the_envelope(self):
         # the envelope judges the recorded dV, so a rate that is off shows
         # as a bound violation at its own sample, not just in the residual

@@ -387,6 +387,11 @@ _D1, _D3, _D4, _D5, _D6, _D7 = (
 _ARITHMETIC_ERRORS = (OverflowError, ZeroDivisionError, ValueError)
 
 
+def _unevaluable(exc: Exception, t: float) -> DivergenceError:
+    """The error of a sample at t whose float arithmetic raised exc."""
+    return DivergenceError(f"sample could not be evaluated: {exc}", t)
+
+
 class _RhsFailure(Exception):
     """Internal: the vector field raised or returned garbage at a trial point."""
 
@@ -411,7 +416,7 @@ def _estimate_text(err: float | None) -> str:
 # _stepper_source: every vector is spelt out as scalar locals, so a stage
 # costs no list comprehension, no generator and no helper call.
 _STEPPER_TEMPLATE = string.Template('''\
-def stepper(f, y_start, t0, stops, rtol, atol, max_step, stats, on_stop, on_step):
+def stepper(f, y_start, t0, stops, labels, rtol, atol, max_step, stats, on_stop, on_step):
     [$y] = [float(v) for v in y_start]
     t = t0
     t_span = abs(stops[-1])
@@ -501,7 +506,7 @@ $dense_lines
                         s = stops[stop_idx]
                         th = (s - t) / h
                         th1 = 1.0 - th
-                        on_stop(stop_idx, s, [$dense])
+                        on_stop(labels[stop_idx], [$dense])
                         stop_idx += 1
                 t = t_new
                 # the trial state is taken; its stage is the next step's
@@ -509,11 +514,11 @@ $dense_lines
 $accept_lines
                 if hitting:
                     y = [$y]
-                    on_stop(last, t, y)
+                    on_stop(labels[last], y)
                     return y
                 if stops[stop_idx] == t:
                     # a step that ends on a stop records it once, exactly
-                    on_stop(stop_idx, t, [$y])
+                    on_stop(labels[stop_idx], [$y])
                     stop_idx += 1
                 elif on_step is not None:
                     on_step(t, [$y])
@@ -657,18 +662,20 @@ def _adaptive_path(
     y0: Sequence[float],
     t0: float,
     stops: Sequence[float],
+    labels: Sequence[float],
     *,
     rtol: float,
     atol: float,
     max_step: float,
     stats: dict,
-    on_stop: Callable[[int, float, list[float]], None],
+    on_stop: Callable[[float, list[float]], None],
     on_step: Callable[[float, list[float]], None] | None = None,
 ) -> list[float]:
     """Integrate y' = f(t, y) from t0 through every time in stops.
 
-    stops must be strictly increasing and start after t0.  on_stop(i, t, y)
-    fires at stops[i], in order.  Only the last stop is landed on: steps are
+    stops must be strictly increasing and start after t0.  on_stop(labels[i],
+    y) fires at stops[i], in order, so a sample recorder can take it as it
+    is: one call per stop.  Only the last stop is landed on: steps are
     clipped to it and its state is the step's own.  An earlier stop takes
     the dense output of the accepted step that covers it, unless a step
     ends on it bit for bit, which records that step's state once.  on_step
@@ -678,7 +685,7 @@ def _adaptive_path(
     vector field rejected).
     """
     return _stepper(len(y0))(
-        f, y0, t0, stops, rtol, atol, max_step, stats, on_stop, on_step
+        f, y0, t0, stops, labels, rtol, atol, max_step, stats, on_stop, on_step
     )
 
 
@@ -739,11 +746,14 @@ def make(c, traj):
     add_z, add_V, add_dV = traj.z.append, traj.V.append, traj.dV.append
 
     def record(t, x):
+        try:
 $body
-        row_u = $u
-        row_x = $x
-        V = $V
-        dV = -2.0 / ($T_p - t) * ($decay)
+            row_u = $u
+            row_x = $x
+            V = $V
+            dV = -2.0 / ($T_p - t) * ($decay)
+        except _ARITHMETIC_ERRORS as exc:
+            raise _unevaluable(exc, t) from None
         add_t(t)
         add_x(row_x)
         add_u(row_u)
@@ -780,7 +790,9 @@ def _program_source(controller: Controller, open_loop: bool) -> str:
     record before T_p, checking that z is finite before u's own nodes and
     inlining each stage's kernel in V and dV; record_free from T_p on.
     record computes u before it appends anything, so a u that raises
-    leaves no partial row.
+    leaves no partial row; float arithmetic that fails in it (an overflow,
+    a division by zero) raises DivergenceError at t.  The stepper calls
+    record itself at each stop, so a sample costs one Python call.
     Every value keeps the float operations of evaluating each z and u on
     its own and of summing V and dV stage by stage, so it is the same bits.
     """
@@ -810,7 +822,7 @@ def _program_source(controller: Controller, open_loop: bool) -> str:
         entries=", ".join(shifts + [u_call]),
         entries_tau=", ".join(f"gap * {e}" for e in shifts + [u_call]),
         free_entries=", ".join(shifts + ["0.0"]),
-        body="\n".join(" " * 8 + line for line in record),
+        body="\n".join(" " * 12 + line for line in record),
         # + 0.0 as in adding the offset (c, 0, ..., 0): it turns -0.0 into 0.0
         x=_tuple_text(["x[0] + c"] + [f"x[{j}] + 0.0" for j in range(1, sc.n)]),
         u=u,
@@ -841,6 +853,8 @@ def _program(controller: Controller, open_loop: bool) -> _Program:
             **KERNEL_GLOBALS,
             "isfinite": math.isfinite,
             "DivergenceError": DivergenceError,
+            "_ARITHMETIC_ERRORS": _ARITHMETIC_ERRORS,
+            "_unevaluable": _unevaluable,
         }
         exec(compile(source, "<psis.program>", "exec"), namespace)
         program = _Program(*map(namespace.get, _Program._fields[:-1]), source)
@@ -895,44 +909,38 @@ def _run_phases(
     instant with one Euler step of rhs_cross, records the state at T_p, and
     integrates rhs_post over the post-instant grid.  record_pre and
     record_post append the row of (t, state) to the columns of the empty
-    trajectory traj, before and from T_p on.  The trajectory is labelled
-    with meta plus the integrator counters, and so is the partial one
-    attached to an integration breakdown.  A
-    pre-instant sample whose control or stage errors fail in float
-    arithmetic, or whose stage errors are not finite, ends the run with a
-    DivergenceError at that sample's t.
+    trajectory traj, before and from T_p on; the stepper calls them
+    directly.  A sample that record_pre cannot evaluate (its float
+    arithmetic fails, or its stage errors are not finite) raises
+    DivergenceError at that sample's t, and ends the run.  The trajectory
+    is labelled with meta plus the integrator counters, and so is the
+    partial one attached to an integration breakdown.
     """
     stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
     window_start = TERMINAL_WINDOW_START * cfg.T_p
-
-    def pre(t: float, w: Sequence[float]) -> None:
-        try:
-            record_pre(t, w)
-        except _ARITHMETIC_ERRORS as exc:
-            raise DivergenceError(f"sample could not be evaluated: {exc}", t) from None
 
     on_step = None
     if leg.to_t is not None:
         def on_step(s: float, w: list[float]) -> None:
             t = leg.to_t(s)
             if t >= window_start:
-                pre(t, w)
+                record_pre(t, w)
 
     try:
-        pre(0.0, w0)
+        record_pre(0.0, w0)
         w = _adaptive_path(
-            leg.rhs, w0, 0.0, leg.stops,
+            leg.rhs, w0, 0.0, leg.stops, leg.labels,
             rtol=cfg.rtol, atol=cfg.atol, max_step=leg.max_step, stats=stats,
-            on_stop=lambda i, s, w: pre(leg.labels[i], w), on_step=on_step,
+            on_stop=record_pre, on_step=on_step,
         )
         w = _cross_instant(rhs_cross, w, cfg, stats)
         record_post(cfg.T_p, w)
         post = _post_grid(cfg)
         if post:
             _adaptive_path(
-                rhs_post, w, cfg.T_p, post,
+                rhs_post, w, cfg.T_p, post, post,
                 rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step, stats=stats,
-                on_stop=lambda i, t, w: record_post(t, w),
+                on_stop=record_post,
             )
     except (StiffnessError, DivergenceError) as exc:
         exc.partial = traj
@@ -984,8 +992,9 @@ def simulate(plant: PlantModel, controller: Controller, cfg: SimConfig) -> Traje
         # tau = -ln((T_p - t)/T_p) runs from 0 to the standoff, stopping at
         # ln(T_p/(T_p - t_k)) for every grid point t_k and at ln(T_p/eps_stop)
         # for the standoff itself
+        t_standoff = cfg.t_standoff
         tau_stops = [
-            math.log(T_p / cfg.eps_stop) if tk == cfg.t_standoff
+            math.log(T_p / cfg.eps_stop) if tk == t_standoff
             else math.log(T_p / (T_p - tk))
             for tk in pre
         ]
@@ -1037,7 +1046,10 @@ def simulate_pendulum_raw(
 
     def record(t: float, x: Sequence[float]) -> None:
         row_x = tuple(x)
-        u = torque_fn(x, t)
+        try:
+            u = torque_fn(x, t)
+        except _ARITHMETIC_ERRORS as exc:
+            raise _unevaluable(exc, t) from None
         traj.t.append(t)
         traj.x.append(row_x)
         traj.u.append(u)

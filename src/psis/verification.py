@@ -10,11 +10,21 @@ A single simulated run is judged on three kinds of evidence:
   * lyapunov_audit: along the trajectory, the recorded decay rate dV of
     V = sum z_i^2 must sit inside a two-sided envelope obtained from the
     mean-value concavity bound applied to the rate kernels.  The envelope is
-    rebuilt sample by sample from the recorded z and V, and the recorded dV
-    is compared with a finite-difference slope of the recorded V as well.
+    rebuilt sample by sample from the recorded z and V, in one loop over
+    the columns that is generated and compiled once per kernel kind and
+    number of stages, with z unpacked into locals and the kernel inlined,
+    the way simulation generates the recorder.  The recorded dV is compared
+    with a finite-difference slope of the recorded V as well, read off
+    shifted slices of the columns.
   * control_vanishing_check: the input must die out as t approaches T_p and
     be exactly zero afterwards, confirming the law spends its effort early
     rather than diverging into the singular gain.
+
+The audits read the pre-instant rows of the trajectory's columns in place;
+the times are sorted, so each window of rows is found by bisection.  Every
+float operation keeps its operands and order, so the results are the same
+bits as a loop over the samples (tests/test_audit_oracle.py keeps those
+loops as oracles).
 
 sweep_initial_conditions repeats the settling audit across scaled initial
 conditions, which is the operational meaning of "for every initial
@@ -25,17 +35,29 @@ so it runs them one after another on the calling thread.
 from __future__ import annotations
 
 import math
+import string
+from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .errors import AuditError, ConfigurationError, DomainError, IntegrationError
-from .rcdf import KERNELS, RcdfKind, kernel_function, zeta
+from .rcdf import KERNEL_GLOBALS, KERNELS, RcdfKind, kernel_function, kernel_source, zeta
 from .simulation import TERMINAL_WINDOW_START, PlantModel, SimConfig, Trajectory, simulate
 from .synthesis import Controller
 
 
 # ---------------------------------------------------------------------------
 # settling
+
+
+def _pre_instant_rows(traj: Trajectory) -> int:
+    """How many rows of traj carry stage errors: its first ones, before T_p.
+    The audits read those rows of the columns in place."""
+    n_pre = len(traj.z)
+    if not n_pre:
+        raise AuditError("trajectory has no samples before the prescribed instant")
+    return n_pre
 
 
 @dataclass(frozen=True)
@@ -69,17 +91,19 @@ def settling_instant(
         )
     T_p = traj.meta["T_p"]
     t_standoff = traj.meta["t_standoff"]
-    t, _, V, _ = traj.pre_instant_arrays()
-    if abs(t[-1] - t_standoff) > 1e-12 * T_p:
+    n_pre = _pre_instant_rows(traj)
+    t = traj.t
+    if abs(t[n_pre - 1] - t_standoff) > 1e-12 * T_p:
         raise AuditError("trajectory is missing its sample at the standoff")
-    norms = [math.sqrt(v) for v in V]
+    norms = list(map(math.sqrt, traj.V))
 
     window_end = window_factor * T_p
-    in_window = [nm for ti, nm in zip(t, norms) if ti <= window_end]
+    # the times are sorted: the rows with t <= window_end come first
+    in_window = norms[:bisect_right(t, window_end, 0, n_pre)]
     if not in_window:
         raise AuditError("no samples inside the pre-instant window")
     pre_floor = min(in_window)
-    if any(math.isnan(nm) for nm in in_window):
+    if any(map(math.isnan, in_window)):
         pre_floor = math.nan  # an unresolved sample must block certification
 
     if not norms[-1] <= tol:
@@ -133,6 +157,8 @@ def lyapunov_bounds(
 
     The upper form needs x*zeta(x) convex over the |z_i|: everywhere for the
     tan and linear kernels, on [0, 2] only for logexp (its convex_bound).
+    The envelope is the generated code that lyapunov_audit runs on every
+    sample (see _audit_source).
     """
     n = len(z)
     if n == 0 or len(etas) != n:
@@ -146,35 +172,17 @@ def lyapunov_bounds(
     for e, v in zip(etas, z):
         decay += e * v * zeta(kind, v)
         v_sum += v * v
-    lower, upper = _envelope(etas, kind)(z, v_sum, gap)
+    lower, upper = _audit_program(kind, n).envelope(z, v_sum, gap, *_envelope_coefficients(etas))
     return -2.0 / gap * decay, lower, upper
 
 
-def _envelope(
-    etas: Sequence[float], kind: RcdfKind
-) -> Callable[[Sequence[float], float, float], tuple[float, float]]:
-    """envelope(z, V, gap) -> (lower, upper) of lyapunov_bounds for stages
-    with these exponents, at stage errors z with V = sum z_i^2 and
-    gap = T_p - t.  n, min eta and sum eta are computed here, once."""
-    n = len(etas)
+def _envelope_coefficients(etas: Sequence[float]) -> tuple[float, float]:
+    """(lower_coef, upper_coef) = (-2 sum eta, -2 n min eta) of the envelope
+    for stages with these exponents; the sum runs left to right from 0.0."""
     eta_sum = 0.0
     for e in etas:
         eta_sum += e
-    upper_coef = -2.0 * n * min(etas)
-    lower_coef = -2.0 * eta_sum
-    kernel = kernel_function(kind)
-
-    def envelope(z: Sequence[float], V: float, gap: float) -> tuple[float, float]:
-        l1 = 0.0
-        for v in z:
-            l1 += abs(v)
-        a = l1 / n
-        upper = upper_coef * a * kernel(a) / gap
-        root_v = math.sqrt(V)
-        lower = lower_coef * root_v * kernel(root_v) / gap
-        return lower, upper
-
-    return envelope
+    return -2.0 * eta_sum, -2.0 * len(etas) * min(etas)
 
 
 @dataclass(frozen=True)
@@ -198,6 +206,98 @@ class LyapunovAudit:
 _V_FLOOR = 1e-20
 
 
+# The envelope of lyapunov_bounds and the pass of lyapunov_audit over the
+# columns, as a template: $-names are filled in per (kernel kind, n) by
+# _audit_source.  $envelope is the envelope, written once; it reads the
+# stage errors z1..zn, V and gap = T_p - t and sets lower and upper.
+_AUDIT_TEMPLATE = string.Template('''\
+def envelope(z, V, gap, lower_coef, upper_coef):
+    $z = z
+$envelope
+    return lower, upper
+
+def envelope_pass(t_col, z_col, V_col, dV_col, T_p, lower_coef, upper_coef,
+                  slack_abs, slack_rel):
+    violations = []
+    add = violations.append
+    skipped = 0
+    for t, ($z), V, dV in zip(t_col, z_col, V_col, dV_col):
+        if V < $floor:
+            skipped += 1
+            continue
+        abs_dV = abs(dV)
+        # V is at least the floor or nan here, so V < inf means finite
+        if not (V < inf and abs_dV < inf):
+            add(BoundViolation(float(t), "nonfinite", dV, nan))
+            continue
+        gap = T_p - t
+$loop_envelope
+        slack = slack_abs + slack_rel * abs_dV
+        if dV < lower - slack:
+            add(BoundViolation(float(t), "lower", dV, lower))
+        if dV > upper + slack:
+            add(BoundViolation(float(t), "upper", dV, upper))
+    return violations, skipped
+''')
+
+
+def _audit_source(kind: RcdfKind, n: int) -> str:
+    """The envelope and the envelope pass for n stages of this kernel.
+
+    The stage errors are the locals z1..zn, |z|_1 is a left-to-right sum
+    from 0.0, and the kernel is inlined from rcdf.kernel_source where its
+    argument is finite.  Both arguments are >= 0 unless nan, so `< inf`
+    tells a finite one; any other goes to the kernel function, which
+    raises its DomainError.  Every value keeps the float operations of
+    calling the kernel function and summing in a loop, so it is the same
+    bits.
+    """
+    z = [f"z{i}" for i in range(1, n + 1)]
+
+    def kernel(name: str) -> str:
+        return f"({kernel_source(kind, name)} if {name} < inf else kernel({name}))"
+
+    envelope = [
+        f"l1 = {' + '.join(['0.0'] + [f'abs({zi})' for zi in z])}",
+        f"a = l1 / {float(n)!r}",  # the same bits as dividing by the int n
+        f"upper = upper_coef * a * {kernel('a')} / gap",
+        "root_v = sqrt(V)",
+        f"lower = lower_coef * root_v * {kernel('root_v')} / gap",
+    ]
+    return _AUDIT_TEMPLATE.substitute(
+        z=", ".join(z) + ("," if n == 1 else ""),
+        floor=repr(_V_FLOOR),
+        envelope="\n".join(" " * 4 + line for line in envelope),
+        loop_envelope="\n".join(" " * 8 + line for line in envelope),
+    )
+
+
+# The compiled _audit_source of one (kernel kind, n).
+_AuditProgram = namedtuple("_AuditProgram", "envelope envelope_pass")
+
+# (kernel kind, n) -> compiled audit program, built on first use.  Two
+# threads building the same one at once produce equal code; either may stay.
+_AUDIT_PROGRAMS: dict[tuple[RcdfKind, int], _AuditProgram] = {}
+
+
+def _audit_program(kind: RcdfKind, n: int) -> _AuditProgram:
+    """The compiled audit program for n stages of this kernel."""
+    program = _AUDIT_PROGRAMS.get((kind, n))
+    if program is None:
+        namespace = {
+            **KERNEL_GLOBALS,
+            "kernel": kernel_function(kind),
+            "sqrt": math.sqrt,
+            "inf": math.inf,
+            "nan": math.nan,
+            "BoundViolation": BoundViolation,
+        }
+        exec(compile(_audit_source(kind, n), "<psis.audit>", "exec"), namespace)
+        program = _AuditProgram(*map(namespace.get, _AuditProgram._fields))
+        program = _AUDIT_PROGRAMS.setdefault((kind, n), program)
+    return program
+
+
 def mixed_kernels(kinds: Sequence[str]) -> str | None:
     """Why the decay audit cannot run on stages of these kernel kinds, or
     None if it can: its envelope holds for a single kernel family only."""
@@ -216,12 +316,18 @@ def lyapunov_audit(
     quantities are pure roundoff), the recorded dV must lie inside the
     envelope of lyapunov_bounds, built from the recorded z and V, with slack
     slack_abs + slack_rel * |dV|.  A sample whose V or dV is not finite has
-    no envelope and is a "nonfinite" violation.  The numeric slope of V uses
-    a three-point stencil on the non-uniform sample times; its deviation from
-    the recorded dV is reported as a residual normalized by max(1, |dV|),
-    over [0.05 T_p, 0.95 T_p] (away from the endpoints, where the stencil is
-    one-sided or the dynamics are singular).  A sample that shares its time
-    with a neighbour has no three-point slope and no residual.
+    no envelope and is a "nonfinite" violation.  This pass is one generated
+    loop over the columns per kernel kind and number of stages (see
+    _audit_source), which unpacks each z into locals and inlines the
+    kernel.  The numeric slope of V uses a three-point stencil on the
+    non-uniform sample times; its deviation from the recorded dV is
+    reported as a residual normalized by max(1, |dV|), over [0.05 T_p,
+    0.95 T_p] (away from the endpoints, where the stencil is one-sided or
+    the dynamics are singular).  The window's rows are found by bisecting
+    the sorted times, and the stencil reads shifted slices of the columns.
+    A sample that shares its time with a neighbour has no three-point slope
+    and no residual.  A z with other than one component per stage exponent
+    is an AuditError.
     """
     kinds = traj.meta.get("kinds", [])
     problem = mixed_kernels(kinds)
@@ -230,42 +336,47 @@ def lyapunov_audit(
     kind = RcdfKind(kinds[0])
     etas = [float(e) for e in traj.meta["etas"]]
     T_p = float(traj.meta["T_p"])
-    t, z, V, dV = traj.pre_instant_arrays()
+    n_pre = _pre_instant_rows(traj)
+    # t runs on past the pre-instant rows; zip and the bisections stop there
+    t, V, dV = traj.t, traj.V, traj.dV
 
-    envelope = _envelope(etas, kind)
-    violations: list[BoundViolation] = []
-    skipped = 0
-    for ti, zi, vi, dv in zip(t, z, V, dV):
-        if vi < _V_FLOOR:
-            skipped += 1
-            continue
-        if not (math.isfinite(vi) and math.isfinite(dv)):
-            violations.append(BoundViolation(float(ti), "nonfinite", dv, math.nan))
-            continue
-        lo, up = envelope(zi, vi, T_p - ti)
-        slack = slack_abs + slack_rel * abs(dv)
-        if dv < lo - slack:
-            violations.append(BoundViolation(float(ti), "lower", dv, lo))
-        if dv > up + slack:
-            violations.append(BoundViolation(float(ti), "upper", dv, up))
-    audited = len(t) - skipped
+    n = len(etas)
+    try:
+        violations, skipped = _audit_program(kind, n).envelope_pass(
+            t, traj.z, V, dV, T_p, *_envelope_coefficients(etas), slack_abs, slack_rel)
+    except ValueError:  # a z row that does not unpack into n locals
+        raise AuditError(
+            f"stage errors must have {n} components, one per stage exponent"
+        ) from None
+    audited = n_pre - skipped
 
     lo_t, hi_t = 0.05 * T_p, 0.95 * T_p
+    # rows i with lo_t <= t[i] <= hi_t that have a neighbour on each side
+    i0 = max(bisect_left(t, lo_t, 0, n_pre), 1)
+    i1 = min(bisect_right(t, hi_t, 0, n_pre), n_pre - 1)
     max_residual = 0.0
-    for i in range(1, len(t) - 1):
-        if not (lo_t <= t[i] <= hi_t) or V[i] < _V_FLOOR:
+    for t0, t1, t2, v0, v1, v2, dv in zip(
+        t[i0 - 1:i1 - 1], t[i0:i1], t[i0 + 1:i1 + 1],
+        V[i0 - 1:i1 - 1], V[i0:i1], V[i0 + 1:i1 + 1], dV[i0:i1],
+    ):
+        if v1 < _V_FLOOR:
             continue
-        h1 = t[i] - t[i - 1]
-        h2 = t[i + 1] - t[i]
+        h1 = t1 - t0
+        h2 = t2 - t1
         if h1 == 0.0 or h2 == 0.0:
             continue
+        h12 = h1 + h2
         slope = (
-            -V[i - 1] * h2 / (h1 * (h1 + h2))
-            + V[i] * (h2 - h1) / (h1 * h2)
-            + V[i + 1] * h1 / (h2 * (h1 + h2))
+            -v0 * h2 / (h1 * h12)
+            + v1 * (h2 - h1) / (h1 * h2)
+            + v2 * h1 / (h2 * h12)
         )
-        residual = abs(slope - dV[i]) / max(1.0, abs(dV[i]))
-        max_residual = max(max_residual, float(residual))
+        # max(1.0, d) and max(max_residual, residual) spelt out: each keeps
+        # its first argument unless the second is larger, nan included
+        abs_dv = abs(dv)
+        residual = abs(slope - dv) / (abs_dv if abs_dv > 1.0 else 1.0)
+        if residual > max_residual:
+            max_residual = residual
 
     return LyapunovAudit(
         n_audited=audited,
@@ -390,13 +501,15 @@ def control_vanishing_check(traj: Trajectory, tol: float) -> ControlVanishing:
     if not n_pre:
         raise AuditError("trajectory has no pre-instant samples")
     pre_u = traj.u[:n_pre]
-    window = [abs(u) for t, u in zip(traj.t, pre_u) if t >= window_start]
-    if not window:
+    # the times are sorted: the pre-instant rows with t >= window_start end them
+    start = bisect_left(traj.t, window_start, 0, n_pre)
+    if start == n_pre:
         raise AuditError("no samples inside the terminal window")
-    max_window = max(window)
+    max_window = max(map(abs, pre_u[start:]))
     max_overall = max(map(abs, pre_u))
     last_pre = abs(pre_u[-1])
-    post_zero = all(u == 0.0 for u in traj.u[n_pre:])
+    # a float is false exactly when it equals 0.0 (-0.0 included, nan not)
+    post_zero = not any(traj.u[n_pre:])
     return ControlVanishing(
         window_start=window_start,
         max_abs_u_window=max_window,
@@ -462,7 +575,7 @@ class SweepReport:
 def thread_count(n_jobs: int) -> int:
     """Threads a sweep of n_jobs runs uses: always 1, since sweeps run
     serially.  It stays only because perfbench/worker.py records it, and
-    goes with ROADMAP item 4."""
+    goes with ROADMAP item 6."""
     return 1
 
 

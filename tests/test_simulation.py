@@ -34,6 +34,7 @@ from psis.simulation import (
     _program,
 )
 from psis.synthesis import (
+    Controller,
     SynthesisConfig,
     error_coordinates,
     eval_control,
@@ -617,12 +618,14 @@ class TestGeneratedRecorder:
     def test_readme_pendulum_recorder_source_is_pinned(self):
         # sha256[:16] of the generated program (u, the vector fields and the
         # recorders) for README's pendulum twin; the program is compiled
-        # once and cached on the controller
+        # once and cached on the controller.  The recorder maps a float
+        # error in its row to DivergenceError itself, which moved the digest
+        # from 8f6edd7f0f82e5ce
         twin = zero_setpoint_twin(make_controller(c=0.15, T_p=0.5))
         program = _program(twin, False)
         assert _program(twin, False) is program
         digest = hashlib.sha256(program.source.encode()).hexdigest()[:16]
-        assert digest == "8f6edd7f0f82e5ce"
+        assert digest == "184a99731d7c6f04"
 
 
 class TestLawProgram:
@@ -706,6 +709,31 @@ class TestBreakdownReporting:
         assert info.value.partial.samples == []
         assert info.value.partial.meta["T_p"] == 1e-200
 
+    def test_midrun_unevaluable_sample_is_divergence(self):
+        # u + 0 / (t - t_k) divides by zero at the grid point t_k alone: an
+        # integrator trial that lands there is rejected and retried, but
+        # the sample at t_k ends the run, in the law program's recorder and
+        # in the raw pendulum's alike
+        ctrl = make_controller()
+        cfg = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2)
+        t_k = 250 * cfg.sample_dt
+        trap = symdiff.Const(0.0) / (symdiff.TimeVar() - t_k)
+        trapped = Controller(ctrl.config, ctrl.z_exprs,
+                             ctrl.virtual_refs[:-1] + (ctrl.u_expr + trap,))
+
+        def torque(x, t):
+            return 0.0 / (t - t_k)
+
+        for run in (lambda: simulate(IntegratorChain(2), trapped, cfg),
+                    lambda: simulate_pendulum_raw(Pendulum(), cfg, torque)):
+            with pytest.raises(DivergenceError) as info:
+                run()
+            assert str(info.value) == "sample could not be evaluated: float division by zero"
+            assert info.value.t == t_k
+            partial = info.value.partial
+            assert len(partial.t) == 250 and partial.t[-1] < t_k
+            assert len(partial.x) == len(partial.u) == 250
+
     def test_overflowed_stage_errors_are_divergence(self):
         # z2 = x2 + 3 x1 / (T_p - t) overflows to inf at the start
         ctrl = make_controller()
@@ -750,11 +778,13 @@ class TestBreakdownReporting:
         # the row that raised left no cell behind in any column
         columns = (traj.t, traj.x, traj.u, traj.z, traj.V, traj.dV)
         assert [len(col) for col in columns] == [1] * 6
-        # here z is finite and u divides by (T_p - t)**2, which underflows
+        # here z is finite and u divides by (T_p - t)**2, which underflows:
+        # the record maps the arithmetic error to a DivergenceError at t
         tiny = Trajectory()
         record, _ = _program(make_controller(T_p=1e-200), False).make(0.0, tiny)
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(DivergenceError, match="division by zero") as info:
             record(0.0, [1.0, 0.0])
+        assert info.value.t == 0.0
         columns = (tiny.t, tiny.x, tiny.u, tiny.z, tiny.V, tiny.dV)
         assert [len(col) for col in columns] == [0] * 6
 

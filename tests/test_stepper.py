@@ -44,13 +44,13 @@ D1, D3, D4, D5, D6, D7 = (
 )
 
 
-def reference_path(f, y0, t0, stops, *, rtol, atol, max_step, stats, on_stop,
-                   on_step=None):
+def reference_path(f, y0, t0, stops, labels, *, rtol, atol, max_step, stats,
+                   on_stop, on_step=None):
     """The Dormand-Prince 5(4) loop over lists, with the same contract as
     simulation._adaptive_path (and its horizon-relative collapse test):
     steps land only on the last stop, the stops before it are read off the
-    dense output of the step that covers them, and a step that ends on a
-    stop records it once."""
+    dense output of the step that covers them, a step that ends on a stop
+    records it once, and on_stop takes the stop's label and state."""
     n = len(y0)
     y = [float(v) for v in y0]
     t = t0
@@ -144,7 +144,7 @@ def reference_path(f, y0, t0, stops, *, rtol, atol, max_step, stats, on_stop,
                     s = stops[stop_idx]
                     th = (s - t) / h
                     th1 = 1.0 - th
-                    on_stop(stop_idx, s, [
+                    on_stop(labels[stop_idx], [
                         y[j] + th * (q2[j] + th1 * (q3[j] + th * (q4[j] + th1 * q5[j])))
                         for j in range(n)
                     ])
@@ -153,10 +153,10 @@ def reference_path(f, y0, t0, stops, *, rtol, atol, max_step, stats, on_stop,
             y = y_new
             k1 = k7
             if hitting:
-                on_stop(last, t, y)
+                on_stop(labels[last], y)
                 return y
             if stops[stop_idx] == t:
-                on_stop(stop_idx, t, y)
+                on_stop(labels[stop_idx], y)
                 stop_idx += 1
             elif on_step is not None:
                 on_step(t, y)
@@ -310,9 +310,9 @@ def test_rejected_start_matches_the_reference(monkeypatch):
     def run():
         stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
         try:
-            S._adaptive_path(rhs, [1.0, 0.0], 0.0, [0.5, 1.0], rtol=1e-9,
-                             atol=1e-12, max_step=0.1, stats=stats,
-                             on_stop=lambda i, t, y: None)
+            S._adaptive_path(rhs, [1.0, 0.0], 0.0, [0.5, 1.0], [0.5, 1.0],
+                             rtol=1e-9, atol=1e-12, max_step=0.1, stats=stats,
+                             on_stop=lambda t, y: None)
         except DivergenceError as exc:
             return str(exc), exc.t, stats
         raise AssertionError("expected a DivergenceError")
@@ -328,16 +328,16 @@ def test_rejected_start_matches_the_reference(monkeypatch):
 def test_step_end_on_a_stop_matches_the_reference(monkeypatch):
     # a constant field: every step has error 0 and grows to max_step, so
     # step ends fall on the stops 0.5, 1.0, ... bit for bit, while 0.3 lies
-    # inside the second step
+    # inside the second step; each stop's label is its (index, time)
     stops = [0.3, 0.5, 1.0, 1.5, 2.0, 10.0]
 
     def run():
         calls = []
         stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
         y = S._adaptive_path(
-            lambda t, y: [1.0, -2.0], [0.0, 1.0], 0.0, stops, rtol=1e-9,
-            atol=1e-12, max_step=0.25, stats=stats,
-            on_stop=lambda i, t, y: calls.append(("stop", i, t, tuple(y))),
+            lambda t, y: [1.0, -2.0], [0.0, 1.0], 0.0, stops, list(enumerate(stops)),
+            rtol=1e-9, atol=1e-12, max_step=0.25, stats=stats,
+            on_stop=lambda label, y: calls.append(("stop", *label, tuple(y))),
             on_step=lambda t, y: calls.append(("step", t, tuple(y))))
         return calls, stats, y
 
@@ -365,9 +365,9 @@ def test_dense_stops_are_fourth_order_accurate(max_step):
     stops = [k / 64.0 for k in range(1, 129)]
     got = {}
     stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
-    S._adaptive_path(lambda t, y: [y[0]], [1.0], 0.0, stops, rtol=1e-9,
+    S._adaptive_path(lambda t, y: [y[0]], [1.0], 0.0, stops, stops, rtol=1e-9,
                      atol=1e-12, max_step=max_step, stats=stats,
-                     on_stop=lambda i, t, y: got.setdefault(t, y[0]))
+                     on_stop=lambda t, y: got.setdefault(t, y[0]))
     assert list(got) == stops
     assert max(abs(v / math.exp(t) - 1.0) for t, v in got.items()) < 1e-8
     assert stats["steps_accepted"] < len(stops)

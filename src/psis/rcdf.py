@@ -77,10 +77,6 @@ class RcdfSpec:
             raise ConfigurationError(f"eta must exceed 1, got {self.eta}")
 
 
-# Names the kernel sources call.
-KERNEL_GLOBALS = {"atan": math.atan, "expm1": math.expm1, "copysign": math.copysign}
-
-
 class KernelForms(NamedTuple):
     """Every form of one rate kernel zeta."""
 
@@ -98,8 +94,8 @@ def _not_finite(v: float) -> float:
 def _forms(source: str, expr: Callable[[sd.Expr], sd.Expr], closed: Callable[[float], float],
            convex_bound: float = math.inf) -> KernelForms:
     body = source.format(v="v")
-    namespace = {**KERNEL_GLOBALS, "isfinite": math.isfinite, "_not_finite": _not_finite}
-    function = eval(f"lambda v: ({body}) if isfinite(v) else _not_finite(v)", namespace)
+    text = f"def zeta(v):\n    return ({body}) if isfinite(v) else _not_finite(v)\n"
+    function = sd.compile_source(text, "<psis.kernel>", _not_finite=_not_finite)["zeta"]
     return KernelForms(source, function, expr, closed, convex_bound)
 
 
@@ -111,7 +107,7 @@ def _tan_closed(s: float) -> float:
 
 KERNELS: dict[RcdfKind, KernelForms] = {
     RcdfKind.TAN: _forms(
-        "({v} * {v} + 1.0) * atan({v})",
+        "({v} * {v} + 1.0) * arctan({v})",
         lambda v: (v * v + 1.0) * sd.Arctan(v),
         _tan_closed,
     ),
@@ -129,8 +125,9 @@ KERNELS: dict[RcdfKind, KernelForms] = {
 
 def kernel_source(kind: RcdfKind, name: str) -> str:
     """zeta(kind, name) as a parenthesized Python expression, for code that
-    inlines the kernel at a finite name; KERNEL_GLOBALS holds the names it
-    calls.  It performs zeta's float operations, so it gives the same bits."""
+    inlines the kernel at a finite name; symdiff.COMPILED_GLOBALS holds the
+    names it calls.  It performs zeta's float operations, so it gives the
+    same bits."""
     return f"({KERNELS[kind].source.format(v=name)})"
 
 

@@ -30,10 +30,10 @@ contracts (never stepping past the standoff, landing exactly on the end of
 each stretch, rejected-step accounting, bit-for-bit determinism) are part
 of this module's job, not incidental solver details.  The step loop exists
 once, as a template: on first use for a state dimension n it is unrolled
-over n scalar locals and compiled, the way symdiff.compile_expr compiles a
-control law, so a stage costs no per-component list or generator.  Every
-component keeps the float operations of a loop over lists, in the same
-order, so the samples and counters are the same bits either way.  Each
+over n scalar locals and compiled by symdiff.compile_source, like every
+generated function, so a stage costs no per-component list or generator.
+Every component keeps the float operations of a loop over lists, in the
+same order, so the samples and counters are the same bits either way.  Each
 law is generated the same way, once per controller, from one walk of its
 DAG: one program holds u, the chain's vector fields on both clocks and the
 sample recorders (see _program_source).
@@ -46,6 +46,7 @@ Sample records are built only when Trajectory.samples or sample_at asks.
 
 from __future__ import annotations
 
+import functools
 import math
 import string
 from bisect import bisect_left
@@ -61,7 +62,7 @@ from .errors import (
     DivergenceError,
     StiffnessError,
 )
-from .rcdf import KERNEL_GLOBALS, kernel_source
+from .rcdf import kernel_source
 from .synthesis import Controller, zero_setpoint_twin
 
 # ---------------------------------------------------------------------------
@@ -227,6 +228,16 @@ class SimConfig:
             )
         if self.mode not in _MODES:
             raise ConfigurationError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        # max_step alone forces this many steps: the tau clock caps the
+        # steps before T_p in its own units, the direct clock by max_step
+        forced = (self.t_end - self.T_p) / self.max_step
+        if self.mode == "direct":
+            forced += self.T_p / self.max_step
+        if forced > _STEP_BUDGET:
+            raise ConfigurationError(
+                f"max_step={self.max_step!r} forces at least {forced:.6g} steps, more "
+                f"than the step budget of {_STEP_BUDGET}; raise max_step or lower t_end"
+            )
         if not isinstance(self.open_loop, bool):
             raise ConfigurationError(
                 f"open_loop must be a bool, got {self.open_loop!r}"
@@ -624,37 +635,18 @@ def _stepper_source(n: int) -> str:
     return _STEPPER_TEMPLATE.substitute(fields)
 
 
-# State dimension -> compiled step loop, built on first use.  Two threads
-# building the same dimension at once produce equal loops; either may stay.
-_STEPPERS: dict[int, Callable] = {}
-
-
+@functools.cache
 def _stepper(n: int) -> Callable:
     """The compiled step loop for dimension n, built on its first use."""
-    stepper = _STEPPERS.get(n)
-    if stepper is None:
-        namespace = {
-            "isfinite": math.isfinite,
-            "isinf": math.isinf,
-            "sqrt": math.sqrt,
-            "inf": math.inf,
-            "DivergenceError": DivergenceError,
-            "StiffnessError": StiffnessError,
-            "_RhsFailure": _RhsFailure,
-            "_ARITHMETIC_ERRORS": _ARITHMETIC_ERRORS,
-            "_REJECTING": (_RhsFailure,) + _ARITHMETIC_ERRORS,
-            "_estimate_text": _estimate_text,
-            "_STEP_BUDGET": _STEP_BUDGET,
-            "_MAX_CONSECUTIVE_REJECTS": _MAX_CONSECUTIVE_REJECTS,
-            "_SAFETY": _SAFETY,
-            "_MIN_FACTOR": _MIN_FACTOR,
-            "_MAX_FACTOR": _MAX_FACTOR,
-            "_ALPHA": _ALPHA,
-            "_BETA": _BETA,
-        }
-        exec(compile(_stepper_source(n), "<psis.stepper>", "exec"), namespace)
-        stepper = _STEPPERS.setdefault(n, namespace["stepper"])
-    return stepper
+    return sd.compile_source(
+        _stepper_source(n), "<psis.stepper>",
+        DivergenceError=DivergenceError, StiffnessError=StiffnessError,
+        _RhsFailure=_RhsFailure, _ARITHMETIC_ERRORS=_ARITHMETIC_ERRORS,
+        _REJECTING=(_RhsFailure,) + _ARITHMETIC_ERRORS, _estimate_text=_estimate_text,
+        _STEP_BUDGET=_STEP_BUDGET, _MAX_CONSECUTIVE_REJECTS=_MAX_CONSECUTIVE_REJECTS,
+        _SAFETY=_SAFETY, _MIN_FACTOR=_MIN_FACTOR, _MAX_FACTOR=_MAX_FACTOR,
+        _ALPHA=_ALPHA, _BETA=_BETA,
+    )["stepper"]
 
 
 def _adaptive_path(
@@ -848,15 +840,9 @@ def _program(controller: Controller, open_loop: bool) -> _Program:
     program = controller.recorders.get(open_loop)
     if program is None:
         source = _program_source(controller, open_loop)
-        namespace = {
-            **sd.COMPILED_GLOBALS,
-            **KERNEL_GLOBALS,
-            "isfinite": math.isfinite,
-            "DivergenceError": DivergenceError,
-            "_ARITHMETIC_ERRORS": _ARITHMETIC_ERRORS,
-            "_unevaluable": _unevaluable,
-        }
-        exec(compile(source, "<psis.program>", "exec"), namespace)
+        namespace = sd.compile_source(
+            source, "<psis.program>", DivergenceError=DivergenceError,
+            _ARITHMETIC_ERRORS=_ARITHMETIC_ERRORS, _unevaluable=_unevaluable)
         program = _Program(*map(namespace.get, _Program._fields[:-1]), source)
         program = controller.recorders.setdefault(open_loop, program)
     return program
@@ -882,7 +868,7 @@ class _Leg:
 
     rhs runs from s = 0 through stops, and labels[i] is the time t recorded
     at stops[i].  With to_t set, accepted steps inside the terminal window
-    are recorded as well, at t = to_t(s).
+    are recorded as well, at t = to_t(s).  clock names s when it is not t.
     """
 
     rhs: Callable[[float, list[float]], list[float]]
@@ -890,6 +876,7 @@ class _Leg:
     labels: Sequence[float]
     max_step: float
     to_t: Callable[[float], float] | None = None
+    clock: str = "t"
 
 
 def _run_phases(
@@ -907,7 +894,10 @@ def _run_phases(
 
     Records w0 at t = 0, integrates the leg to the standoff, crosses the
     instant with one Euler step of rhs_cross, records the state at T_p, and
-    integrates rhs_post over the post-instant grid.  record_pre and
+    integrates rhs_post over the post-instant grid.  A StiffnessError on a
+    leg with its own clock is raised again at t = to_t(s), with s and the
+    clock appended to its message, so its t is a time of the run; one at
+    s = 0 is t = 0 and stays as it is.  record_pre and
     record_post append the row of (t, state) to the columns of the empty
     trajectory traj, before and from T_p on; the stepper calls them
     directly.  A sample that record_pre cannot evaluate (its float
@@ -928,11 +918,19 @@ def _run_phases(
 
     try:
         record_pre(0.0, w0)
-        w = _adaptive_path(
-            leg.rhs, w0, 0.0, leg.stops, leg.labels,
-            rtol=cfg.rtol, atol=cfg.atol, max_step=leg.max_step, stats=stats,
-            on_stop=record_pre, on_step=on_step,
-        )
+        try:
+            w = _adaptive_path(
+                leg.rhs, w0, 0.0, leg.stops, leg.labels,
+                rtol=cfg.rtol, atol=cfg.atol, max_step=leg.max_step, stats=stats,
+                on_stop=record_pre, on_step=on_step,
+            )
+        except StiffnessError as exc:
+            if leg.clock == "t" or exc.t == 0.0:
+                raise
+            raise StiffnessError(
+                f"{exc}, at {leg.clock}={exc.t:.9g} on the {leg.clock} clock "
+                f"(h in {leg.clock} units)", leg.to_t(exc.t)
+            ) from None
         w = _cross_instant(rhs_cross, w, cfg, stats)
         record_post(cfg.T_p, w)
         post = _post_grid(cfg)
@@ -999,7 +997,7 @@ def simulate(plant: PlantModel, controller: Controller, cfg: SimConfig) -> Traje
             for tk in pre
         ]
         leg = _Leg(program.field_tau, tau_stops, pre, _TAU_MAX_STEP,
-                   to_t=lambda tau: -T_p * math.expm1(-tau))
+                   to_t=lambda tau: -T_p * math.expm1(-tau), clock="tau")
     else:
         leg = _Leg(program.field, pre, pre, cfg.max_step, to_t=lambda t: t)
     return _run_phases(

@@ -30,7 +30,10 @@ code_emitter turns the DAG into straight-line Python.  It counts up front
 how many places read each node, so a node read once is written inline in
 its reader's expression and only a node read more than once costs a local
 store and loads; the operations and their operands do not change, so
-neither do the values.
+neither do the values.  compile_source is the one place psis executes
+generated code: the compiled law, the kernel functions, the simulator's
+step loop and law programs, and the audit's envelope pass all run in a
+copy of COMPILED_GLOBALS, the one table of names generated code calls.
 
 Each operator is declared once, as a subclass of _Binary or _Unary that
 states its printed and compiled name and its float function as class
@@ -679,10 +682,23 @@ def code_emitter(roots: Sequence[Expr], lines: list[str]) -> Callable[[Expr], st
     return lambda root: _walk(root, step, memo)[0]
 
 
-# The names emitted code calls; repr() writes a non-finite constant as a
-# bare name.  Copy it before exec, which adds entries of its own.
+# The names generated code calls: the unary nodes' functions, the kernels'
+# float functions and the step loop's checks; repr() writes a non-finite
+# constant as a bare name.
 COMPILED_GLOBALS = {op.name: op.fn for op in _Unary.__subclasses__()}
-COMPILED_GLOBALS.update(inf=math.inf, nan=math.nan)
+COMPILED_GLOBALS.update(
+    expm1=math.expm1, copysign=math.copysign, sqrt=math.sqrt,
+    isfinite=math.isfinite, isinf=math.isinf, inf=math.inf, nan=math.nan,
+)
+
+
+def compile_source(source: str, filename: str, **names) -> dict:
+    """Execute the generated source in a fresh namespace of COMPILED_GLOBALS
+    plus names, and return that namespace.  filename labels the code in
+    tracebacks."""
+    namespace = {**COMPILED_GLOBALS, **names}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
 
 
 def compile_expr(expr: Expr, n_states: int) -> Callable[[Sequence[float], float], float]:
@@ -704,8 +720,6 @@ def compile_expr(expr: Expr, n_states: int) -> Callable[[Sequence[float], float]
     result = code_emitter([expr], lines)(expr)
     body = "\n".join(f"    {line}" for line in lines)
     source = f"def _compiled(x, t):\n{body}\n    return {result}\n"
-    namespace = dict(COMPILED_GLOBALS)
-    exec(compile(source, "<psis.symdiff>", "exec"), namespace)
-    fn = namespace["_compiled"]
+    fn = compile_source(source, "<psis.symdiff>")["_compiled"]
     fn.__psis_source__ = source  # kept for debugging and tests
     return fn

@@ -34,15 +34,16 @@ so it runs them one after another on the calling thread.
 
 from __future__ import annotations
 
+import functools
 import math
 import string
 from bisect import bisect_left, bisect_right
-from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
+from . import symdiff as sd
 from .errors import AuditError, ConfigurationError, DomainError, IntegrationError
-from .rcdf import KERNEL_GLOBALS, KERNELS, RcdfKind, kernel_function, kernel_source, zeta
+from .rcdf import KERNELS, RcdfKind, kernel_function, kernel_source, zeta
 from .simulation import TERMINAL_WINDOW_START, PlantModel, SimConfig, Trajectory, simulate
 from .synthesis import Controller
 
@@ -172,7 +173,8 @@ def lyapunov_bounds(
     for e, v in zip(etas, z):
         decay += e * v * zeta(kind, v)
         v_sum += v * v
-    lower, upper = _audit_program(kind, n).envelope(z, v_sum, gap, *_envelope_coefficients(etas))
+    envelope = _audit_program(kind, n)["envelope"]
+    lower, upper = envelope(z, v_sum, gap, *_envelope_coefficients(etas))
     return -2.0 / gap * decay, lower, upper
 
 
@@ -272,30 +274,14 @@ def _audit_source(kind: RcdfKind, n: int) -> str:
     )
 
 
-# The compiled _audit_source of one (kernel kind, n).
-_AuditProgram = namedtuple("_AuditProgram", "envelope envelope_pass")
-
-# (kernel kind, n) -> compiled audit program, built on first use.  Two
-# threads building the same one at once produce equal code; either may stay.
-_AUDIT_PROGRAMS: dict[tuple[RcdfKind, int], _AuditProgram] = {}
-
-
-def _audit_program(kind: RcdfKind, n: int) -> _AuditProgram:
-    """The compiled audit program for n stages of this kernel."""
-    program = _AUDIT_PROGRAMS.get((kind, n))
-    if program is None:
-        namespace = {
-            **KERNEL_GLOBALS,
-            "kernel": kernel_function(kind),
-            "sqrt": math.sqrt,
-            "inf": math.inf,
-            "nan": math.nan,
-            "BoundViolation": BoundViolation,
-        }
-        exec(compile(_audit_source(kind, n), "<psis.audit>", "exec"), namespace)
-        program = _AuditProgram(*map(namespace.get, _AuditProgram._fields))
-        program = _AUDIT_PROGRAMS.setdefault((kind, n), program)
-    return program
+@functools.cache
+def _audit_program(kind: RcdfKind, n: int) -> dict:
+    """The namespace of the compiled audit program for n stages of this
+    kernel, which holds envelope and envelope_pass."""
+    return sd.compile_source(
+        _audit_source(kind, n), "<psis.audit>",
+        kernel=kernel_function(kind), BoundViolation=BoundViolation,
+    )
 
 
 def mixed_kernels(kinds: Sequence[str]) -> str | None:
@@ -342,7 +328,7 @@ def lyapunov_audit(
 
     n = len(etas)
     try:
-        violations, skipped = _audit_program(kind, n).envelope_pass(
+        violations, skipped = _audit_program(kind, n)["envelope_pass"](
             t, traj.z, V, dV, T_p, *_envelope_coefficients(etas), slack_abs, slack_rel)
     except ValueError:  # a z row that does not unpack into n locals
         raise AuditError(

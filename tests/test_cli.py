@@ -179,6 +179,19 @@ class TestConfigFailures:
         assert main(["simulate", "--config", cfg]) == 2
         assert "sample points" in capsys.readouterr().err
 
+    def test_step_budget_refusal(self, tmp_path, capsys):
+        # a horizon that max_step alone makes exceed the step budget is
+        # refused before the run, not after 5e6 steps
+        data = chain_data()
+        data["sim"].update(t_end=1e5, sample_dt=0.1)
+        cfg = write_config(tmp_path, data)
+        assert main(["simulate", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("configuration error: max_step=0.001 forces at least ")
+        assert "the step budget of 5000000" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
+
     @pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
     def test_pendulum_whose_torque_map_overflows(self, tmp_path, capsys, command):
         # every parameter is finite, but mass * length**2 is not

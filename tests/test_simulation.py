@@ -147,6 +147,19 @@ class TestSimConfig:
         cfg = SimConfig(x0=(1.0,), T_p=1.0, t_end=2000.0)
         assert cfg.t_end / cfg.sample_dt == 1e6
 
+    def test_step_budget_is_checked_up_front(self):
+        # at the default max_step of T_p / 1000 a 1e5 horizon forces 1e8
+        # steps; the run would stop after the budget's 5e6 of them
+        with pytest.raises(ConfigurationError, match="the step budget of 5000000"):
+            SimConfig(x0=(1.0,), T_p=1.0, t_end=1e5, sample_dt=0.1)
+        # max_step = 1/1024 forces 1024 steps per unit of t: after T_p alone
+        # on the tau clock, from t = 0 on the direct clock
+        cfg = SimConfig(x0=(1.0,), T_p=1.0, t_end=4883.0, sample_dt=0.1,
+                        max_step=1 / 1024, mode="tau")
+        assert (cfg.t_end - cfg.T_p) / cfg.max_step == 4_999_168
+        with pytest.raises(ConfigurationError, match="forces at least 5.00019e\\+06 steps"):
+            dataclasses.replace(cfg, mode="direct")
+
 
 class TestTrajectoryContainer:
     def test_sample_at_exact_hit_and_miss(self):
@@ -803,6 +816,22 @@ class TestBreakdownReporting:
             estimate = float(text.rsplit("last error estimate ", 1)[1].rstrip(")"))
             assert estimate > 1.0  # the trial that triggered the collapse failed
             assert len(info.value.partial.samples) == 1
+
+    def test_tau_clock_failure_reports_a_time_of_the_run(self):
+        # eps_stop = 1e-300 holds the tau leg on to tau = ln(1e300) = 691;
+        # the step size collapses near tau = 37, where T_p - t is below the
+        # spacing of floats at 1, so the error's t lies in the last gap
+        ctrl = make_controller()
+        cfg = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2, eps_stop=1e-300, mode="tau")
+        with pytest.raises(StiffnessError) as info:
+            simulate(IntegratorChain(2), ctrl, cfg)
+        exc = info.value
+        assert exc.partial.t[-1] <= exc.t <= cfg.T_p
+        text = str(exc)
+        assert text.startswith("step size collapsed to ")
+        assert text.endswith(" on the tau clock (h in tau units)")
+        tau = float(text.rsplit("at tau=", 1)[1].split()[0])
+        assert 30.0 < tau < math.log(cfg.T_p / cfg.eps_stop)
 
     @pytest.mark.parametrize("T_p", [1e-6, 1e-12])
     def test_tiny_prescribed_instant_settles(self, T_p):

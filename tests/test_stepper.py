@@ -13,11 +13,12 @@ import functools
 import math
 import random
 import re
+import sys
 import threading
 
 import pytest
 
-from psis import simulation
+from psis import simulation, verification
 from psis.errors import DivergenceError, IntegrationError, StiffnessError
 from psis.rcdf import RcdfKind, RcdfSpec
 from psis.simulation import (
@@ -430,20 +431,37 @@ def test_one_loop_per_dimension():
     assert S._stepper(2) is not S._stepper(3)
 
 
-def test_concurrent_first_use_is_harmless(monkeypatch):
-    # threads that race to build a dimension's loop all get a working one
-    monkeypatch.setattr(S, "_STEPPERS", {})
+def test_concurrent_first_use_is_harmless():
+    # threads that race to build a dimension's step loop, and then the
+    # audit program of its kernel, all get working ones
+    S._stepper.cache_clear()
+    verification._audit_program.cache_clear()
     ctrl = make_controller(3, (4.0, 3.0, 2.0))
     cfg = SimConfig(x0=(1.0, 0.0, 0.0), T_p=1.0, t_end=1.2)
+    barrier = threading.Barrier(4, timeout=60)
     results = [None] * 4
 
+    def run(wait=lambda: None):
+        wait()
+        traj = simulate(IntegratorChain(3), ctrl, cfg)
+        wait()
+        audit = verification.lyapunov_audit(traj)
+        return repr(traj.samples), traj.meta, repr(audit), audit.passes
+
     def work(i):
-        results[i] = outcome(lambda: simulate(IntegratorChain(3), ctrl, cfg))
+        results[i] = run(barrier.wait)
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    assert results[0][0] == "ok"
-    assert all(r == results[0] for r in results)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often inside the builds
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    serial = run()
+    assert serial[-1]
+    assert all(r == serial for r in results)

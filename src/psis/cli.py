@@ -97,6 +97,19 @@ def _integrator_block(meta: dict) -> dict:
     }
 
 
+def _report(spec: ExperimentSpec, command: str, **body) -> dict:
+    """A report: the command, the run id and the effective config, then body."""
+    return {"command": command, "run_id": spec.run_id,
+            "config": effective_config(spec), **body}
+
+
+def _timed(fn, *args, **kwargs):
+    """fn's result and the wall time of the call, in seconds."""
+    started = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, time.perf_counter() - started
+
+
 def _cmd_synthesize(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     controller = synthesize(spec.synthesis)
     print(describe(controller))
@@ -107,9 +120,7 @@ def _cmd_simulate(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     paths = spec.output
     out.check_outputs([paths.csv, paths.svg, paths.report], args.config, args.no_clobber)
     controller = synthesize(spec.synthesis)
-    started = time.perf_counter()
-    traj = simulate(spec.plant, controller, spec.sim)
-    wall = time.perf_counter() - started
+    traj, wall = _timed(simulate, spec.plant, controller, spec.sim)
 
     written = []
     if paths.csv:
@@ -120,14 +131,9 @@ def _cmd_simulate(spec: ExperimentSpec, args: argparse.Namespace) -> int:
                       include_timestamp=not args.no_timestamp)
         written.append(paths.svg)
     if paths.report:
-        out.write_report(paths.report, {
-            "command": "simulate",
-            "run_id": spec.run_id,
-            "config": effective_config(spec),
-            "integrator": _integrator_block(traj.meta),
-            "n_samples": len(traj.t),
-            "files": {"csv": paths.csv, "svg": paths.svg},
-        })
+        out.write_report(paths.report, _report(
+            spec, "simulate", integrator=_integrator_block(traj.meta),
+            n_samples=len(traj.t), files={"csv": paths.csv, "svg": paths.svg}))
         written.append(paths.report)
 
     print(f"samples: {len(traj.t)}")
@@ -147,9 +153,7 @@ def _cmd_verify(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     out.check_outputs([paths.report], args.config, args.no_clobber)
     controller = synthesize(spec.synthesis)
     vp = spec.verify
-    started = time.perf_counter()
-    traj = simulate(spec.plant, controller, spec.sim)
-    wall = time.perf_counter() - started
+    traj, wall = _timed(simulate, spec.plant, controller, spec.sim)
 
     tol = run_tolerance(vp.tol_abs, vp.tol_rel, spec.sim.x0)
     # refuse to certify a tolerance the integrator cannot resolve
@@ -169,23 +173,17 @@ def _cmd_verify(spec: ExperimentSpec, args: argparse.Namespace) -> int:
         verdict = "fail"
 
     if paths.report:
-        out.write_report(paths.report, {
-            "command": "verify",
-            "run_id": spec.run_id,
-            "config": effective_config(spec),
-            "integrator": _integrator_block(traj.meta),
-            "tolerance": tol,
-            "settling": plain(evidence, skip={"tol"}),
-            "lyapunov": {
+        out.write_report(paths.report, _report(
+            spec, "verify", integrator=_integrator_block(traj.meta), tolerance=tol,
+            settling=plain(evidence, skip={"tol"}),
+            lyapunov={
                 "n_audited": audit.n_audited,
                 "n_skipped": audit.n_skipped,
                 "violations": len(audit.violations),
                 "worst_residual": audit.max_equality_residual,
             },
-            "control_vanishing": plain(vanishing, skip={"window_start", "vanishes"}),
-            "diagnostics": diagnostics,
-            "verdict": verdict,
-        })
+            control_vanishing=plain(vanishing, skip={"window_start", "vanishes"}),
+            diagnostics=diagnostics, verdict=verdict))
 
     print(f"tolerance: {tol:.6e}")
     print(f"settling: two_sided={evidence.two_sided} t_settle={evidence.t_settle} "
@@ -238,15 +236,12 @@ def _cmd_sweep(spec: ExperimentSpec, args: argparse.Namespace) -> int:
                       args.config, args.no_clobber)
     controller = synthesize(spec.synthesis)
     vp = spec.verify
-
-    started = time.perf_counter()
-    report = sweep_initial_conditions(
-        spec.plant, controller, spec.sim, scales,
+    report, wall = _timed(
+        sweep_initial_conditions, spec.plant, controller, spec.sim, scales,
         tol_abs=vp.tol_abs, tol_rel=vp.tol_rel,
         window_factor=vp.window_factor, spread_bound=vp.spread_bound,
         keep_trajectories=True,
     )
-    wall = time.perf_counter() - started
 
     written = []
     for row, path in zip(report.rows, per_run_paths):
@@ -267,16 +262,9 @@ def _cmd_sweep(spec: ExperimentSpec, args: argparse.Namespace) -> int:
             "integrator": None if row.traj is None else _integrator_block(row.traj.meta),
         })
     if spec.output.report:
-        out.write_report(spec.output.report, {
-            "command": "sweep",
-            "run_id": spec.run_id,
-            "config": effective_config(spec),
-            "scales": scales,
-            "rows": rows_payload,
-            "spread": report.spread,
-            "spread_bound": report.spread_bound,
-            "verdict": report.verdict,
-        })
+        out.write_report(spec.output.report, _report(
+            spec, "sweep", scales=scales, rows=rows_payload, spread=report.spread,
+            spread_bound=report.spread_bound, verdict=report.verdict))
         written.append(spec.output.report)
 
     for row in report.rows:

@@ -205,6 +205,12 @@ class SimConfig:
             raise ConfigurationError(
                 f"eps_stop must lie in (0, 0.01*T_p], got {self.eps_stop!r}"
             )
+        if self.t_standoff == self.T_p:
+            raise ConfigurationError(
+                f"eps_stop={self.eps_stop!r} is too small for T_p={self.T_p!r}: "
+                "T_p - eps_stop rounds to T_p, so the run could never reach "
+                "its standoff"
+            )
         if self.max_step is None:
             object.__setattr__(self, "max_step", self.T_p / 1000.0)
         if not (0.0 < self.max_step <= self.T_p):

@@ -105,31 +105,41 @@ class Controller:
 
 
 def synthesize(config: SynthesisConfig) -> Controller:
-    """Run the backstepping recursion and return the controller."""
+    """Run the backstepping recursion and return the controller.
+
+    A law whose expressions nest deeper than Python's recursion limit is
+    refused with a ConfigurationError naming the order and the stage reached.
+    """
     n, T_p = config.n, config.T_p
     x = [sd.StateVar(i) for i in range(1, n + 1)]
+    stage = 1
+    try:
+        z1 = sd.simplify(x[0] - config.c)
+        z_exprs: list[sd.Expr] = [z1]
+        refs: list[sd.Expr] = [sd.simplify(-psi_expr(config.stages[0], z1, T_p))]
 
-    z1 = sd.simplify(x[0] - config.c)
-    z_exprs: list[sd.Expr] = [z1]
-    refs: list[sd.Expr] = [sd.simplify(-psi_expr(config.stages[0], z1, T_p))]
-
-    for i in range(2, n + 1):
-        x_id = refs[-1]  # x_{i,d}, references x_1..x_{i-1} and t
-        z_i = sd.simplify(x[i - 1] - x_id)
-        z_exprs.append(z_i)
-        ref = sd.Sub(
-            sd.Sub(sd.lie_derivative(x_id, n), z_exprs[-2]),
-            psi_expr(config.stages[i - 1], z_i, T_p),
-        )
-        refs.append(sd.simplify(ref))
-
-    for i, ref in enumerate(refs, start=1):
-        used = sd.state_indices(ref)
-        if used and max(used) > i:
-            raise StructureError(
-                f"virtual reference {i} references x{max(used)}; "
-                "the recursion must stay lower triangular"
+        for stage in range(2, n + 1):
+            x_id = refs[-1]  # x_{i,d}, references x_1..x_{i-1} and t
+            z_i = sd.simplify(x[stage - 1] - x_id)
+            z_exprs.append(z_i)
+            ref = sd.Sub(
+                sd.Sub(sd.lie_derivative(x_id, n), z_exprs[-2]),
+                psi_expr(config.stages[stage - 1], z_i, T_p),
             )
+            refs.append(sd.simplify(ref))
+
+        for i, ref in enumerate(refs, start=1):
+            used = sd.state_indices(ref)
+            if used and max(used) > i:
+                raise StructureError(
+                    f"virtual reference {i} references x{max(used)}; "
+                    "the recursion must stay lower triangular"
+                )
+    except RecursionError:
+        raise ConfigurationError(
+            f"the law of order n={n} nests too deep to build: Python's recursion "
+            f"limit was reached at stage {stage} of {n}"
+        ) from None
     return Controller(config=config, z_exprs=tuple(z_exprs), virtual_refs=tuple(refs))
 
 

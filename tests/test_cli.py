@@ -3,12 +3,19 @@ report/stdout contract, all driven through main() in process."""
 
 import json
 import math
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
 import psis.cli
 import psis.verification
 from psis.cli import _sweep_paths, main
+
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
 def write_config(tmp_path, data, name="exp.json"):
@@ -191,6 +198,50 @@ class TestConfigFailures:
         assert err.startswith("configuration error: max_step=0.001 forces at least ")
         assert "the step budget of 5000000" in err
         assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
+
+    @pytest.mark.parametrize("mode", ["tau", "direct"])
+    def test_standoff_that_rounds_to_the_instant(self, tmp_path, capsys, mode):
+        # refused before the run, on either clock, where it used to end in
+        # a step-size collapse (exit 3) after integrating
+        data = chain_data()
+        data["sim"].update(eps_stop=1e-300, mode=mode)
+        cfg = write_config(tmp_path, data)
+        assert main(["verify", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "configuration error: eps_stop=1e-300 is too small for T_p=1.0: "
+            "T_p - eps_stop rounds to T_p, so the run could never reach its standoff\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
+
+    def test_law_past_the_recursion_limit(self, tmp_path):
+        # a linear n=8 law needs a recursion limit of about 200 to build; at
+        # 100 synthesize is refused with a reason, not a RecursionError.  The
+        # stage reached depends on how the Python version counts frames.
+        data = chain_data(run_id="deep", plant={"type": "chain", "n": 8})
+        data["synthesis"]["stages"] = [
+            {"kind": "linear", "eta": float(eta)} for eta in range(9, 1, -1)
+        ]
+        data["sim"]["x0"] = [1.0] + [0.0] * 7
+        cfg = write_config(tmp_path, data)
+        code = (
+            "import sys\n"
+            "from psis.cli import main\n"
+            "sys.setrecursionlimit(100)\n"
+            f"sys.exit(main(['synthesize', '--config', {cfg!r}]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert re.fullmatch(
+            r"configuration error: the law of order n=8 nests too deep to build: "
+            r"Python's recursion limit was reached at stage [1-8] of 8\n",
+            proc.stderr,
+        ), proc.stderr
 
     @pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
     def test_pendulum_whose_torque_map_overflows(self, tmp_path, capsys, command):

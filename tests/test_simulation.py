@@ -160,6 +160,24 @@ class TestSimConfig:
         with pytest.raises(ConfigurationError, match="forces at least 5.00019e\\+06 steps"):
             dataclasses.replace(cfg, mode="direct")
 
+    @pytest.mark.parametrize("eps_stop", [1e-300, 5e-17])
+    def test_standoff_that_rounds_to_the_instant_is_refused(self, eps_stop):
+        # 1 - eps_stop rounds to 1: the run could never reach its standoff
+        with pytest.raises(ConfigurationError) as info:
+            SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2, eps_stop=eps_stop)
+        assert str(info.value) == (
+            f"eps_stop={eps_stop!r} is too small for T_p=1.0: T_p - eps_stop "
+            "rounds to T_p, so the run could never reach its standoff"
+        )
+
+    def test_smallest_standoff_completes_on_the_tau_clock(self):
+        # 1 - 1e-16 is 0.9999999999999999, one float below T_p
+        cfg = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2, eps_stop=1e-16, mode="tau")
+        assert cfg.t_standoff == 0.9999999999999999
+        traj = simulate(IntegratorChain(2), make_controller(), cfg)
+        assert traj.t[-1] == 1.2
+        assert traj.sample_at(cfg.t_standoff).t == cfg.t_standoff
+
 
 class TestTrajectoryContainer:
     def test_sample_at_exact_hit_and_miss(self):
@@ -818,20 +836,22 @@ class TestBreakdownReporting:
             assert len(info.value.partial.samples) == 1
 
     def test_tau_clock_failure_reports_a_time_of_the_run(self):
-        # eps_stop = 1e-300 holds the tau leg on to tau = ln(1e300) = 691;
-        # the step size collapses near tau = 37, where T_p - t is below the
-        # spacing of floats at 1, so the error's t lies in the last gap
-        ctrl = make_controller()
-        cfg = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2, eps_stop=1e-300, mode="tau")
+        # linear n=8 from e1 collapses its step size mid-run on the tau
+        # clock (ROADMAP item 7); the error names tau and carries the t it
+        # maps to, past the last recorded sample
+        n = 8
+        ctrl = make_controller(n=n, etas=tuple(float(e) for e in range(n + 1, 1, -1)))
+        cfg = SimConfig(x0=(1.0,) + (0.0,) * (n - 1), T_p=1.0, t_end=1.2, mode="tau")
         with pytest.raises(StiffnessError) as info:
-            simulate(IntegratorChain(2), ctrl, cfg)
+            simulate(IntegratorChain(n), ctrl, cfg)
         exc = info.value
         assert exc.partial.t[-1] <= exc.t <= cfg.T_p
         text = str(exc)
         assert text.startswith("step size collapsed to ")
         assert text.endswith(" on the tau clock (h in tau units)")
         tau = float(text.rsplit("at tau=", 1)[1].split()[0])
-        assert 30.0 < tau < math.log(cfg.T_p / cfg.eps_stop)
+        assert 0.0 < tau < math.log(cfg.T_p / cfg.eps_stop)
+        assert exc.t == pytest.approx(cfg.T_p * -math.expm1(-tau), rel=1e-8)
 
     @pytest.mark.parametrize("T_p", [1e-6, 1e-12])
     def test_tiny_prescribed_instant_settles(self, T_p):

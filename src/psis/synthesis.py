@@ -119,7 +119,7 @@ def synthesize(config: SynthesisConfig) -> Controller:
         refs: list[sd.Expr] = [sd.simplify(-psi_expr(config.stages[0], z1, T_p))]
 
         for stage in range(2, n + 1):
-            x_id = refs[-1]  # x_{i,d}, references x_1..x_{i-1} and t
+            x_id = refs[-1]  # x_{stage,d}, references x_1..x_{stage-1} and t
             z_i = sd.simplify(x[stage - 1] - x_id)
             z_exprs.append(z_i)
             ref = sd.Sub(

@@ -40,7 +40,6 @@ _API = {
     "plant_order": "simulation",
     "simulate": "simulation",
     "simulate_pendulum_raw": "simulation",
-    "simulate_tau": "simulation",
     "torque_map": "simulation",
     "Controller": "synthesis",
     "SynthesisConfig": "synthesis",

@@ -18,9 +18,10 @@ Two coordinate choices matter for accuracy:
     depends on x_1 only through x_1 - c, so the twin reproduces u exactly
     while keeping the stage errors representable near T_p, where x_1 itself
     has absorbed the setpoint and carries no significant digits of z_1.
-  * An optional change of clock tau = -ln((T_p - t)/T_p) stretches the
-    terminal approach onto an infinite horizon; dx/dtau = (T_p - t) dx/dt.
-    Both parameterizations must agree wherever they share sample times.
+  * The change of clock tau = -ln((T_p - t)/T_p), which runs unless
+    SimConfig.mode asks for "direct", stretches the terminal approach onto
+    an infinite horizon; dx/dtau = (T_p - t) dx/dt.  Both parameterizations
+    must agree wherever they share sample times.
 
 The integrator is a Dormand-Prince 5(4) embedded pair with the first-same-
 as-last evaluation reused across accepted steps, a PI step-size controller
@@ -186,7 +187,9 @@ class SimConfig:
     atol: float = 1e-12
     max_step: float | None = None   # default T_p / 1000
     sample_dt: float | None = None  # default T_p / 500
-    mode: str = "direct"
+    # the clock before T_p: "tau" resolves the approach, while on "direct"
+    # |u| at the standoff is roundoff of terms scaled by 1/(T_p - t)^2
+    mode: str = "tau"
     open_loop: bool = False         # force u = 0; a run the verifier must reject
 
     def __post_init__(self) -> None:
@@ -970,9 +973,12 @@ _TAU_MAX_STEP = 0.05
 def simulate(plant: PlantModel, controller: Controller, cfg: SimConfig) -> Trajectory:
     """Run the closed loop and return the sampled trajectory.
 
-    Integrates on the clock cfg.mode names (see simulate_tau for "tau").  On
-    integrator breakdown the raised error carries the samples collected so
-    far in its `partial` attribute.
+    Integrates on the clock cfg.mode names.  The tau clock,
+    tau = -ln((T_p - t)/T_p), runs from tau = 0 to the standoff at
+    tau = ln(T_p/eps_stop) and records the same pre-instant grid as the
+    direct clock; either way the instant is then crossed and the run goes
+    on to t_end in t.  On integrator breakdown the raised error carries the
+    samples collected so far in its `partial` attribute.
     """
     _check_compatibility(plant, controller, cfg)
     sc = controller.config
@@ -1011,18 +1017,6 @@ def simulate(plant: PlantModel, controller: Controller, cfg: SimConfig) -> Traje
     )
 
 
-def simulate_tau(plant: PlantModel, controller: Controller, cfg: SimConfig) -> Trajectory:
-    """Run the closed loop on the stretched clock tau = -ln((T_p - t)/T_p),
-    whatever cfg.mode says.
-
-    The stretched clock runs from tau = 0 to the standoff at
-    tau = ln(T_p/eps_stop), recording the same pre-instant grid as the
-    direct mode; the instant is then crossed and the run continues to t_end
-    exactly as on the direct clock.
-    """
-    return simulate(plant, controller, replace(cfg, mode="tau"))
-
-
 def simulate_pendulum_raw(
     plant: Pendulum,
     cfg: SimConfig,
@@ -1034,14 +1028,16 @@ def simulate_pendulum_raw(
     path: the same phase structure (standoff, Euler crossing, free segment),
     but no setpoint shift and no error bookkeeping, so the samples carry
     z = V = dV = None and u holds the applied torque.  It always integrates
-    on the direct clock, whatever cfg.mode says.  Tight tolerances are
-    not appropriate here when torque_fn encodes a feedback law in raw
-    coordinates, because the stage errors hit the roundoff floor of the
-    setpoint well before the standoff; pass a mid-precision config and a
-    larger eps_stop instead.
+    on the direct clock, whatever cfg.mode says, so a max_step that forces
+    more steps than the budget on that clock is a ConfigurationError.
+    Tight tolerances are not appropriate here when torque_fn encodes a
+    feedback law in raw coordinates, because the stage errors hit the
+    roundoff floor of the setpoint well before the standoff; pass a
+    mid-precision config and a larger eps_stop instead.
     """
     if len(cfg.x0) != 2:
         raise ConfigurationError(f"pendulum state has 2 components, got {len(cfg.x0)}")
+    cfg = replace(cfg, mode="direct")  # validated again, as a direct run
 
     def rhs(t: float, x: list[float]) -> list[float]:
         return [x[1], pendulum_accel(plant, x, torque_fn(x, t))]

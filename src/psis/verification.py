@@ -13,18 +13,18 @@ A single simulated run is judged on three kinds of evidence:
     rebuilt sample by sample from the recorded z and V, in one loop over
     the columns that is generated and compiled once per kernel kind and
     number of stages, with z unpacked into locals and the kernel inlined,
-    the way simulation generates the recorder.  The recorded dV is compared
-    with a finite-difference slope of the recorded V as well, read off
-    shifted slices of the columns.
+    the way simulation generates the recorder.  The same loop compares the
+    recorded dV with a finite-difference slope of the recorded V, from the
+    row before and the row after, which it carries in locals.
   * control_vanishing_check: the input must die out as t approaches T_p and
     be exactly zero afterwards, confirming the law spends its effort early
     rather than diverging into the singular gain.
 
 The audits read the pre-instant rows of the trajectory's columns in place;
-the times are sorted, so each window of rows is found by bisection.  Every
-float operation keeps its operands and order, so the results are the same
-bits as a loop over the samples (tests/test_audit_oracle.py keeps those
-loops as oracles).
+the times are sorted, so the settling and vanishing windows are found by
+bisection.  Every float operation keeps its operands and order, so the
+results are the same bits as a loop over the samples
+(tests/test_audit_oracle.py keeps those loops as oracles).
 
 sweep_initial_conditions repeats the settling audit across scaled initial
 conditions, which is the operational meaning of "for every initial
@@ -219,11 +219,40 @@ $envelope
     return lower, upper
 
 def envelope_pass(t_col, z_col, V_col, dV_col, T_p, lower_coef, upper_coef,
-                  slack_abs, slack_rel):
+                  slack_abs, slack_rel, lo_t, hi_t):
     violations = []
     add = violations.append
     skipped = 0
+    max_residual = 0.0
+    # (t0, V0) and (t1, V1, dV1) are the two rows before this one; t0 is
+    # None until the previous row has a row before it
+    t0 = t1 = V1 = dV1 = None
     for t, ($z), V, dV in zip(t_col, z_col, V_col, dV_col):
+        # the previous row now has a row on each side: its stencil residual
+        # counts if lo_t <= t1 <= hi_t
+        if t0 is not None and lo_t <= t1 <= hi_t and not V1 < $floor:
+            h1 = t1 - t0
+            h2 = t - t1
+            if h1 != 0.0 and h2 != 0.0:
+                h12 = h1 + h2
+                slope = (
+                    -V0 * h2 / (h1 * h12)
+                    + V1 * (h2 - h1) / (h1 * h2)
+                    + V * h1 / (h2 * h12)
+                )
+                # max(1.0, d) and max(max_residual, residual) spelt out:
+                # each keeps its first argument unless the second is
+                # larger, nan included
+                abs_dV1 = abs(dV1)
+                residual = abs(slope - dV1) / (abs_dV1 if abs_dV1 > 1.0 else 1.0)
+                if residual > max_residual:
+                    max_residual = residual
+        # one name at a time, which builds no tuple
+        t0 = t1
+        t1 = t
+        V0 = V1
+        V1 = V
+        dV1 = dV
         if V < $floor:
             skipped += 1
             continue
@@ -239,7 +268,7 @@ $loop_envelope
             add(BoundViolation(float(t), "lower", dV, lower))
         if dV > upper + slack:
             add(BoundViolation(float(t), "upper", dV, upper))
-    return violations, skipped
+    return violations, skipped, max_residual
 ''')
 
 
@@ -307,13 +336,13 @@ def lyapunov_audit(
     _audit_source), which unpacks each z into locals and inlines the
     kernel.  The numeric slope of V uses a three-point stencil on the
     non-uniform sample times; its deviation from the recorded dV is
-    reported as a residual normalized by max(1, |dV|), over [0.05 T_p,
-    0.95 T_p] (away from the endpoints, where the stencil is one-sided or
-    the dynamics are singular).  The window's rows are found by bisecting
-    the sorted times, and the stencil reads shifted slices of the columns.
-    A sample that shares its time with a neighbour has no three-point slope
-    and no residual.  A z with other than one component per stage exponent
-    is an AuditError.
+    reported as a residual normalized by max(1, |dV|), over the rows with a
+    row on each side and t in [0.05 T_p, 0.95 T_p] (away from the
+    endpoints, where the stencil is one-sided or the dynamics are
+    singular).  The same pass computes it, carrying the two rows before the
+    current one in locals.  A sample that shares its time with a neighbour
+    has no three-point slope and no residual.  A z with other than one
+    component per stage exponent is an AuditError.
     """
     kinds = traj.meta.get("kinds", [])
     problem = mixed_kernels(kinds)
@@ -323,49 +352,19 @@ def lyapunov_audit(
     etas = [float(e) for e in traj.meta["etas"]]
     T_p = float(traj.meta["T_p"])
     n_pre = _pre_instant_rows(traj)
-    # t runs on past the pre-instant rows; zip and the bisections stop there
-    t, V, dV = traj.t, traj.V, traj.dV
-
+    lo_t, hi_t = 0.05 * T_p, 0.95 * T_p
     n = len(etas)
     try:
-        violations, skipped = _audit_program(kind, n)["envelope_pass"](
-            t, traj.z, V, dV, T_p, *_envelope_coefficients(etas), slack_abs, slack_rel)
+        violations, skipped, max_residual = _audit_program(kind, n)["envelope_pass"](
+            traj.t, traj.z, traj.V, traj.dV, T_p, *_envelope_coefficients(etas),
+            slack_abs, slack_rel, lo_t, hi_t)
     except ValueError:  # a z row that does not unpack into n locals
         raise AuditError(
             f"stage errors must have {n} components, one per stage exponent"
         ) from None
-    audited = n_pre - skipped
-
-    lo_t, hi_t = 0.05 * T_p, 0.95 * T_p
-    # rows i with lo_t <= t[i] <= hi_t that have a neighbour on each side
-    i0 = max(bisect_left(t, lo_t, 0, n_pre), 1)
-    i1 = min(bisect_right(t, hi_t, 0, n_pre), n_pre - 1)
-    max_residual = 0.0
-    for t0, t1, t2, v0, v1, v2, dv in zip(
-        t[i0 - 1:i1 - 1], t[i0:i1], t[i0 + 1:i1 + 1],
-        V[i0 - 1:i1 - 1], V[i0:i1], V[i0 + 1:i1 + 1], dV[i0:i1],
-    ):
-        if v1 < _V_FLOOR:
-            continue
-        h1 = t1 - t0
-        h2 = t2 - t1
-        if h1 == 0.0 or h2 == 0.0:
-            continue
-        h12 = h1 + h2
-        slope = (
-            -v0 * h2 / (h1 * h12)
-            + v1 * (h2 - h1) / (h1 * h2)
-            + v2 * h1 / (h2 * h12)
-        )
-        # max(1.0, d) and max(max_residual, residual) spelt out: each keeps
-        # its first argument unless the second is larger, nan included
-        abs_dv = abs(dv)
-        residual = abs(slope - dv) / (abs_dv if abs_dv > 1.0 else 1.0)
-        if residual > max_residual:
-            max_residual = residual
 
     return LyapunovAudit(
-        n_audited=audited,
+        n_audited=n_pre - skipped,
         n_skipped=skipped,
         violations=tuple(violations),
         max_equality_residual=max_residual,
@@ -483,9 +482,7 @@ def control_vanishing_check(traj: Trajectory, tol: float) -> ControlVanishing:
         raise ConfigurationError(f"tolerance must be finite and positive, got {tol!r}")
     T_p = float(traj.meta["T_p"])
     window_start = TERMINAL_WINDOW_START * T_p
-    n_pre = len(traj.z)
-    if not n_pre:
-        raise AuditError("trajectory has no pre-instant samples")
+    n_pre = _pre_instant_rows(traj)
     pre_u = traj.u[:n_pre]
     # the times are sorted: the pre-instant rows with t >= window_start end them
     start = bisect_left(traj.t, window_start, 0, n_pre)
@@ -561,7 +558,7 @@ class SweepReport:
 def thread_count(n_jobs: int) -> int:
     """Threads a sweep of n_jobs runs uses: always 1, since sweeps run
     serially.  It stays only because perfbench/worker.py records it, and
-    goes with ROADMAP item 6."""
+    goes with ROADMAP item 5."""
     return 1
 
 

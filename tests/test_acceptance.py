@@ -14,6 +14,7 @@ import json
 import math
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -25,7 +26,6 @@ from psis.simulation import (
     Pendulum,
     SimConfig,
     simulate,
-    simulate_tau,
 )
 from psis.synthesis import SynthesisConfig, eval_control, synthesize
 from psis.verification import (
@@ -423,10 +423,11 @@ def test_criterion_8_clock_equivalence():
         SynthesisConfig(n=2, c=0.15, T_p=0.5, stages=_linear_stages((3.0, 2.0)))
     )
     rtol = 1e-9
-    cfg = SimConfig(x0=(0.09, 0.1), T_p=0.5, t_end=0.6, rtol=rtol, atol=1e-12)
+    cfg = SimConfig(x0=(0.09, 0.1), T_p=0.5, t_end=0.6, rtol=rtol, atol=1e-12,
+                    mode="direct")
     plant = IntegratorChain(2)
     direct = simulate(plant, controller, cfg)
-    warped = simulate_tau(plant, controller, cfg)
+    warped = simulate(plant, controller, replace(cfg, mode="tau"))
 
     by_time = {s.t: s for s in warped.samples}
     shared = [s for s in direct.samples if s.t in by_time]

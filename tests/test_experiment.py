@@ -12,8 +12,8 @@ from psis.experiment import (
     OutputPaths, VerifyParams, build_spec, effective_config, load_config,
 )
 from psis.rcdf import RcdfKind
-from psis.simulation import IntegratorChain, Pendulum, SimConfig
-from psis.synthesis import SynthesisConfig
+from psis.simulation import IntegratorChain, Pendulum, SimConfig, simulate
+from psis.synthesis import SynthesisConfig, synthesize
 
 
 def chain_config(**overrides):
@@ -42,10 +42,21 @@ class TestDefaults:
         assert spec.plant.n == 2
         assert spec.sim.t_end == pytest.approx(1.2)
         assert spec.sim.rtol == 1e-9
-        # config files default to the tau clock; SimConfig keeps "direct"
+        # SimConfig's default clock; the config file leaves it alone
         assert spec.sim.mode == "tau"
         assert spec.verify.tol_abs == 1e-4
         assert spec.verify.scales == (1.0,)
+
+    def test_config_file_and_library_run_the_same_default_clock(self):
+        # a config without sim.mode and a SimConfig without mode are one run
+        spec = build_spec(chain_config(), base_dir="/work")
+        controller = synthesize(spec.synthesis)
+        from_file = simulate(spec.plant, controller, spec.sim)
+        from_library = simulate(IntegratorChain(2), controller,
+                                SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2))
+        for column in ("t", "x", "u", "z", "V", "dV"):
+            assert getattr(from_file, column) == getattr(from_library, column), column
+        assert from_file.meta == from_library.meta
 
     def test_output_paths_default_from_run_id_and_base_dir(self):
         spec = build_spec(chain_config(), base_dir="/work")

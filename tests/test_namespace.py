@@ -45,7 +45,6 @@ PUBLIC = [
     "plant_order",
     "simulate",
     "simulate_pendulum_raw",
-    "simulate_tau",
     "torque_map",
     "Controller",
     "SynthesisConfig",

@@ -29,7 +29,6 @@ from psis.simulation import (
     plant_order,
     simulate,
     simulate_pendulum_raw,
-    simulate_tau,
     torque_map,
     _program,
 )
@@ -111,6 +110,7 @@ class TestPlants:
 class TestSimConfig:
     def test_defaults_scale_with_the_horizon(self):
         cfg = SimConfig(x0=(1.0, 0.0), T_p=2.0, t_end=2.4)
+        assert cfg.mode == "tau"
         assert cfg.eps_stop == pytest.approx(2e-9)
         assert cfg.max_step == pytest.approx(2.0 / 1000.0)
         assert cfg.sample_dt == pytest.approx(2.0 / 500.0)
@@ -383,7 +383,7 @@ class TestColumns:
 class TestClosedLoopPhases:
     def setup_method(self):
         self.ctrl = make_controller()
-        self.cfg = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2)
+        self.cfg = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2, mode="direct")
         self.traj = simulate(IntegratorChain(2), self.ctrl, self.cfg)
 
     def test_scheduled_times_are_hit_exactly(self):
@@ -879,7 +879,7 @@ class TestBreakdownReporting:
         # the trial steps of this start overflow the squared error norm; such
         # a step is rejected and retried smaller, not a traceback
         ctrl = make_controller(n=4, etas=(4.5, 3.5, 2.5, 1.5), kind=RcdfKind.TAN)
-        cfg = SimConfig(x0=(1.0, 0.0, 0.0, 0.0), T_p=1.0, t_end=1.2)
+        cfg = SimConfig(x0=(1.0, 0.0, 0.0, 0.0), T_p=1.0, t_end=1.2, mode="direct")
         traj = simulate(IntegratorChain(4), ctrl, cfg)
         assert len(traj.samples) == 1636
         assert traj.samples[-1].t == 1.2
@@ -902,11 +902,10 @@ class TestTauClock:
         assert cfg_t.t_standoff in times_t
         assert tt.meta["mode"] == "tau"
         assert "tau_end" not in tt.meta
-        # simulate_tau runs the tau clock whatever the config says, and says so
-        forced = simulate_tau(IntegratorChain(2), ctrl, cfg_d)
-        assert forced.samples == tt.samples
-        assert forced.meta["mode"] == "tau"
-        assert forced.meta == tt.meta
+        # a direct config switched to the tau clock is the tau run, and says so
+        switched = simulate(IntegratorChain(2), ctrl, dataclasses.replace(cfg_d, mode="tau"))
+        assert switched.samples == tt.samples
+        assert switched.meta == tt.meta
 
     def test_agrees_with_direct_mode(self):
         ctrl = make_controller(c=0.15, T_p=0.5)
@@ -956,6 +955,18 @@ class TestRawPendulum:
         angle_at_instant = raw.sample_at(0.5).x[0]
         assert angle_at_instant == pytest.approx(0.15, abs=1e-4)
         assert raw.meta["raw"] is True
+
+    def test_step_budget_is_that_of_the_direct_clock(self):
+        # the raw pendulum always runs on the direct clock: 1/1024 forces
+        # 1024 steps per unit of t from t = 0, past the budget, although
+        # the config is valid for a tau run; it is refused before a step
+        def torque(x, t):
+            raise AssertionError("the pendulum was integrated")
+
+        cfg = SimConfig(x0=(0.3, 0.0), T_p=1.0, t_end=4883.0, sample_dt=0.1,
+                        max_step=1 / 1024, mode="tau")
+        with pytest.raises(ConfigurationError, match="forces at least 5.00019e\\+06 steps"):
+            simulate_pendulum_raw(Pendulum(), cfg, torque)
 
     def test_reports_applied_torque_not_design_input(self):
         plant = Pendulum()

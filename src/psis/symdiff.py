@@ -19,12 +19,12 @@ table holds its nodes weakly, so dead expressions are freed, and a lock
 makes each lookup-or-insert atomic, so threads synthesizing at once still
 share one node per structure.
 
-Every recursive walker (evaluate, simplify, partial, to_infix, code_emitter)
-runs through _walk, which keeps a memo on node identity for the one call
-(code_emitter's lasts over the roots of one program): each distinct node is
-visited once, and the result is that of a walk over the tree the DAG stands
-for.  node_count still counts tree occurrences, a shared subexpression once
-per place it appears.
+Every recursive walker (evaluate, simplify, partial, lie_derivative,
+to_infix, code_emitter) runs through _walk, which keeps a memo on node
+identity for the one call (code_emitter's lasts over the roots of one
+program): each distinct node is visited once, and the result is that of a
+walk over the tree the DAG stands for.  node_count still counts tree
+occurrences, a shared subexpression once per place it appears.
 
 code_emitter turns the DAG into straight-line Python.  It counts up front
 how many places read each node, so a node read once is written inline in
@@ -422,15 +422,16 @@ def partial(expr: Expr, wrt: Expr) -> Expr:
     """
     if not isinstance(wrt, (StateVar, TimeVar)):
         raise StructureError(f"can only differentiate w.r.t. a variable, got {wrt!r}")
-    return _walk(expr, lambda e, d: _partial(e, d, wrt))
+    seed = lambda v: Const(1.0) if v is wrt else Const(0.0)
+    return _walk(expr, lambda e, d: _partial(e, d, seed))
 
 
-def _partial(e: Expr, d: Callable[[Expr], Expr], wrt: Expr) -> Expr:
-    """d(e)/d(wrt), where d gives the derivative of a child."""
+def _partial(e: Expr, d: Callable[[Expr], Expr], leaf: Callable[[Expr], Expr]) -> Expr:
+    """e's derivative by the chain rule: d gives a child's, leaf a variable's."""
     if isinstance(e, Const):
         return Const(0.0)
     if isinstance(e, (StateVar, TimeVar)):
-        return Const(1.0) if e is wrt else Const(0.0)
+        return leaf(e)
     if isinstance(e, Add):
         return Add(d(e.left), d(e.right))
     if isinstance(e, Sub):
@@ -476,24 +477,23 @@ def _partial(e: Expr, d: Callable[[Expr], Expr], wrt: Expr) -> Expr:
 def lie_derivative(expr: Expr, n: int) -> Expr:
     """Total time derivative of expr along an order-n integrator chain.
 
-    Along the chain each state feeds the one before it, dx_j/dt = x_{j+1},
-    so d/dt expr = d expr/dt + sum_j (d expr/dx_j) * x_{j+1}.  The last
-    state's derivative is the control input, which is not part of the state
-    vocabulary, so expr may only reference x_1 .. x_{n-1}.
+    Along the chain dx_j/dt = x_{j+1} and dt/dt = 1, and one forward-mode
+    walk (Griewank & Walther, "Evaluating Derivatives", 2nd ed., 2008,
+    ch. 3) applies _partial's rules with those as the variables'
+    derivatives: each node is differentiated once, not once per variable.
+    The last state's derivative is the control input, which is not part of
+    the state vocabulary, so expr may only reference x_1 .. x_{n-1}.
     """
     if n < 1:
         raise StructureError(f"chain order must be at least 1, got {n}")
-    used = state_indices(expr)
-    over = sorted(j for j in used if j > n - 1)
+    over = sorted(j for j in state_indices(expr) if j > n - 1)
     if over:
         raise StructureError(
             f"expression references x{over[0]}, whose chain derivative is not a "
             f"state (order n={n}); only x1..x{n - 1} admit a Lie derivative here"
         )
-    total: Expr = partial(expr, TimeVar())
-    for j in sorted(used):
-        total = Add(total, Mul(partial(expr, StateVar(j)), StateVar(j + 1)))
-    return total
+    flow = lambda v: StateVar(v.index + 1) if isinstance(v, StateVar) else Const(1.0)
+    return _walk(expr, lambda e, d: _partial(e, d, flow))
 
 
 # ---------------------------------------------------------------------------

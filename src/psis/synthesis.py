@@ -11,7 +11,8 @@ reference as the quantity its own state must track:
     u         = x_{n+1,d}
 
 The time derivative of each virtual reference is taken exactly, as a Lie
-derivative along the chain, so the final control law is a closed-form
+derivative along the chain in one chain-rule walk of its DAG
+(symdiff.lie_derivative), so the final control law is a closed-form
 expression in (x, t).  Applied for 0 <= t < T_p and switched to u = 0
 afterwards, it pins the settling instant of the chain at exactly T_p.
 
@@ -192,9 +193,26 @@ def error_coordinates(
     return tuple(sd.evaluate(z, x, t) for z in controller.z_exprs)
 
 
+# The most tree nodes describe writes out, at about 3.6 bytes of text each:
+# the infix text spells out the tree each expression stands for, not its DAG.
+_DESCRIBE_LIMIT = 10**7
+
+
 def describe(controller: Controller) -> str:
-    """Human-readable rendering of the synthesized law, for logs."""
+    """Human-readable rendering of the synthesized law, for logs.
+
+    A law whose printed expressions hold more than _DESCRIBE_LIMIT tree nodes
+    in all is refused with a ConfigurationError before any text is built.
+    """
     cfg = controller.config
+    exprs = controller.z_exprs + controller.virtual_refs
+    tree = sum(map(sd.node_count, exprs))
+    if tree > _DESCRIBE_LIMIT:
+        raise ConfigurationError(
+            f"the law of order n={cfg.n} is too large to print: its expressions "
+            f"hold {tree:,} tree nodes ({len(sd._nodes(*exprs)):,} distinct), "
+            f"over the limit of {_DESCRIBE_LIMIT:,}"
+        )
     lines = [
         f"order n={cfg.n}, setpoint c={cfg.c!r}, prescribed instant T_p={cfg.T_p!r}",
         "stages: "

@@ -75,6 +75,24 @@ class TestSynthesize:
         names = {p.name for p in tmp_path.iterdir()}
         assert names == {"exp.json"}
 
+    def test_law_too_large_to_print_is_refused(self, tmp_path, capsys):
+        # linear n=10 builds 1,702 distinct nodes, but its infix text would
+        # spell out 1.4e8 tree nodes; describe refuses before writing any
+        data = chain_data(run_id="wide", plant={"type": "chain", "n": 10})
+        data["synthesis"]["stages"] = [
+            {"kind": "linear", "eta": float(eta)} for eta in range(11, 1, -1)
+        ]
+        data["sim"]["x0"] = [1.0] + [0.0] * 9
+        cfg = write_config(tmp_path, data)
+        assert main(["synthesize", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "configuration error: the law of order n=10 is too large to print: its "
+            "expressions hold 135,579,962 tree nodes (1,702 distinct), over the "
+            "limit of 10,000,000\n"
+        )
+
 
 class TestSimulate:
     def test_writes_csv_svg_report(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Backstepping synthesis: recursion structure, collected control laws,
-setpoint handling, the evaluation gate at the prescribed instant, and the
-bits and thread safety of high-order synthesis."""
+setpoint handling, the evaluation gate at the prescribed instant, the bits
+and thread safety of high-order synthesis, and the one-walk Lie derivative
+against the sum of partial derivatives it replaced."""
 
 import hashlib
 import math
@@ -227,12 +228,12 @@ class TestHighOrderLaws:
     # to the law's construction or to the emitted text must show here (the
     # values are held to the one-local-per-node emitter in test_emitter.py)
     @pytest.mark.parametrize("kind, n, c, u_nodes, u_digest, z_digests", [
-        (RcdfKind.TAN, 5, 0.0, 375_047, "7d6541278c3194c6",
-         ("5e8280e8ad564655", "e45e2c007e6f1c85", "3bc25e441bbe6790",
-          "0beb0178942393a9", "5ac4e9e01a834a17")),
-        (RcdfKind.LOGEXP, 5, 0.15, 28_162, "2ac6d1ad669ead09",
-         ("2db36477af55d413", "da3229f0af1ef325", "28742586bee81fe2",
-          "500fb380ffe02206", "9d28537f1ac1d1d5")),
+        (RcdfKind.TAN, 5, 0.0, 108_219, "d3dbbfe6894f9912",
+         ("5e8280e8ad564655", "e45e2c007e6f1c85", "e9a5996a876205f7",
+          "bb19dda91aa4bf68", "2e52d67536e0bd69")),
+        (RcdfKind.LOGEXP, 5, 0.15, 10_575, "35375f9a5ee5b749",
+         ("2db36477af55d413", "da3229f0af1ef325", "f81c2b51cff436d7",
+          "8d366487c8b06cb9", "60a2fe7d90fde036")),
     ], ids=["tan-n5", "logexp-n5"])
     def test_compiled_sources_are_pinned(self, kind, n, c, u_nodes, u_digest, z_digests):
         ctrl = synthesize(chain_config(kind, n, c))
@@ -242,8 +243,8 @@ class TestHighOrderLaws:
 
     def test_order_six_synthesizes(self):
         ctrl = synthesize(chain_config(RcdfKind.TAN, 6, 0.0))
-        assert ctrl.compiled_u.__psis_source__.count("\n") == 1_866
-        assert sd.node_count(ctrl.u_expr) == 9_616_632
+        assert ctrl.compiled_u.__psis_source__.count("\n") == 264
+        assert sd.node_count(ctrl.u_expr) == 1_398_443
 
     def test_threads_build_one_dag(self):
         # etas and T_p no other test uses, so the threads intern fresh nodes;
@@ -273,3 +274,44 @@ class TestHighOrderLaws:
         serial = synthesize(cfg)
         assert all(u_expr is serial.u_expr for u_expr, _ in results)
         assert all(source == serial.compiled_u.__psis_source__ for _, source in results)
+
+
+def reference_lie_derivative(expr, n):
+    """The Lie derivative built as d/dt + sum_j (d/dx_j) * x_{j+1}: one
+    partial derivative per variable, summed, as synthesis once did."""
+    total = sd.partial(expr, sd.TimeVar())
+    for j in sorted(sd.state_indices(expr)):
+        total = sd.Add(total, sd.Mul(sd.partial(expr, sd.StateVar(j)), sd.StateVar(j + 1)))
+    return total
+
+
+MIXED = SynthesisConfig(n=3, c=0.3, T_p=1.0, stages=tuple(
+    RcdfSpec(kind=RcdfKind(k), eta=e)
+    for k, e in zip(("tan", "linear", "logexp"), (4.0, 3.0, 2.0))
+))
+
+
+class TestLieDerivativeOracle:
+    # the one-walk Lie derivative against the sum of partials: every z_i
+    # and u agree to roundoff at 300 random (x, t) before T_p
+    @pytest.mark.parametrize("config", [
+        *(chain_config(RcdfKind.LINEAR, n, 0.0) for n in range(2, 9)),
+        *(chain_config(RcdfKind.TAN, n, 0.0) for n in range(2, 7)),
+        *(chain_config(RcdfKind.LOGEXP, n, 0.0) for n in range(2, 7)),
+        MIXED,
+    ], ids=lambda cfg: "-".join(sorted({s.kind.value for s in cfg.stages})) + f"-n{cfg.n}")
+    def test_laws_match_the_sum_of_partials(self, monkeypatch, config):
+        ctrl = synthesize(config)
+        with monkeypatch.context() as patch:
+            patch.setattr(sd, "lie_derivative", reference_lie_derivative)
+            ref = synthesize(config)
+        n = config.n
+        pairs = [(sd.compile_expr(a, n), sd.compile_expr(b, n))
+                 for a, b in zip(ctrl.z_exprs + (ctrl.u_expr,), ref.z_exprs + (ref.u_expr,))]
+        rng = random.Random(n)
+        for _ in range(300):
+            x = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+            t = rng.uniform(0.0, 0.99)
+            for fn, ref_fn in pairs:
+                expected = ref_fn(x, t)
+                assert abs(fn(x, t) - expected) <= 1e-12 * max(1.0, abs(expected))

@@ -29,6 +29,7 @@ from .simulation import (
     IntegratorChain, Pendulum, PlantModel, SimConfig, plant_description, plant_order,
 )
 from .synthesis import SynthesisConfig
+from .verification import slack_problem
 
 
 @dataclass(frozen=True)
@@ -213,6 +214,9 @@ def _parse_verify(data: Any) -> VerifyParams:
         raise ConfigurationError("verify.window_factor must lie in (0, 1)")
     if not (0.0 < params.spread_bound < 1.0):
         raise ConfigurationError("verify.spread_bound must lie in (0, 1)")
+    problem = slack_problem(params.slack_abs, params.slack_rel)
+    if problem is not None:
+        raise ConfigurationError(problem)
     return params
 
 

@@ -16,7 +16,7 @@ from dataclasses import fields
 from datetime import datetime, timezone
 from typing import Sequence
 
-from .errors import ConfigurationError
+from .errors import AuditError, ConfigurationError
 from .simulation import Pendulum, Trajectory, torque_map
 from .verification import SweepReport
 
@@ -85,14 +85,21 @@ def check_outputs(
             raise ConfigurationError(f"cannot write output {path!r}: {reason}")
 
 
+def _state_width(traj: Trajectory) -> int:
+    """The number of state components, read off the first sample."""
+    if not traj.t:
+        raise AuditError("trajectory has no samples")
+    return len(traj.x[0])
+
+
 def write_csv(path: str, traj: Trajectory) -> None:
     """Write the sampled trajectory.
 
     Header: t,x1..xn,z1..zn,u,V,dV.  Rows at or after the prescribed instant
     leave the z, V, and dV cells empty, because the stage errors are not
-    defined there.
+    defined there.  A trajectory with no samples is an AuditError.
     """
-    n = len(traj.x[0])
+    n = _state_width(traj)
     header = (
         ["t"]
         + [f"x{i}" for i in range(1, n + 1)]
@@ -268,10 +275,11 @@ def render_svg(traj: Trajectory, title: str, include_timestamp: bool = True) -> 
 
     Self-contained (no external references); the generation timestamp is an
     SVG comment and is the only part allowed to differ between identical
-    runs, so it can be disabled for byte-level comparisons.
+    runs, so it can be disabled for byte-level comparisons.  A trajectory
+    with no samples is an AuditError.
     """
     ts = traj.t
-    n = len(traj.x[0])
+    n = _state_width(traj)
     t_range = (ts[0], ts[-1])
 
     states = [[x[j] for x in traj.x] for j in range(n)]

@@ -20,28 +20,30 @@ makes each lookup-or-insert atomic, so threads synthesizing at once still
 share one node per structure.
 
 Every recursive walker (evaluate, simplify, partial, lie_derivative,
-to_infix, code_emitter) runs through _walk, which keeps a memo on node
-identity for the one call (code_emitter's lasts over the roots of one
-program): each distinct node is visited once, and the result is that of a
-walk over the tree the DAG stands for.  node_count still counts tree
-occurrences, a shared subexpression once per place it appears.
+code_emitter) runs through _walk, which keeps a memo on node identity for
+the one call (code_emitter's lasts over the roots of one program): each
+distinct node is visited once, and the result is that of a walk over the
+tree the DAG stands for.  node_count still counts tree occurrences, a
+shared subexpression once per place it appears.
 
-code_emitter turns the DAG into straight-line Python.  It counts up front
-how many places read each node, so a node read once is written inline in
-its reader's expression and only a node read more than once costs a local
-store and loads; the operations and their operands do not change, so
-neither do the values.  compile_source is the one place psis executes
-generated code: the compiled law, the kernel functions, the simulator's
-step loop and law programs, and the audit's envelope pass all run in a
-copy of COMPILED_GLOBALS, the one table of names generated code calls.
+code_emitter turns the DAG into straight-line Python, and it is the one
+renderer of an expression: the compiled law and synthesis.describe's
+printed let-form both come from it.  It counts up front how many places
+read each node, so a node read once is written inline in its reader's
+expression and only a node read more than once costs a local store and
+loads; the operations and their operands do not change, so neither do the
+values.  compile_source is the one place psis executes generated code: the
+compiled law, the kernel functions, the simulator's step loop and law
+programs, and the audit's envelope pass all run in a copy of
+COMPILED_GLOBALS, the one table of names generated code calls.
 
 Each operator is declared once, as a subclass of _Binary or _Unary that
-states its printed and compiled name and its float function as class
-keywords (class Add(_Binary, name="+", fn=operator.add)).  evaluate,
-simplify, to_infix and code_emitter dispatch on those two bases and read the
-name and function from the node.  Pow keeps its own rules everywhere,
-because its exponent is part of the node.  Only the derivative rules in
-_partial are spelt out per class.
+states its compiled name and its float function as class keywords
+(class Add(_Binary, name="+", fn=operator.add)).  evaluate, simplify and
+code_emitter dispatch on those two bases and read the name and function
+from the node.  Pow keeps its own rules everywhere, because its exponent is
+part of the node.  Only the derivative rules in _partial are spelt out per
+class.
 
 Notes on conventions:
   * sign(0) evaluates to 0, matching the rate kernels.
@@ -190,7 +192,7 @@ class Pow(Expr):
 
 
 class _Binary(Expr):
-    """An operator on two operands; name is its infix symbol."""
+    """An operator on two operands; name is its Python operator."""
 
     __slots__ = ("left", "right")
     __match_args__ = __slots__
@@ -219,7 +221,7 @@ class Div(_Binary, name="/", fn=operator.truediv):
 
 
 class _Unary(Expr):
-    """A function of one operand; name is its printed and compiled name."""
+    """A function of one operand; name is its compiled name."""
 
     __slots__ = ("arg",)
     __match_args__ = __slots__
@@ -403,7 +405,9 @@ def state_indices(expr: Expr) -> frozenset[int]:
 
 def node_count(expr: Expr) -> int:
     """Number of nodes in the tree expr stands for, a shared subexpression
-    once per occurrence; a proxy for the cost of a tree walk."""
+    once per occurrence: how far the law's tree outgrows its DAG, which the
+    benchmark records as synthesis.u_nodes.  No psis walker pays this size;
+    each visits the distinct nodes once."""
     counts: dict[Expr, int] = {}
     for node in _nodes(expr):
         counts[node] = 1 + sum(counts[child] for child in _children(node))
@@ -577,39 +581,6 @@ def _simplify_binary(op: type[_Binary], a: Expr, b: Expr) -> Expr:
     if _is_const(b, 1.0):
         return a
     return Div(a, b)
-
-
-# ---------------------------------------------------------------------------
-# printing
-
-
-def to_infix(expr: Expr) -> str:
-    """Render expr as fully parenthesized infix text.
-
-    Meant for logs and reports, not for parsing back.  Negation renders as
-    a prefix minus, powers use the caret.
-    """
-
-    def text(e: Expr, infix: Callable[[Expr], str]) -> str:
-        if isinstance(e, Const):
-            return repr(e.value)  # keeps the trailing .0, e.g. '3.0'
-        if isinstance(e, StateVar):
-            return f"x{e.index}"
-        if isinstance(e, TimeVar):
-            return "t"
-        if isinstance(e, Sub) and _is_const(e.left, 0.0):
-            return f"(-{infix(e.right)})"
-        if isinstance(e, _Binary):
-            return f"({infix(e.left)} {e.name} {infix(e.right)})"
-        if isinstance(e, Pow):
-            p = e.exponent
-            p_text = str(int(p)) if p == int(p) and abs(p) < 1e16 else repr(p)
-            return f"({infix(e.base)} ^ {p_text})"
-        if isinstance(e, _Unary):
-            return f"{e.name}({infix(e.arg)})"
-        raise StructureError(f"unknown node type {type(e).__name__}")
-
-    return _walk(expr, text)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,10 @@ afterwards, it pins the settling instant of the chain at exactly T_p.
 
 The 1/(T_p - t) gain means every expression here is valid strictly before
 T_p only; evaluation helpers enforce that boundary.
+
+The tree a law stands for grows exponentially with n, its DAG does not
+(tan n=6: 1.4e6 tree nodes, 744 distinct), so describe prints the DAG in
+let-form through symdiff.code_emitter, the emitter that compiles the law.
 """
 
 from __future__ import annotations
@@ -193,34 +197,28 @@ def error_coordinates(
     return tuple(sd.evaluate(z, x, t) for z in controller.z_exprs)
 
 
-# The most tree nodes describe writes out, at about 3.6 bytes of text each:
-# the infix text spells out the tree each expression stands for, not its DAG.
-_DESCRIBE_LIMIT = 10**7
-
-
 def describe(controller: Controller) -> str:
     """Human-readable rendering of the synthesized law, for logs.
 
-    A law whose printed expressions hold more than _DESCRIBE_LIMIT tree nodes
-    in all is refused with a ConfigurationError before any text is built.
+    After two lines naming the design, the law in let-form (A-normal form;
+    Flanagan, Sabry, Duba & Felleisen, PLDI 1993): one code_emitter's lines
+    over every z_i, x_{i,d} and u, each root assigned to its label.  Run in
+    a copy of COMPILED_GLOBALS with x and t bound, they give each root the
+    bits of compile_expr.
     """
     cfg = controller.config
-    exprs = controller.z_exprs + controller.virtual_refs
-    tree = sum(map(sd.node_count, exprs))
-    if tree > _DESCRIBE_LIMIT:
-        raise ConfigurationError(
-            f"the law of order n={cfg.n} is too large to print: its expressions "
-            f"hold {tree:,} tree nodes ({len(sd._nodes(*exprs)):,} distinct), "
-            f"over the limit of {_DESCRIBE_LIMIT:,}"
-        )
+    refs = controller.virtual_refs
+    labelled = [(f"z{i}", z) for i, z in enumerate(controller.z_exprs, start=1)]
+    labelled += [(f"x{i}d", ref) for i, ref in enumerate(refs[:-1], start=2)]
+    labelled.append(("u", refs[-1]))
     lines = [
         f"order n={cfg.n}, setpoint c={cfg.c!r}, prescribed instant T_p={cfg.T_p!r}",
         "stages: "
         + ", ".join(f"{s.kind.value}(eta={s.eta!r})" for s in cfg.stages),
+        f"law as straight-line Python in x[0..{cfg.n - 1}] and t, calling the "
+        "names of psis.symdiff.COMPILED_GLOBALS:",
     ]
-    for i, z in enumerate(controller.z_exprs, start=1):
-        lines.append(f"z{i} = {sd.to_infix(z)}")
-    for i, ref in enumerate(controller.virtual_refs[:-1], start=2):
-        lines.append(f"x{i}d = {sd.to_infix(ref)}")
-    lines.append(f"u = {sd.to_infix(controller.u_expr)}")
+    emit = sd.code_emitter([expr for _, expr in labelled], lines)
+    for label, expr in labelled:  # emit appends the lines label reads
+        lines.append(f"{label} = {emit(expr)}")
     return "\n".join(lines)

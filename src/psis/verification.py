@@ -321,6 +321,15 @@ def mixed_kernels(kinds: Sequence[str]) -> str | None:
     return f"decay audit needs a single kernel family, trajectory has {kinds!r}"
 
 
+def slack_problem(slack_abs: float, slack_rel: float) -> str | None:
+    """Why the decay audit cannot judge with these slacks, or None if it
+    can: for dV <= 0 and slack_rel >= 1, dV < lower - slack never holds."""
+    if slack_abs >= 0.0 and 0.0 <= slack_rel < 1.0:
+        return None
+    return ("verify.slack_abs must be nonnegative and verify.slack_rel in [0, 1), "
+            f"got slack_abs={slack_abs!r}, slack_rel={slack_rel!r}")
+
+
 def lyapunov_audit(
     traj: Trajectory, slack_abs: float = 1e-6, slack_rel: float = 1e-3
 ) -> LyapunovAudit:
@@ -342,8 +351,12 @@ def lyapunov_audit(
     singular).  The same pass computes it, carrying the two rows before the
     current one in locals.  A sample that shares its time with a neighbour
     has no three-point slope and no residual.  A z with other than one
-    component per stage exponent is an AuditError.
+    component per stage exponent is an AuditError, and slacks that
+    slack_problem refuses are a ConfigurationError.
     """
+    problem = slack_problem(slack_abs, slack_rel)
+    if problem is not None:
+        raise ConfigurationError(problem)
     kinds = traj.meta.get("kinds", [])
     problem = mixed_kernels(kinds)
     if problem is not None:

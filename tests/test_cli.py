@@ -75,23 +75,21 @@ class TestSynthesize:
         names = {p.name for p in tmp_path.iterdir()}
         assert names == {"exp.json"}
 
-    def test_law_too_large_to_print_is_refused(self, tmp_path, capsys):
-        # linear n=10 builds 1,702 distinct nodes, but its infix text would
-        # spell out 1.4e8 tree nodes; describe refuses before writing any
+    def test_wide_law_prints_in_let_form(self, tmp_path, capsys):
+        # linear n=10 stands for 1.4e8 tree nodes over 1,702 distinct ones;
+        # the printed let-form writes each distinct node once
         data = chain_data(run_id="wide", plant={"type": "chain", "n": 10})
         data["synthesis"]["stages"] = [
             {"kind": "linear", "eta": float(eta)} for eta in range(11, 1, -1)
         ]
         data["sim"]["x0"] = [1.0] + [0.0] * 9
         cfg = write_config(tmp_path, data)
-        assert main(["synthesize", "--config", cfg]) == 2
+        assert main(["synthesize", "--config", cfg]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "configuration error: the law of order n=10 is too large to print: its "
-            "expressions hold 135,579,962 tree nodes (1,702 distinct), over the "
-            "limit of 10,000,000\n"
-        )
+        assert captured.err == ""
+        assert captured.out.startswith("order n=10, ")
+        assert "\nu = " in captured.out
+        assert len(captured.out.encode()) < 50_000
 
 
 class TestSimulate:
@@ -479,6 +477,18 @@ class TestVerify:
         # simulate and sweep still run such a design
         assert main(["simulate", "--config", cfg]) == 0
         assert main(["sweep", "--config", cfg, "--scales", "1"]) == 0
+
+    def test_slack_that_cannot_fail_is_refused_at_load(self, tmp_path, capsys):
+        # slack_rel >= 1 would pass any decaying rate; refused before synthesis
+        cfg = write_config(tmp_path, pendulum_data(verify={"slack_rel": 1.0}))
+        assert main(["synthesize", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "configuration error: verify.slack_abs must be nonnegative and "
+            "verify.slack_rel in [0, 1), got slack_abs=1e-06, slack_rel=1.0\n"
+        )
+        assert {p.name for p in tmp_path.iterdir()} == {"exp.json"}
 
     def test_unresolvable_tolerance_fails_with_diagnostic(self, tmp_path, capsys):
         data = pendulum_data(verify={"tol_abs": 1e-12, "tol_rel": 1e-15})

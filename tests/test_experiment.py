@@ -242,6 +242,13 @@ class TestVerifySection:
         with pytest.raises(ConfigurationError, match="window_factor"):
             build_spec(chain_config(verify={"window_factor": 1.5}))
 
+    @pytest.mark.parametrize("slacks", [
+        {"slack_abs": -1e-6}, {"slack_rel": -1e-3}, {"slack_rel": 1.0}, {"slack_rel": 1e308},
+    ])
+    def test_slack_ranges(self, slacks):
+        with pytest.raises(ConfigurationError, match="verify.slack_abs must be nonnegative"):
+            build_spec(chain_config(verify=slacks))
+
     def test_scales_must_be_a_nonempty_list(self):
         with pytest.raises(ConfigurationError):
             build_spec(chain_config(verify={"scales": []}))

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from psis.errors import ConfigurationError
+from psis.errors import AuditError, ConfigurationError
 from psis.output import (
     check_outputs,
     fmt_float,
@@ -275,6 +275,20 @@ class TestSvg:
         path = tmp_path / "plot.svg"
         write_svg(str(path), traj, "demo", include_timestamp=False)
         assert path.read_text().startswith("<svg ")
+
+
+@pytest.mark.parametrize("write", [
+    write_csv,
+    lambda path, traj: write_svg(path, traj, "demo"),
+    lambda path, traj: render_svg(traj, "demo"),
+], ids=["write_csv", "write_svg", "render_svg"])
+def test_trajectory_without_samples_is_an_audit_error(tmp_path, write):
+    # the partial trajectory of a run that breaks down at its first sample
+    traj = Trajectory(samples=[], meta={"T_p": 1.0})
+    path = tmp_path / "empty.out"
+    with pytest.raises(AuditError, match="^trajectory has no samples$"):
+        write(str(path), traj)
+    assert not path.exists()
 
 
 class TestUnwritablePaths:

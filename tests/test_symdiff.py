@@ -39,7 +39,6 @@ from psis.symdiff import (
     partial,
     simplify,
     state_indices,
-    to_infix,
 )
 
 X1, X2, X3 = StateVar(1), StateVar(2), StateVar(3)
@@ -331,26 +330,6 @@ class TestSimplify:
             assert node_count(s) <= node_count(e)
 
 
-class TestToInfix:
-    def test_readable_output(self):
-        e = Add(Mul(Const(2.0), X1), Sin(T))
-        assert to_infix(e) == "((2.0 * x1) + sin(t))"
-
-    def test_negation_is_compact(self):
-        e = Sub(Const(0.0), X1)
-        assert to_infix(e) == "(-x1)"
-
-    def test_pow_formatting(self):
-        assert to_infix(Pow(X2, 3.0)) == "(x2 ^ 3)"
-
-    def test_round_trippable_semantics(self):
-        # the printed form is for reading, but eval on it must agree
-        e = Div(Add(X1, Const(1.5)), Sub(X2, Const(0.25)))
-        text = to_infix(e).replace("^", "**")
-        got = eval(text, {"x1": 2.0, "x2": 1.25, "t": 0.0})
-        assert got == evaluate(e, [2.0, 1.25], 0.0)
-
-
 class TestCompile:
     def test_matches_evaluate_on_random_trees(self):
         rng = random.Random(77)
@@ -549,7 +528,6 @@ class TestInterning:
         assert simplify(e) is doubling(X1, 60)
         assert evaluate(partial(e, X1), [3.0], 0.0) == 2.0 ** 60
         assert compile_expr(e, 1)([1.0], 0.0) == 2.0 ** 60
-        assert to_infix(doubling(X1, 2)) == "((x1 + x1) + (x1 + x1))"
 
     def test_first_error_is_the_tree_walks(self):
         shared = Div(Const(1.0), X1)  # divides by zero at x1 = 0

@@ -6,6 +6,7 @@ against the sum of partial derivatives it replaced."""
 import hashlib
 import math
 import random
+import struct
 import sys
 import threading
 
@@ -208,8 +209,43 @@ class TestDescribe:
         assert "n=2" in text
         assert "T_p=0.5" in text
         assert "linear(eta=3.0)" in text
+        assert "straight-line Python in x[0..1] and t" in text
         assert "z1 = " in text
+        assert "x2d = " in text
         assert "u = " in text
+
+    @pytest.mark.parametrize("kind, n, c, T_p", [
+        (RcdfKind.LINEAR, 2, 0.15, 0.5),  # README's pendulum
+        (RcdfKind.TAN, 4, 0.3, 1.0),
+        (RcdfKind.LOGEXP, 3, 0.3, 1.0),
+        (RcdfKind.LINEAR, 3, 0.3, 1.0),
+    ], ids=["pendulum", "tan-n4", "logexp-n3", "linear-n3"])
+    def test_let_form_computes_each_root_bit_for_bit(self, kind, n, c, T_p):
+        # the printed law is straight-line Python after the three header
+        # lines; executed, every labelled root must hold the compiled
+        # root's bits
+        ctrl = synthesize(chain_config(kind, n, c, T_p=T_p))
+        code = compile("\n".join(describe(ctrl).splitlines()[3:]), "<describe>", "exec")
+        roots = {f"z{i}": z for i, z in enumerate(ctrl.z_exprs, start=1)}
+        roots.update(
+            (f"x{i}d", ref) for i, ref in enumerate(ctrl.virtual_refs[:-1], start=2))
+        roots["u"] = ctrl.u_expr
+        compiled = {label: sd.compile_expr(e, n) for label, e in roots.items()}
+        bits = struct.Struct("<d").pack
+        rng = random.Random(24)
+        for _ in range(200):
+            x = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+            t = rng.uniform(0.0, 0.99 * T_p)
+            namespace = dict(sd.COMPILED_GLOBALS, x=x, t=t)
+            exec(code, namespace)
+            for label, fn in compiled.items():
+                assert bits(namespace[label]) == bits(fn(x, t)), (label, x, t)
+
+    def test_text_grows_with_distinct_nodes(self):
+        # tan n=6's u stands for 1.4e6 tree nodes over 744 distinct ones;
+        # the let-form writes the distinct ones
+        ctrl = synthesize(chain_config(RcdfKind.TAN, 6, 0.0))
+        assert len(describe(ctrl).encode()) < 20_000
 
 
 def chain_config(kind, n, c, T_p=1.0, etas=None):

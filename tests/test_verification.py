@@ -27,6 +27,7 @@ from psis.verification import (
     lyapunov_bounds,
     run_tolerance,
     settling_instant,
+    slack_problem,
     sweep_initial_conditions,
     thread_count,
     unresolvable_tolerance,
@@ -263,6 +264,24 @@ class TestLyapunovAudit:
         audit = lyapunov_audit(Trajectory(samples=bad_samples, meta=dict(traj.meta)))
         assert not audit.passes
         assert [(v.t, v.side) for v in audit.violations] == [(s.t, "lower")]
+
+    @pytest.mark.parametrize("slack_abs, slack_rel", [
+        (-1e-6, 1e-3), (1e-6, -1e-3), (1e-6, 1.0), (1e-6, 1e308), (math.nan, 1e-3),
+    ])
+    def test_slacks_outside_their_range_are_refused(self, slack_abs, slack_rel):
+        # at slack_rel >= 1 the corrupted rate above would pass: a decaying
+        # dV can never fall below lower - slack_rel * |dV|
+        traj = pendulum_run()
+        with pytest.raises(ConfigurationError, match=r"slack_rel in \[0, 1\)"):
+            lyapunov_audit(traj, slack_abs, slack_rel)
+
+    def test_slack_range_edges(self):
+        assert slack_problem(0.0, 0.0) is None
+        assert slack_problem(1e-6, 0.999) is None
+        assert slack_problem(-1e-6, 0.5) == (
+            "verify.slack_abs must be nonnegative and verify.slack_rel in [0, 1), "
+            "got slack_abs=-1e-06, slack_rel=0.5"
+        )
 
     def test_overflowed_decay_is_a_violation_not_an_error(self):
         # at x0 = (1e200, 0) V = z1^2 overflows to inf; the kernel is never

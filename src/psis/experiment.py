@@ -29,7 +29,6 @@ from .simulation import (
     IntegratorChain, Pendulum, PlantModel, SimConfig, plant_description, plant_order,
 )
 from .synthesis import SynthesisConfig
-from .verification import slack_problem
 
 
 @dataclass(frozen=True)
@@ -41,6 +40,16 @@ class VerifyParams:
     slack_abs: float = 1e-6
     slack_rel: float = 1e-3
     scales: tuple[float, ...] = (1.0,)
+
+
+def slack_problem(slack_abs: float, slack_rel: float) -> str | None:
+    """Why the decay audit (verification.lyapunov_audit) cannot judge with
+    these slacks, or None if it can: for dV <= 0 and slack_rel >= 1,
+    dV < lower - slack never holds."""
+    if slack_abs >= 0.0 and 0.0 <= slack_rel < 1.0:
+        return None
+    return ("verify.slack_abs must be nonnegative and verify.slack_rel in [0, 1), "
+            f"got slack_abs={slack_abs!r}, slack_rel={slack_rel!r}")
 
 
 @dataclass(frozen=True)

@@ -106,21 +106,18 @@ def write_csv(path: str, traj: Trajectory) -> None:
         + [f"z{i}" for i in range(1, n + 1)]
         + ["u", "V", "dV"]
     )
+    # one %-format per row; %.17g writes the digits of fmt_float
+    cell = "%.17g"
+    pre_row = ",".join([cell] * (2 * n + 4))
+    post_row = ",".join([cell] * (n + 1) + [""] * n + [cell, "", ""])
     lines = [",".join(header)]
-    for t, x, z, u, V, dV in zip(traj.t, traj.x, traj.z, traj.u, traj.V, traj.dV):
-        cells = [fmt_float(t)]
-        cells += [fmt_float(v) for v in x]
-        cells += [fmt_float(v) for v in z]
-        cells += [fmt_float(u), fmt_float(V), fmt_float(dV)]
-        lines.append(",".join(cells))
-    empty = [""] * n
-    n_pre = len(traj.z)
-    for t, x, u in zip(traj.t[n_pre:], traj.x[n_pre:], traj.u[n_pre:]):
-        cells = [fmt_float(t)]
-        cells += [fmt_float(v) for v in x]
-        cells += empty
-        cells += [fmt_float(u), "", ""]
-        lines.append(",".join(cells))
+    add = lines.append
+    rows = zip(traj.t, traj.x, traj.u)
+    # z runs out first, so zip takes no row past the pre-instant ones
+    for z, V, dV, (t, x, u) in zip(traj.z, traj.V, traj.dV, rows):
+        add(pre_row % (t, *x, *z, u, V, dV))
+    for t, x, u in rows:
+        add(post_row % (t, *x, u))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -282,7 +279,7 @@ def render_svg(traj: Trajectory, title: str, include_timestamp: bool = True) -> 
     n = _state_width(traj)
     t_range = (ts[0], ts[-1])
 
-    states = [[x[j] for x in traj.x] for j in range(n)]
+    states = [traj.x.flat[j::n] for j in range(n)]  # component j of every row
     setpoint = traj.meta.get("c")
     state_vals = [v for series in states for v in series]
     if setpoint is not None:
@@ -291,7 +288,7 @@ def render_svg(traj: Trajectory, title: str, include_timestamp: bool = True) -> 
 
     us = traj.u
     torque = _torque_series(traj)
-    input_vals = us + (torque or [])
+    input_vals = [*us, *(torque or ())]
     p2 = _Panel(_PANEL_H, f"{title}: input", t_range, (min(input_vals), max(input_vals)))
 
     body: list[str] = []

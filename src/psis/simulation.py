@@ -40,21 +40,25 @@ DAG: one program holds u, the chain's vector fields on both clocks and the
 sample recorders (see _program_source).
 
 A Trajectory holds its samples as parallel columns (t, x, u, and z, V, dV
-over the pre-instant rows, which come first).  The recorders append to
-them a row at a time, and the audits and writers read them directly;
-Sample records are built only when Trajectory.samples or sample_at asks.
+over the pre-instant rows, which come first), each one array of doubles;
+x and z hold their rows flat, n values a row, behind a view that reads
+them as tuples.  The recorders extend the arrays a row at a time, and the
+audits and writers read them directly; Sample records are built only when
+Trajectory.samples or sample_at asks.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import string
+from array import array
 from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import asdict, dataclass, replace
 from itertools import repeat
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from . import symdiff as sd
 from .errors import (
@@ -270,6 +274,64 @@ class Sample:
     dV: float | None
 
 
+class _Rows:
+    """Rows of width floats each, stored flat in one array of doubles.
+
+    The view reads as a sequence of tuples: len counts the rows, iteration
+    yields each row as a tuple (zipped in C from one iterator over flat),
+    [i] returns row i and a slice a list of rows.  Two views are equal when
+    they hold the same rows.  append adds one row, and the first row of an
+    empty view sets its width; a writer that extends flat itself sets
+    width first.
+    """
+
+    __slots__ = ("flat", "width")
+
+    def __init__(self) -> None:
+        self.flat = array("d")
+        self.width = 0
+
+    def append(self, row: Sequence[float]) -> None:
+        """Add one row.  An empty row, or one whose width differs from the
+        first row's, is a ValueError."""
+        if not self.flat:
+            self.width = len(row)
+        if not row:
+            raise ValueError("no values")
+        if len(row) != self.width:
+            raise ValueError(f"{len(row)} values where the first row has {self.width}")
+        self.flat.extend(row)
+
+    def __len__(self) -> int:
+        return len(self.flat) // self.width if self.width else 0
+
+    def __iter__(self) -> Iterator[tuple[float, ...]]:
+        return zip(*[iter(self.flat)] * self.width)
+
+    def __getitem__(self, i):
+        w = self.width
+        if isinstance(i, slice):
+            start, stop, step = i.indices(len(self))
+            if step == 1:
+                return list(zip(*[iter(self.flat[start * w:stop * w])] * w))
+            return [self[k] for k in range(start, stop, step)]
+        i = operator.index(i)
+        rows = len(self)
+        if i < 0:
+            i += rows
+        if not 0 <= i < rows:
+            raise IndexError("row index out of range")
+        return tuple(self.flat[i * w:i * w + w])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Rows):
+            return NotImplemented
+        return self.flat == other.flat and (self.width == other.width or not self.flat)
+
+    def __repr__(self) -> str:
+        return f"_Rows({list(self)!r})"
+
+
 class Trajectory:
     """A sampled run, stored as parallel columns plus its meta dict.
 
@@ -280,7 +342,10 @@ class Trajectory:
     The rows after them, at and after T_p (and every row of a raw pendulum
     run), have none.
 
-    Trajectory(samples, meta) fills the columns from Sample records.  The
+    Each column is one array of doubles: t, u, V and dV directly, x and z
+    behind _Rows views of their flat arrays, so a row holds no float
+    objects.  Trajectory(samples, meta) fills the columns from Sample
+    records; every x (and every z) must have the first one's width.  The
     samples property rebuilds the records from the columns on each access;
     psis itself reads the columns.
     """
@@ -288,8 +353,17 @@ class Trajectory:
     __slots__ = ("t", "x", "u", "z", "V", "dV", "meta")
 
     def __init__(self, samples: Iterable[Sample] = (), meta: dict | None = None) -> None:
-        self.t, self.x, self.u, self.z, self.V, self.dV = [], [], [], [], [], []
+        self.t, self.u, self.V, self.dV = array("d"), array("d"), array("d"), array("d")
+        self.x, self.z = _Rows(), _Rows()
         self.meta = {} if meta is None else meta
+
+        def add_row(rows: _Rows, row: Sequence[float], name: str, t: float) -> None:
+            try:
+                rows.append(row)
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"the sample at t={t!r}: its {name} row has {exc}") from None
+
         for s in samples:
             if s.z is not None:
                 if len(self.z) < len(self.t):
@@ -297,11 +371,11 @@ class Trajectory:
                         f"the sample at t={s.t!r} carries stage errors after one "
                         "that does not; such samples must come first"
                     )
-                self.z.append(s.z)
+                add_row(self.z, s.z, "z", s.t)
                 self.V.append(s.V)
                 self.dV.append(s.dV)
             self.t.append(s.t)
-            self.x.append(s.x)
+            add_row(self.x, s.x, "x", s.t)
             self.u.append(s.u)
         if not all(a <= b for a, b in zip(self.t, self.t[1:])):
             raise ConfigurationError("sample times must not decrease")
@@ -319,12 +393,12 @@ class Trajectory:
     def pre_instant_arrays(
         self,
     ) -> tuple[list[float], list[tuple[float, ...]], list[float], list[float]]:
-        """(t, z, V, dV): copies of the columns over the rows that carry
-        stage errors, the samples strictly before T_p."""
+        """(t, z, V, dV): the columns over the rows that carry stage errors,
+        the samples strictly before T_p, as new lists."""
         n = len(self.z)
         if not n:
             raise AuditError("trajectory has no samples before the prescribed instant")
-        return self.t[:n], self.z[:], self.V[:], self.dV[:]
+        return self.t[:n].tolist(), self.z[:], self.V.tolist(), self.dV.tolist()
 
     def sample_at(self, t_query: float) -> Sample:
         """The sample nearest t_query, if it lies within 1e-12 * |t_last|;
@@ -743,8 +817,9 @@ def free_field(t, x):
     return [$free_entries]
 
 def make(c, traj):
-    add_t, add_x, add_u = traj.t.append, traj.x.append, traj.u.append
-    add_z, add_V, add_dV = traj.z.append, traj.V.append, traj.dV.append
+    traj.x.width = traj.z.width = $n
+    add_t, add_x, add_u = traj.t.append, traj.x.flat.extend, traj.u.append
+    add_z, add_V, add_dV = traj.z.flat.extend, traj.V.append, traj.dV.append
 
     def record(t, x):
         try:
@@ -787,7 +862,8 @@ def _program_source(controller: Controller, open_loop: bool) -> str:
     field_tau(tau, x), the same times T_p - t on the clock
     tau = -ln((T_p - t)/T_p), the input-free free_field(t, x), and
     make(c, traj) -> (record, record_free) for the setpoint c.  Both append
-    the row of the setpoint-shifted state x at time t to traj's columns:
+    the row of the setpoint-shifted state x at time t to traj's columns,
+    extending the flat arrays of x and z by a row's n values:
     record before T_p, checking that z is finite before u's own nodes and
     inlining each stage's kernel in V and dV; record_free from T_p on.
     record computes u before it appends anything, so a u that raises
@@ -827,6 +903,7 @@ def _program_source(controller: Controller, open_loop: bool) -> str:
         # + 0.0 as in adding the offset (c, 0, ..., 0): it turns -0.0 into 0.0
         x=_tuple_text(["x[0] + c"] + [f"x[{j}] + 0.0" for j in range(1, sc.n)]),
         u=u,
+        n=repr(sc.n),
         T_p=repr(sc.T_p),
         # left-to-right sums from 0.0, as a loop over the stages adds them:
         # the leading 0.0 turns a sum of -0.0 terms into 0.0
@@ -1027,9 +1104,10 @@ def simulate_pendulum_raw(
     This is the physical-space cross-check for the linearized closed-loop
     path: the same phase structure (standoff, Euler crossing, free segment),
     but no setpoint shift and no error bookkeeping, so the samples carry
-    z = V = dV = None and u holds the applied torque.  It always integrates
-    on the direct clock, whatever cfg.mode says, so a max_step that forces
-    more steps than the budget on that clock is a ConfigurationError.
+    z = V = dV = None and u holds the applied torque, as a float.  It
+    always integrates on the direct clock, whatever cfg.mode says, so a
+    max_step that forces more steps than the budget on that clock is a
+    ConfigurationError.
     Tight tolerances are not appropriate here when torque_fn encodes a
     feedback law in raw coordinates, because the stage errors hit the
     roundoff floor of the setpoint well before the standoff; pass a
@@ -1043,16 +1121,18 @@ def simulate_pendulum_raw(
         return [x[1], pendulum_accel(plant, x, torque_fn(x, t))]
 
     traj = Trajectory()
+    traj.x.width = 2
+    add_t, add_x, add_u = traj.t.append, traj.x.flat.extend, traj.u.append
 
     def record(t: float, x: Sequence[float]) -> None:
         row_x = tuple(x)
         try:
-            u = torque_fn(x, t)
+            u = float(torque_fn(x, t))
         except _ARITHMETIC_ERRORS as exc:
             raise _unevaluable(exc, t) from None
-        traj.t.append(t)
-        traj.x.append(row_x)
-        traj.u.append(u)
+        add_t(t)
+        add_x(row_x)
+        add_u(u)
 
     meta = {
         "raw": True,

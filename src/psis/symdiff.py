@@ -61,7 +61,7 @@ import operator
 import struct
 import threading
 import weakref
-from typing import Callable, Sequence, TypeVar, Union
+from typing import Callable, Mapping, Sequence, TypeVar, Union
 
 from .errors import EvaluationError, StructureError
 
@@ -593,7 +593,9 @@ def _simplify_binary(op: type[_Binary], a: Expr, b: Expr) -> Expr:
 _INLINE_DEPTH = 40
 
 
-def code_emitter(roots: Sequence[Expr], lines: list[str]) -> Callable[[Expr], str]:
+def code_emitter(
+    roots: Sequence[Expr], lines: list[str], names: Mapping[Expr, str] | None = None
+) -> Callable[[Expr], str]:
     """A function emit(root) that appends to lines the straight-line code
     computing one of roots at (x, t) and returns the expression that holds
     its value: a local, a literal, x[j], t, or inline code.
@@ -605,6 +607,7 @@ def code_emitter(roots: Sequence[Expr], lines: list[str]) -> Callable[[Expr], st
     operation node gets an assignment to a local v<k>.  Inlining keeps each
     operation's operands and tree, and Python does not reassociate float
     arithmetic, so every value is the same bits as with one local per node.
+    A node that names maps to a name takes that name for its local.
 
     Call emit on each root once, in any order; nodes emitted by an earlier
     call are not emitted again, so the roots share their common
@@ -612,6 +615,7 @@ def code_emitter(roots: Sequence[Expr], lines: list[str]) -> Callable[[Expr], st
     The code performs no domain checking (see compile_expr), and
     COMPILED_GLOBALS holds the names it calls.
     """
+    names = names or {}
     reads = dict.fromkeys(_nodes(*roots), 0)
     for root in roots:
         reads[root] += 1
@@ -646,7 +650,7 @@ def code_emitter(roots: Sequence[Expr], lines: list[str]) -> Callable[[Expr], st
             raise StructureError(f"unknown node type {type(e).__name__}")
         if reads[e] == 1 and depth <= _INLINE_DEPTH:
             return inline, depth
-        name = f"v{next(count)}"
+        name = names.get(e) or f"v{next(count)}"
         lines.append(f"{name} = {code}")
         return name, 0
 

@@ -202,9 +202,11 @@ def describe(controller: Controller) -> str:
 
     After two lines naming the design, the law in let-form (A-normal form;
     Flanagan, Sabry, Duba & Felleisen, PLDI 1993): one code_emitter's lines
-    over every z_i, x_{i,d} and u, each root assigned to its label.  Run in
-    a copy of COMPILED_GLOBALS with x and t bound, they give each root the
-    bits of compile_expr.
+    over every z_i, x_{i,d} and u, each root assigned to its label once.  A
+    root that needs a local takes its label as the local's name; any other
+    is assigned after the lines it reads.  Run in a copy of
+    COMPILED_GLOBALS with x and t bound, they give each root the bits of
+    compile_expr.
     """
     cfg = controller.config
     refs = controller.virtual_refs
@@ -218,7 +220,10 @@ def describe(controller: Controller) -> str:
         f"law as straight-line Python in x[0..{cfg.n - 1}] and t, calling the "
         "names of psis.symdiff.COMPILED_GLOBALS:",
     ]
-    emit = sd.code_emitter([expr for _, expr in labelled], lines)
+    names = {expr: label for label, expr in labelled}
+    emit = sd.code_emitter([expr for _, expr in labelled], lines, names)
     for label, expr in labelled:  # emit appends the lines label reads
-        lines.append(f"{label} = {emit(expr)}")
+        value = emit(expr)
+        if value != label:
+            lines.append(f"{label} = {value}")
     return "\n".join(lines)

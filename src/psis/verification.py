@@ -43,6 +43,7 @@ from typing import Callable, Sequence
 
 from . import symdiff as sd
 from .errors import AuditError, ConfigurationError, DomainError, IntegrationError
+from .experiment import slack_problem
 from .rcdf import KERNELS, RcdfKind, kernel_function, kernel_source, zeta
 from .simulation import TERMINAL_WINDOW_START, PlantModel, SimConfig, Trajectory, simulate
 from .synthesis import Controller
@@ -321,15 +322,6 @@ def mixed_kernels(kinds: Sequence[str]) -> str | None:
     return f"decay audit needs a single kernel family, trajectory has {kinds!r}"
 
 
-def slack_problem(slack_abs: float, slack_rel: float) -> str | None:
-    """Why the decay audit cannot judge with these slacks, or None if it
-    can: for dV <= 0 and slack_rel >= 1, dV < lower - slack never holds."""
-    if slack_abs >= 0.0 and 0.0 <= slack_rel < 1.0:
-        return None
-    return ("verify.slack_abs must be nonnegative and verify.slack_rel in [0, 1), "
-            f"got slack_abs={slack_abs!r}, slack_rel={slack_rel!r}")
-
-
 def lyapunov_audit(
     traj: Trajectory, slack_abs: float = 1e-6, slack_rel: float = 1e-3
 ) -> LyapunovAudit:
@@ -352,7 +344,7 @@ def lyapunov_audit(
     current one in locals.  A sample that shares its time with a neighbour
     has no three-point slope and no residual.  A z with other than one
     component per stage exponent is an AuditError, and slacks that
-    slack_problem refuses are a ConfigurationError.
+    experiment.slack_problem refuses are a ConfigurationError.
     """
     problem = slack_problem(slack_abs, slack_rel)
     if problem is not None:

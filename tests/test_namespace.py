@@ -133,6 +133,20 @@ def test_synthesis_names_leave_the_run_modules_out():
         assert module not in loaded
 
 
+def test_reading_a_config_leaves_the_audits_out():
+    # the slack rule lives next to VerifyParams, so validating a config
+    # imports no audit code
+    loaded = psis_modules_after(
+        "from psis.experiment import build_spec\n"
+        "build_spec({'plant': {'type': 'pendulum'},\n"
+        "            'synthesis': {'c': 0.15, 'T_p': 0.5, 'stages': [\n"
+        "                {'kind': 'linear', 'eta': 3}, {'kind': 'linear', 'eta': 2}]},\n"
+        "            'sim': {'x0': [0.09, 0.1]}, 'verify': {'slack_rel': 0.5}})\n"
+    )
+    assert "psis.experiment" in loaded
+    assert "psis.verification" not in loaded
+
+
 def test_a_submodule_read_as_an_attribute_is_imported():
     # the benchmark worker's imports, after which it reads psis.verification
     # without ever importing it by name

@@ -2,10 +2,12 @@
 the prescribed instant, both integration clocks, and the raw pendulum path."""
 
 import dataclasses
+import gc
 import hashlib
 import math
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -272,12 +274,12 @@ class TestColumns:
             Sample(t=1.0, x=(0.0, 0.0), u=0.0, z=None, V=None, dV=None),
         ]
         traj = Trajectory(samples=samples, meta={"T_p": 1.0})
-        assert traj.t == [0.0, 0.5, 1.0]
-        assert traj.x == [(1.0, 2.0), (0.5, 1.0), (0.0, 0.0)]
-        assert traj.u == [0.5, 0.25, 0.0]
+        assert list(traj.t) == [0.0, 0.5, 1.0]
+        assert list(traj.x) == [(1.0, 2.0), (0.5, 1.0), (0.0, 0.0)]
+        assert list(traj.u) == [0.5, 0.25, 0.0]
         # z, V and dV cover the leading rows that carry stage errors
-        assert traj.z == [(1.0, 2.0), (0.5, 1.0)]
-        assert (traj.V, traj.dV) == ([5.0, 1.25], [-1.0, -0.5])
+        assert list(traj.z) == [(1.0, 2.0), (0.5, 1.0)]
+        assert (list(traj.V), list(traj.dV)) == ([5.0, 1.25], [-1.0, -0.5])
         assert traj.samples == samples
         assert traj.meta == {"T_p": 1.0}
         assert Trajectory().samples == []
@@ -309,7 +311,8 @@ class TestColumns:
         assert all(t < 1.0 for t in traj.t[:n_pre])
         assert all(t >= 1.0 for t in traj.t[n_pre:])
         pad = [None] * (len(traj.t) - n_pre)
-        rows = zip(traj.t, traj.x, traj.u, traj.z + pad, traj.V + pad, traj.dV + pad)
+        rows = zip(traj.t, traj.x, traj.u, list(traj.z) + pad, list(traj.V) + pad,
+                   list(traj.dV) + pad)
         assert traj.samples == [Sample(*row) for row in rows]
         # each access builds new records; nothing is cached
         assert traj.samples is not traj.samples
@@ -378,6 +381,97 @@ class TestColumns:
                 render_svg(traj, mode)
         with pytest.raises(AssertionError, match="a Sample was built"):
             traj.samples
+
+
+class TestRowViews:
+    """x and z are arrays of doubles, n values a row, read as tuples."""
+
+    def rows(self):
+        samples = [Sample(t=0.25 * k, x=(float(k), -2.0 * k), u=0.0, z=None, V=None, dV=None)
+                   for k in range(4)]
+        return Trajectory(samples=samples).x
+
+    def test_rows_read_as_tuples(self):
+        x = self.rows()
+        assert len(x) == 4
+        assert list(x) == [(0.0, -0.0), (1.0, -2.0), (2.0, -4.0), (3.0, -6.0)]
+        assert all(type(row) is tuple for row in x)
+        assert x[1] == (1.0, -2.0)
+        assert x[-1] == x[3] == (3.0, -6.0)
+        assert x[-4] == x[0]
+        for i in (4, -5):
+            with pytest.raises(IndexError, match="row index out of range"):
+                x[i]
+
+    def test_slices_are_lists_of_rows(self):
+        x = self.rows()
+        assert x[1:3] == [(1.0, -2.0), (2.0, -4.0)]
+        assert x[:] == list(x)
+        assert x[-1:] == [(3.0, -6.0)]
+        assert x[::2] == [(0.0, -0.0), (2.0, -4.0)]
+        assert x[::-1] == list(x)[::-1]
+        assert x[3:1] == x[9:] == []
+
+    def test_an_empty_trajectory_has_no_rows(self):
+        traj = Trajectory()
+        for rows in (traj.x, traj.z):
+            assert len(rows) == 0
+            assert list(rows) == rows[:] == []
+            with pytest.raises(IndexError):
+                rows[0]
+            with pytest.raises(IndexError):
+                rows[-1]
+
+    def test_views_are_equal_when_their_rows_are(self):
+        assert self.rows() == self.rows()
+        assert Trajectory().x == Trajectory().z
+        assert self.rows() != Trajectory().x
+        # the same eight values in rows of four are other rows
+        wide = Trajectory(samples=[
+            Sample(t=0.0, x=(0.0, -0.0, 1.0, -2.0), u=0.0, z=None, V=None, dV=None),
+            Sample(t=1.0, x=(2.0, -4.0, 3.0, -6.0), u=0.0, z=None, V=None, dV=None),
+        ]).x
+        assert wide.flat == self.rows().flat and wide != self.rows()
+        # a column is not a list: list() of it is
+        traj = Trajectory(samples=[Sample(t=0.0, x=(1.0,), u=0.5, z=None, V=None, dV=None)])
+        assert traj.x != [(1.0,)] and list(traj.x) == [(1.0,)]
+        assert traj.t != [0.0] and list(traj.t) == [0.0]
+
+    @pytest.mark.parametrize("column", ["x", "z"])
+    def test_ragged_rows_are_refused(self, column):
+        first = Sample(t=0.0, x=(1.0, 2.0), u=0.0, z=(1.0, 2.0), V=5.0, dV=-1.0)
+        for row, problem in (((1.0, 2.0, 3.0), "3 values where the first row has 2"),
+                             ((1.0,), "1 values where the first row has 2")):
+            ragged = dataclasses.replace(first, t=0.5, **{column: row})
+            with pytest.raises(ConfigurationError, match=(
+                    rf"^the sample at t=0\.5: its {column} row has {problem}$")):
+                Trajectory(samples=[first, ragged])
+        empty = dataclasses.replace(first, **{column: ()})
+        with pytest.raises(ConfigurationError, match=f"its {column} row has no values$"):
+            Trajectory(samples=[empty])
+
+    def test_a_dense_run_holds_at_most_120_bytes_a_row(self):
+        # linear n=3 from e1 at sample_dt 2.5e-4, as criteria 4-5 sample it:
+        # t, u, V, dV and the three x and three z values of a row are ten
+        # doubles, 80 bytes; as float objects and tuples they held 363
+        ctrl = make_controller(n=3, etas=(4.0, 3.0, 2.0))
+
+        def run(sample_dt):
+            cfg = SimConfig(x0=(1.0, 0.0, 0.0), T_p=1.0, t_end=1.2, sample_dt=sample_dt)
+            return simulate(IntegratorChain(3), ctrl, cfg)
+
+        run(0.1)  # compiles the law's program and the step loop uncounted
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = run(2.5e-4)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(traj.t) == 5549
+        assert held / len(traj.t) <= 120
 
 
 class TestClosedLoopPhases:
@@ -652,12 +746,13 @@ class TestGeneratedRecorder:
         # once and cached on the controller.  The recorder maps a float
         # error in its row to DivergenceError itself, which moved the digest
         # from 8f6edd7f0f82e5ce; the one-walk Lie derivative moved it from
-        # 184a99731d7c6f04
+        # 184a99731d7c6f04; make() extending flat arrays of doubles moved
+        # it from 66f03825cfa6ccd1
         twin = zero_setpoint_twin(make_controller(c=0.15, T_p=0.5))
         program = _program(twin, False)
         assert _program(twin, False) is program
         digest = hashlib.sha256(program.source.encode()).hexdigest()[:16]
-        assert digest == "66f03825cfa6ccd1"
+        assert digest == "e015d9ace9846c8c"
 
 
 class TestLawProgram:
@@ -978,6 +1073,16 @@ class TestRawPendulum:
         )
         assert all(s.u == 0.25 for s in traj.samples)
         assert all(s.z is None for s in traj.samples)
+
+    def test_torque_is_stored_as_a_float(self):
+        cfg = SimConfig(x0=(0.3, 0.0), T_p=0.5, t_end=0.6, rtol=1e-6, atol=1e-9)
+        traj = simulate_pendulum_raw(Pendulum(), cfg, lambda x, t: 1)
+        assert all(type(u) is float and u == 1.0 for u in traj.u)
+        # an int past the float range is a sample that cannot be evaluated
+        with pytest.raises(DivergenceError, match="sample could not be evaluated") as info:
+            simulate_pendulum_raw(Pendulum(), cfg, lambda x, t: 10 ** 400)
+        assert info.value.t == 0.0
+        assert len(info.value.partial.t) == 0
 
 
 class TestOpenLoopSelfTest:

@@ -203,6 +203,18 @@ class TestLyapunovAudit:
         assert audit.n_skipped > 0
         assert audit.max_equality_residual <= 1e-4
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_stage_errors_must_match_the_stage_exponents(self, width):
+        # rectangular z rows of the wrong width for two stages
+        z = (0.5,) * width
+        samples = [Sample(t=0.1 * k, x=(0.5, 0.0), u=0.0, z=z, V=0.25 * width, dV=-1.0)
+                   for k in range(3)]
+        traj = Trajectory(samples, meta={"kinds": ["linear"] * 2, "etas": [3.0, 2.0],
+                                         "T_p": 1.0, "t_standoff": 0.2})
+        with pytest.raises(AuditError, match=(
+                "^stage errors must have 2 components, one per stage exponent$")):
+            lyapunov_audit(traj)
+
     def test_flags_envelope_violation_outside_concavity_domain(self):
         # for linear and tan kernels the sandwich is unconditional, so a
         # genuine violation needs the logexp kernel with stage errors beyond

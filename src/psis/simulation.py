@@ -357,12 +357,16 @@ class Trajectory:
         self.x, self.z = _Rows(), _Rows()
         self.meta = {} if meta is None else meta
 
-        def add_row(rows: _Rows, row: Sequence[float], name: str, t: float) -> None:
+        def add(column: array | _Rows, value, name: str, t: float) -> None:
             try:
-                rows.append(row)
-            except ValueError as exc:
+                column.append(value)
+            except ValueError as exc:  # a row whose width is not the first's
                 raise ConfigurationError(
                     f"the sample at t={t!r}: its {name} row has {exc}") from None
+            except (TypeError, OverflowError) as exc:
+                raise ConfigurationError(
+                    f"the sample at t={t!r}: its {name} cannot be stored as "
+                    f"doubles: {exc}") from None
 
         for s in samples:
             if s.z is not None:
@@ -371,12 +375,12 @@ class Trajectory:
                         f"the sample at t={s.t!r} carries stage errors after one "
                         "that does not; such samples must come first"
                     )
-                add_row(self.z, s.z, "z", s.t)
-                self.V.append(s.V)
-                self.dV.append(s.dV)
-            self.t.append(s.t)
-            add_row(self.x, s.x, "x", s.t)
-            self.u.append(s.u)
+                add(self.z, s.z, "z", s.t)
+                add(self.V, s.V, "V", s.t)
+                add(self.dV, s.dV, "dV", s.t)
+            add(self.t, s.t, "t", s.t)
+            add(self.x, s.x, "x", s.t)
+            add(self.u, s.u, "u", s.t)
         if not all(a <= b for a, b in zip(self.t, self.t[1:])):
             raise ConfigurationError("sample times must not decrease")
 

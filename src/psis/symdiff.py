@@ -443,8 +443,9 @@ def _partial(e: Expr, d: Callable[[Expr], Expr], leaf: Callable[[Expr], Expr]) -
     if isinstance(e, Mul):
         return Add(Mul(d(e.left), e.right), Mul(e.left, d(e.right)))
     if isinstance(e, Div):
-        numerator = Sub(Mul(d(e.left), e.right), Mul(e.left, d(e.right)))
-        return Div(numerator, Mul(e.right, e.right))
+        # q' = (a' - q b') / b reuses q = a/b (Griewank & Walther, ch. 3):
+        # (a'b - ab')/b^2 would square b at every stage of the recursion.
+        return Div(Sub(d(e.left), Mul(e, d(e.right))), e.right)
     if isinstance(e, Pow):
         if e.exponent == 0.0:
             return Const(0.0)

@@ -20,7 +20,7 @@ The 1/(T_p - t) gain means every expression here is valid strictly before
 T_p only; evaluation helpers enforce that boundary.
 
 The tree a law stands for grows exponentially with n, its DAG does not
-(tan n=6: 1.4e6 tree nodes, 744 distinct), so describe prints the DAG in
+(tan n=6: 1.4e6 tree nodes, 599 distinct), so describe prints the DAG in
 let-form through symdiff.code_emitter, the emitter that compiles the law.
 """
 

@@ -563,7 +563,7 @@ class SweepReport:
 def thread_count(n_jobs: int) -> int:
     """Threads a sweep of n_jobs runs uses: always 1, since sweeps run
     serially.  It stays only because perfbench/worker.py records it, and
-    goes with ROADMAP item 5."""
+    goes with ROADMAP item 7."""
     return 1
 
 

@@ -13,7 +13,9 @@ import pytest
 
 import psis.cli
 import psis.verification
+from psis import symdiff
 from psis.cli import _sweep_paths, main
+from psis.synthesis import Controller, synthesize
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
@@ -76,7 +78,7 @@ class TestSynthesize:
         assert names == {"exp.json"}
 
     def test_wide_law_prints_in_let_form(self, tmp_path, capsys):
-        # linear n=10 stands for 1.4e8 tree nodes over 1,702 distinct ones;
+        # linear n=10 stands for 1.4e8 tree nodes over 1,150 distinct ones;
         # the printed let-form writes each distinct node once
         data = chain_data(run_id="wide", plant={"type": "chain", "n": 10})
         data["synthesis"]["stages"] = [
@@ -360,10 +362,18 @@ class TestIntegrationFailure:
         assert "integration failed at t=0: step size collapsed" in err
         assert "Traceback" not in err
 
-    def test_unevaluable_control_exits_three_with_a_reason(self, tmp_path, capsys):
-        data = chain_data()
-        data["synthesis"]["T_p"] = 1e-200
-        cfg = write_config(tmp_path, data)
+    def test_unevaluable_control_exits_three_with_a_reason(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # u + 0 / t divides by zero at t=0; with c = 0 simulate runs this
+        # controller itself, not a re-synthesized twin
+        def trapped(config):
+            ctrl = synthesize(config)
+            u = ctrl.u_expr + symdiff.Const(0.0) / symdiff.TimeVar()
+            return Controller(ctrl.config, ctrl.z_exprs, ctrl.virtual_refs[:-1] + (u,))
+
+        monkeypatch.setattr(psis.cli, "synthesize", trapped)
+        cfg = write_config(tmp_path, chain_data())
         assert main(["simulate", "--config", cfg]) == 3
         err = capsys.readouterr().err
         assert "integration failed at t=0: " in err

@@ -56,6 +56,17 @@ def make_controller(n=2, c=0.0, T_p=1.0, etas=(3.0, 2.0), kind=RcdfKind.LINEAR):
     return synthesize(SynthesisConfig(n=n, c=c, T_p=T_p, stages=stages))
 
 
+def with_trap(ctrl, trap):
+    """ctrl with trap added to its input u: a term that is 0 where it can be
+    evaluated, and raises where it cannot."""
+    return Controller(ctrl.config, ctrl.z_exprs,
+                      ctrl.virtual_refs[:-1] + (ctrl.u_expr + trap,))
+
+
+# 0 / t divides by zero at t = 0 alone, and the first row is recorded there
+AT_START = symdiff.Const(0.0) / symdiff.TimeVar()
+
+
 class TestPlants:
     def test_chain_order_validation(self):
         with pytest.raises(ConfigurationError):
@@ -299,6 +310,19 @@ class TestColumns:
         ]
         with pytest.raises(ConfigurationError, match="must not decrease"):
             Trajectory(samples=samples)
+
+    @pytest.mark.parametrize("field, value", [
+        ("t", None), ("u", None), ("V", None), ("dV", None), ("u", "0.5"),
+        ("u", 10 ** 400), ("x", None), ("x", (1.0, None)), ("z", (None, 1.0)),
+    ])
+    def test_a_value_that_is_not_a_double_is_refused(self, field, value):
+        # a value that a column's array cannot hold is refused with the
+        # sample's t and the field's name
+        good = Sample(t=0.0, x=(1.0, 2.0), u=0.0, z=(1.0, 2.0), V=5.0, dV=-1.0)
+        bad = dataclasses.replace(good, **{field: value})
+        with pytest.raises(ConfigurationError, match=(
+                rf"^the sample at t={bad.t!r}: its {field} cannot be stored as doubles: ")):
+            Trajectory(samples=[bad])
 
     @pytest.mark.parametrize("mode", ["direct", "tau"])
     def test_samples_view_is_the_zipped_columns(self, mode):
@@ -570,8 +594,8 @@ class TestDenseOutput:
     # README's pendulum with config defaults: the dense output's bits must
     # not move between Python versions
     @pytest.mark.parametrize("mode, digest", [
-        ("direct", "af76c73fefdd6174"),
-        ("tau", "914c1ac17b9b2752"),
+        ("direct", "187cb5c3d9d2ca6e"),
+        ("tau", "864440739c3be52e"),
     ])
     def test_readme_pendulum_samples_are_pinned(self, mode, digest):
         ctrl = make_controller(c=0.15, T_p=0.5)
@@ -584,17 +608,17 @@ class TestDenseOutput:
     # three, so every kernel's z, u, V and dV bits are pinned on both clocks
     @pytest.mark.parametrize("kinds, etas, c, x0, mode, digest", [
         (("tan",) * 4, (5.0, 4.0, 3.0, 2.0), 0.0, (1.0, 0.0, 0.0, 0.0),
-         "direct", "322c3bf565375049"),
+         "direct", "5809bcb636f41ea3"),
         (("tan",) * 4, (5.0, 4.0, 3.0, 2.0), 0.0, (1.0, 0.0, 0.0, 0.0),
-         "tau", "6b3253b44ab6ff5a"),
+         "tau", "2d25f6b090d2276c"),
         (("logexp",) * 3, (4.0, 3.0, 2.0), 0.0, (1.0, 0.0, 0.0),
-         "direct", "fcfdd6a370b13e2a"),
+         "direct", "69815a103c707098"),
         (("logexp",) * 3, (4.0, 3.0, 2.0), 0.0, (1.0, 0.0, 0.0),
-         "tau", "81f88081c99f36e7"),
+         "tau", "47ec7fb9b4133932"),
         (("tan", "linear", "logexp"), (4.0, 3.0, 2.0), 0.3, (1.0, 0.5, 0.0),
-         "direct", "75dc890ac82ac32c"),
+         "direct", "42aa4e2b4acf1432"),
         (("tan", "linear", "logexp"), (4.0, 3.0, 2.0), 0.3, (1.0, 0.5, 0.0),
-         "tau", "3f8d132535468e43"),
+         "tau", "068d83aa5008134c"),
     ])
     def test_chain_samples_are_pinned_for_every_kernel(
         self, kinds, etas, c, x0, mode, digest
@@ -747,12 +771,13 @@ class TestGeneratedRecorder:
         # error in its row to DivergenceError itself, which moved the digest
         # from 8f6edd7f0f82e5ce; the one-walk Lie derivative moved it from
         # 184a99731d7c6f04; make() extending flat arrays of doubles moved
-        # it from 66f03825cfa6ccd1
+        # it from 66f03825cfa6ccd1; the quotient rule that reuses its
+        # quotient moved it from e015d9ace9846c8c
         twin = zero_setpoint_twin(make_controller(c=0.15, T_p=0.5))
         program = _program(twin, False)
         assert _program(twin, False) is program
         digest = hashlib.sha256(program.source.encode()).hexdigest()[:16]
-        assert digest == "e015d9ace9846c8c"
+        assert digest == "ea4a3862c371461e"
 
 
 class TestLawProgram:
@@ -826,15 +851,15 @@ class TestBreakdownReporting:
         assert partial.meta["steps_rejected"] > 0
 
     def test_unevaluable_sample_is_divergence(self):
-        # (T_p - t)**2 underflows to zero in the compiled control at t=0,
-        # outside any integrator step
-        ctrl = make_controller(T_p=1e-200)
-        cfg = SimConfig(x0=(1.0, 0.0), T_p=1e-200, t_end=1.2e-200)
+        # the compiled control divides by zero at t=0, outside any
+        # integrator step
+        ctrl = with_trap(make_controller(), AT_START)
+        cfg = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2)
         with pytest.raises(DivergenceError, match="division by zero") as info:
             simulate(IntegratorChain(2), ctrl, cfg)
         assert info.value.t == 0.0
         assert info.value.partial.samples == []
-        assert info.value.partial.meta["T_p"] == 1e-200
+        assert info.value.partial.meta["T_p"] == 1.0
 
     def test_midrun_unevaluable_sample_is_divergence(self):
         # u + 0 / (t - t_k) divides by zero at the grid point t_k alone: an
@@ -844,9 +869,7 @@ class TestBreakdownReporting:
         ctrl = make_controller()
         cfg = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2)
         t_k = 250 * cfg.sample_dt
-        trap = symdiff.Const(0.0) / (symdiff.TimeVar() - t_k)
-        trapped = Controller(ctrl.config, ctrl.z_exprs,
-                             ctrl.virtual_refs[:-1] + (ctrl.u_expr + trap,))
+        trapped = with_trap(ctrl, symdiff.Const(0.0) / (symdiff.TimeVar() - t_k))
 
         def torque(x, t):
             return 0.0 / (t - t_k)
@@ -872,21 +895,23 @@ class TestBreakdownReporting:
 
     # sha256[:16] of repr([dataclasses.astuple(s) for s in partial.samples]):
     # the stiff start keeps its t = 0 row on both clocks
-    @pytest.mark.parametrize("n, etas, kind, T_p, x0, mode, error, rows, digest", [
-        (2, (3.0, 2.0), RcdfKind.LINEAR, 1e-200, (1.0, 0.0), "direct",
+    @pytest.mark.parametrize("n, etas, kind, trap, x0, mode, error, rows, digest", [
+        (2, (3.0, 2.0), RcdfKind.LINEAR, AT_START, (1.0, 0.0), "direct",
          DivergenceError, 0, "4f53cda18c2baa0c"),
-        (2, (3.0, 2.0), RcdfKind.LINEAR, 1.0, (1e308, 0.0), "direct",
+        (2, (3.0, 2.0), RcdfKind.LINEAR, None, (1e308, 0.0), "direct",
          DivergenceError, 0, "4f53cda18c2baa0c"),
-        (4, (5.0, 4.0, 3.0, 2.0), RcdfKind.TAN, 1.0, (10.0, 0.0, 0.0, 0.0), "direct",
+        (4, (5.0, 4.0, 3.0, 2.0), RcdfKind.TAN, None, (10.0, 0.0, 0.0, 0.0), "direct",
          StiffnessError, 1, "01992a7549b8eaad"),
-        (4, (5.0, 4.0, 3.0, 2.0), RcdfKind.TAN, 1.0, (10.0, 0.0, 0.0, 0.0), "tau",
+        (4, (5.0, 4.0, 3.0, 2.0), RcdfKind.TAN, None, (10.0, 0.0, 0.0, 0.0), "tau",
          StiffnessError, 1, "01992a7549b8eaad"),
     ], ids=["unevaluable", "overflowed", "stiff-direct", "stiff-tau"])
     def test_partial_columns_are_not_ragged(
-        self, n, etas, kind, T_p, x0, mode, error, rows, digest
+        self, n, etas, kind, trap, x0, mode, error, rows, digest
     ):
-        ctrl = make_controller(n=n, T_p=T_p, etas=etas, kind=kind)
-        cfg = SimConfig(x0=x0, T_p=T_p, t_end=1.2 * T_p, sample_dt=2.5e-4 * T_p, mode=mode)
+        ctrl = make_controller(n=n, etas=etas, kind=kind)
+        if trap is not None:
+            ctrl = with_trap(ctrl, trap)
+        cfg = SimConfig(x0=x0, T_p=1.0, t_end=1.2, sample_dt=2.5e-4, mode=mode)
         with pytest.raises(error) as info:
             simulate(IntegratorChain(n), ctrl, cfg)
         partial = info.value.partial
@@ -905,10 +930,10 @@ class TestBreakdownReporting:
         # the row that raised left no cell behind in any column
         columns = (traj.t, traj.x, traj.u, traj.z, traj.V, traj.dV)
         assert [len(col) for col in columns] == [1] * 6
-        # here z is finite and u divides by (T_p - t)**2, which underflows:
-        # the record maps the arithmetic error to a DivergenceError at t
+        # here z is finite and u divides by zero at t=0: the record maps
+        # the arithmetic error to a DivergenceError at t
         tiny = Trajectory()
-        record, _ = _program(make_controller(T_p=1e-200), False).make(0.0, tiny)
+        record, _ = _program(with_trap(ctrl, AT_START), False).make(0.0, tiny)
         with pytest.raises(DivergenceError, match="division by zero") as info:
             record(0.0, [1.0, 0.0])
         assert info.value.t == 0.0
@@ -932,14 +957,16 @@ class TestBreakdownReporting:
             assert len(info.value.partial.samples) == 1
 
     def test_tau_clock_failure_reports_a_time_of_the_run(self):
-        # linear n=8 from e1 collapses its step size mid-run on the tau
-        # clock (ROADMAP item 7); the error names tau and carries the t it
-        # maps to, past the last recorded sample
-        n = 8
-        ctrl = make_controller(n=n, etas=tuple(float(e) for e in range(n + 1, 1, -1)))
-        cfg = SimConfig(x0=(1.0,) + (0.0,) * (n - 1), T_p=1.0, t_end=1.2, mode="tau")
+        # u + 0 ln(t_a - t) cannot be evaluated past t_a, so every trial
+        # that ends there fails and the step size collapses mid-run on the
+        # tau clock; the error names tau and carries the t it maps to, past
+        # the last recorded sample
+        t_a = 0.5
+        trap = symdiff.Const(0.0) * symdiff.Ln(symdiff.Const(t_a) - symdiff.TimeVar())
+        ctrl = with_trap(make_controller(), trap)
+        cfg = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2, mode="tau")
         with pytest.raises(StiffnessError) as info:
-            simulate(IntegratorChain(n), ctrl, cfg)
+            simulate(IntegratorChain(2), ctrl, cfg)
         exc = info.value
         assert exc.partial.t[-1] <= exc.t <= cfg.T_p
         text = str(exc)
@@ -980,6 +1007,26 @@ class TestBreakdownReporting:
         assert len(traj.samples) == 1636
         assert traj.samples[-1].t == 1.2
         assert traj.meta["steps_rejected"] > 0
+
+
+class TestHighOrderReach:
+    # laws of order 7 and up once divided by (T_p - t)**64 and more, which
+    # underflows to 0 before T_p: each run stopped with a collapsed step
+    # size at t = 0.997036 (linear n=8) or 0.999991 (tan n=7)
+    @pytest.mark.parametrize("mode", ["direct", "tau"])
+    @pytest.mark.parametrize("kind, n, scale, x_bound", [
+        (RcdfKind.LINEAR, 8, 1.0, None),
+        (RcdfKind.TAN, 7, 1e-3, 1e-8),
+    ], ids=["linear-n8", "tan-n7"])
+    def test_order_seven_and_up_reach_t_end(self, kind, n, scale, x_bound, mode):
+        ctrl = make_controller(n=n, etas=tuple(float(e) for e in range(n + 1, 1, -1)),
+                               kind=kind)
+        cfg = SimConfig(x0=(scale,) + (0.0,) * (n - 1), T_p=1.0, t_end=1.2, mode=mode)
+        traj = simulate(IntegratorChain(n), ctrl, cfg)
+        assert traj.t[-1] == cfg.t_end
+        if x_bound is not None:
+            at_T_p = traj.x[list(traj.t).index(cfg.T_p)]
+            assert max(abs(v) for v in at_T_p) <= x_bound
 
 
 class TestTauClock:

@@ -242,7 +242,7 @@ class TestDescribe:
                 assert bits(namespace[label]) == bits(fn(x, t)), (label, x, t)
 
     def test_text_grows_with_distinct_nodes(self):
-        # tan n=6's u stands for 1.4e6 tree nodes over 744 distinct ones;
+        # tan n=6's u stands for 1.4e6 tree nodes over 599 distinct ones;
         # the let-form writes the distinct ones
         ctrl = synthesize(chain_config(RcdfKind.TAN, 6, 0.0))
         assert len(describe(ctrl).encode()) < 20_000
@@ -259,17 +259,26 @@ def digest(fn):
     return hashlib.sha256(fn.__psis_source__.encode()).hexdigest()[:16]
 
 
+def gap_power(expr, gap):
+    """How often gap is a factor of expr's tree of products."""
+    if expr is gap:
+        return 1
+    if isinstance(expr, sd.Mul):
+        return gap_power(expr.left, gap) + gap_power(expr.right, gap)
+    return 0
+
+
 class TestHighOrderLaws:
     # sha256[:16] of each compiled source and the tree size of u: a change
     # to the law's construction or to the emitted text must show here (the
     # values are held to the one-local-per-node emitter in test_emitter.py)
     @pytest.mark.parametrize("kind, n, c, u_nodes, u_digest, z_digests", [
-        (RcdfKind.TAN, 5, 0.0, 108_219, "d3dbbfe6894f9912",
-         ("5e8280e8ad564655", "e45e2c007e6f1c85", "e9a5996a876205f7",
-          "bb19dda91aa4bf68", "2e52d67536e0bd69")),
-        (RcdfKind.LOGEXP, 5, 0.15, 10_575, "35375f9a5ee5b749",
-         ("2db36477af55d413", "da3229f0af1ef325", "f81c2b51cff436d7",
-          "8d366487c8b06cb9", "60a2fe7d90fde036")),
+        (RcdfKind.TAN, 5, 0.0, 110_139, "5f14dac02a9ab1f9",
+         ("5e8280e8ad564655", "e45e2c007e6f1c85", "0a4c09832e311077",
+          "2a8686dcc0f9600e", "dcb43b1c3638baaf")),
+        (RcdfKind.LOGEXP, 5, 0.15, 11_647, "1e0da9a4f915f895",
+         ("2db36477af55d413", "da3229f0af1ef325", "d5a85de366a76ede",
+          "8947d5ecd1e25fba", "87944cb210e43991")),
     ], ids=["tan-n5", "logexp-n5"])
     def test_compiled_sources_are_pinned(self, kind, n, c, u_nodes, u_digest, z_digests):
         ctrl = synthesize(chain_config(kind, n, c))
@@ -279,8 +288,20 @@ class TestHighOrderLaws:
 
     def test_order_six_synthesizes(self):
         ctrl = synthesize(chain_config(RcdfKind.TAN, 6, 0.0))
-        assert ctrl.compiled_u.__psis_source__.count("\n") == 264
-        assert sd.node_count(ctrl.u_expr) == 1_398_443
+        assert ctrl.compiled_u.__psis_source__.count("\n") == 218
+        assert sd.node_count(ctrl.u_expr) == 1_398_889
+
+    @pytest.mark.parametrize("kind, n", [(RcdfKind.LINEAR, 8), (RcdfKind.TAN, 7)],
+                             ids=["linear-n8", "tan-n7"])
+    def test_no_stage_squares_a_denominator(self, kind, n):
+        # each stage differentiates the last one's quotients; a rule that
+        # divides by b*b doubles the power of the gap T_p - t in a
+        # denominator per stage, to 128 at linear n=8, and that power
+        # underflows to 0 at T_p - t < 3e-3
+        u = synthesize(chain_config(kind, n, 0.0)).u_expr
+        gap = sd.Sub(sd.Const(1.0), sd.TimeVar())
+        powers = [gap_power(e.right, gap) for e in sd._nodes(u) if isinstance(e, sd.Div)]
+        assert 1 <= max(powers) <= 2
 
     def test_threads_build_one_dag(self):
         # etas and T_p no other test uses, so the threads intern fresh nodes;

@@ -52,6 +52,15 @@ def slack_problem(slack_abs: float, slack_rel: float) -> str | None:
             f"got slack_abs={slack_abs!r}, slack_rel={slack_rel!r}")
 
 
+def spread_bound_problem(spread_bound: float) -> str | None:
+    """Why a sweep (verification.sweep_initial_conditions) cannot judge its
+    spread against this bound, or None if it can: at nan or inf its spread
+    clause could never fail, and at 0 or below it could never pass."""
+    if 0.0 < spread_bound < 1.0:
+        return None
+    return "verify.spread_bound must lie in (0, 1)"
+
+
 @dataclass(frozen=True)
 class OutputPaths:
     csv: str | None
@@ -221,11 +230,10 @@ def _parse_verify(data: Any) -> VerifyParams:
         )
     if not (0.0 < params.window_factor < 1.0):
         raise ConfigurationError("verify.window_factor must lie in (0, 1)")
-    if not (0.0 < params.spread_bound < 1.0):
-        raise ConfigurationError("verify.spread_bound must lie in (0, 1)")
-    problem = slack_problem(params.slack_abs, params.slack_rel)
-    if problem is not None:
-        raise ConfigurationError(problem)
+    for problem in (spread_bound_problem(params.spread_bound),
+                    slack_problem(params.slack_abs, params.slack_rel)):
+        if problem is not None:
+            raise ConfigurationError(problem)
     return params
 
 
@@ -238,6 +246,8 @@ def _parse_output(data: Any, run_id: str, base_dir: str) -> OutputPaths:
         if raw is None:
             return None
         p = _as_str(raw, f"output.{key}")
+        if "\0" in p:
+            raise ConfigurationError(f"output.{key} must not hold a NUL, got {p!r}")
         return p if os.path.isabs(p) else os.path.join(base_dir, p)
 
     return OutputPaths(
@@ -259,8 +269,10 @@ def build_spec(data: Any, base_dir: str = ".") -> ExperimentSpec:
         if key not in d:
             raise ConfigurationError(f"configuration section {key!r} is required")
     run_id = _as_str(d.get("run_id", "run"), "run_id")
-    if not run_id or any(ch in run_id for ch in "/\\"):
-        raise ConfigurationError(f"run_id must be a nonempty name, got {run_id!r}")
+    # the OS refuses a NUL in a path, so a name holding one names no file
+    if not run_id or any(ch in run_id for ch in "/\\\0"):
+        raise ConfigurationError(
+            f"run_id must be a nonempty name without '/', '\\' or NUL, got {run_id!r}")
     plant = _parse_plant(d["plant"])
     n = plant_order(plant)
     synthesis = _parse_synthesis(d["synthesis"], n)

@@ -17,8 +17,12 @@ at t = 0:
     linear:  zeta(v) = v                          v(t) = (T_p - t)^eta
     logexp:  zeta(v) = (1 - exp(-|v|)) * sign(v)  v(t) = ln(1 + (T_p - t)^eta)
 
-Each kernel is written down once, as one KernelForms record in KERNELS that
-holds every form of it; every other module reads the record.
+Each kernel is written down once, as the expression that synthesis
+differentiates.  Its KernelForms record in KERNELS holds every other form of
+it, and its float code is that expression rendered by symdiff.code_emitter,
+so the law, the recorder's decay rate and the audit's envelope perform the
+same operations.  The rate law is written once too, as psi_expr, which
+synthesis builds each stage from and psi evaluates.
 
 The tan closed form only exists while (T_p - t)^eta < pi/2; that guard is
 enforced here and nowhere else, because the synthesized controllers use the
@@ -78,11 +82,12 @@ class RcdfSpec:
 
 
 class KernelForms(NamedTuple):
-    """Every form of one rate kernel zeta."""
+    """Every form of one rate kernel zeta.  expr is the one definition of
+    zeta; its float code, source and function, is rendered from expr."""
 
-    source: str  # zeta's float operations, a Python expression in {v} for a finite v
+    source: str  # expr rendered by symdiff.code_emitter: a Python expression in {v}
     function: Callable[[float], float]  # source compiled; DomainError at a non-finite v
-    expr: Callable[[sd.Expr], sd.Expr]  # zeta as an expression in v, for synthesis
+    expr: Callable[[sd.Expr], sd.Expr]  # zeta as an expression in v: the one definition
     closed: Callable[[float], float]  # closed-form v from s = (T_p - t)^eta
     convex_bound: float  # x * zeta(x) is convex on [0, convex_bound]
 
@@ -91,8 +96,12 @@ def _not_finite(v: float) -> float:
     raise DomainError(f"kernel argument must be finite, got {v!r}")
 
 
-def _forms(source: str, expr: Callable[[sd.Expr], sd.Expr], closed: Callable[[float], float],
+def _forms(expr: Callable[[sd.Expr], sd.Expr], closed: Callable[[float], float],
            convex_bound: float = math.inf) -> KernelForms:
+    node = expr(sd.StateVar(1))
+    lines: list[str] = []
+    source = sd.code_emitter([node], lines)(node).replace("x[0]", "{v}")
+    assert not lines, "a kernel must render as one expression, to be inlined"
     body = source.format(v="v")
     text = f"def zeta(v):\n    return ({body}) if isfinite(v) else _not_finite(v)\n"
     function = sd.compile_source(text, "<psis.kernel>", _not_finite=_not_finite)["zeta"]
@@ -106,16 +115,9 @@ def _tan_closed(s: float) -> float:
 
 
 KERNELS: dict[RcdfKind, KernelForms] = {
-    RcdfKind.TAN: _forms(
-        "({v} * {v} + 1.0) * arctan({v})",
-        lambda v: (v * v + 1.0) * sd.Arctan(v),
-        _tan_closed,
-    ),
-    RcdfKind.LINEAR: _forms("{v}", lambda v: v, lambda s: s),
+    RcdfKind.TAN: _forms(lambda v: (v * v + 1.0) * sd.Arctan(v), _tan_closed),
+    RcdfKind.LINEAR: _forms(lambda v: v, lambda s: s),
     RcdfKind.LOGEXP: _forms(
-        # 1 - exp(-|v|) via expm1 keeps precision for small |v|; sign(0) is 0.
-        # sd.Satexp's float function performs the same operations.
-        "0.0 if {v} == 0.0 else copysign(-expm1(-abs({v})), {v})",
         sd.Satexp,
         math.log1p,
         convex_bound=2.0,  # (x zeta(x))'' = (2 - x) exp(-x) for x >= 0
@@ -126,7 +128,7 @@ KERNELS: dict[RcdfKind, KernelForms] = {
 def kernel_source(kind: RcdfKind, name: str) -> str:
     """zeta(kind, name) as a parenthesized Python expression, for code that
     inlines the kernel at a finite name; symdiff.COMPILED_GLOBALS holds the
-    names it calls.  It performs zeta's float operations, so it gives the
+    names it calls.  It is the text zeta's function runs, so it gives the
     same bits."""
     return f"({KERNELS[kind].source.format(v=name)})"
 
@@ -148,8 +150,15 @@ def zeta(kind: RcdfKind, v: float) -> float:
     return kernel_function(kind)(v)
 
 
+def psi_expr(spec: RcdfSpec, v: sd.Expr, T_p: float) -> sd.Expr:
+    """Rate law eta * zeta(v) / (T_p - t) as an expression in v and t, the
+    one definition of the law: synthesis builds each stage from it."""
+    gain = sd.Const(spec.eta) / (sd.Const(T_p) - sd.TimeVar())
+    return gain * KERNELS[spec.kind].expr(v)
+
+
 def psi(spec: RcdfSpec, v: float, t: float, T_p: float) -> float:
-    """Rate law eta * zeta(v) / (T_p - t), defined only for 0 <= t < T_p."""
+    """psi_expr's value at (v, t), defined only for 0 <= t < T_p."""
     _check_horizon(T_p)
     if not math.isfinite(v):
         raise DomainError(f"state argument must be finite, got {v!r}")
@@ -159,7 +168,7 @@ def psi(spec: RcdfSpec, v: float, t: float, T_p: float) -> float:
         raise SingularityError(
             f"rate law undefined at t={t} >= T_p={T_p}"
         )
-    return spec.eta * zeta(spec.kind, v) / (T_p - t)
+    return sd.evaluate(psi_expr(spec, sd.StateVar(1), T_p), (v,), t)
 
 
 def closed_form(spec: RcdfSpec, t: float, T_p: float) -> float:

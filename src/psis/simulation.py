@@ -536,6 +536,7 @@ def stepper(f, y_start, t0, stops, labels, rtol, atol, max_step, stats, on_stop,
         err_prev = 1.0
         err = None  # scaled error estimate of the last trial step
         rejected_streak = 0
+        accepted_at_reject = 0  # accepted, as of the last rejected step
         just_rejected = False
         stop_idx = 0
 
@@ -553,7 +554,9 @@ def stepper(f, y_start, t0, stops, labels, rtol, atol, max_step, stats, on_stop,
             elif h <= 1e-14 * max(abs(t), t_span):
                 raise StiffnessError(
                     f"step size collapsed to {h:.3e} after {rejected_streak} rejected "
-                    f"steps in a row (last error estimate {_estimate_text(err)})", t
+                    f"steps in a row and {accepted - accepted_at_reject} accepted "
+                    f"since the last rejection (last error estimate "
+                    f"{_estimate_text(err)})", t
                 )
 
             try:
@@ -632,6 +635,7 @@ $accept_lines
             else:
                 rejected += 1
                 rejected_streak += 1
+                accepted_at_reject = accepted
                 just_rejected = True
                 if rejected_streak > _MAX_CONSECUTIVE_REJECTS:
                     raise StiffnessError(
@@ -761,7 +765,9 @@ def _adaptive_path(
     fires at every other accepted step boundary, after the stops the step
     covered.  Returns the state at the last stop.  A StiffnessError names
     the step size and the last scaled error estimate (inf for a trial the
-    vector field rejected).
+    vector field rejected); a collapsed step size also names the steps
+    rejected in a row before it and those accepted since the last rejection
+    (or since t0).
     """
     return _stepper(len(y0))(
         f, y0, t0, stops, labels, rtol, atol, max_step, stats, on_stop, on_step

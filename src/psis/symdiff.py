@@ -658,13 +658,12 @@ def code_emitter(
     return lambda root: _walk(root, step, memo)[0]
 
 
-# The names generated code calls: the unary nodes' functions, the kernels'
-# float functions and the step loop's checks; repr() writes a non-finite
-# constant as a bare name.
+# The names generated code calls: the unary nodes' functions, which are all
+# the rate kernels' rendered code calls, and the step loop's and the audit's
+# sqrt and checks; repr() writes a non-finite constant as a bare name.
 COMPILED_GLOBALS = {op.name: op.fn for op in _Unary.__subclasses__()}
 COMPILED_GLOBALS.update(
-    expm1=math.expm1, copysign=math.copysign, sqrt=math.sqrt,
-    isfinite=math.isfinite, isinf=math.isinf, inf=math.inf, nan=math.nan,
+    sqrt=math.sqrt, isfinite=math.isfinite, isinf=math.isinf, inf=math.inf, nan=math.nan,
 )
 
 

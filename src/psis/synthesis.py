@@ -33,13 +33,7 @@ from typing import Callable, Sequence
 
 from . import symdiff as sd
 from .errors import ConfigurationError, SingularityError, StructureError
-from .rcdf import KERNELS, RcdfSpec, validate_stage_etas
-
-
-def psi_expr(spec: RcdfSpec, v: sd.Expr, T_p: float) -> sd.Expr:
-    """Rate law eta * zeta(v) / (T_p - t) as an expression in v and t."""
-    gain = sd.Const(spec.eta) / (sd.Const(T_p) - sd.TimeVar())
-    return gain * KERNELS[spec.kind].expr(v)
+from .rcdf import RcdfSpec, psi_expr, validate_stage_etas
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 from . import symdiff as sd
 from .errors import AuditError, ConfigurationError, DomainError, IntegrationError
-from .experiment import slack_problem
+from .experiment import slack_problem, spread_bound_problem
 from .rcdf import KERNELS, RcdfKind, kernel_function, kernel_source, zeta
 from .simulation import TERMINAL_WINDOW_START, PlantModel, SimConfig, Trajectory, simulate
 from .synthesis import Controller
@@ -586,11 +586,15 @@ def sweep_initial_conditions(
     and so is a scale whose tolerance lies below the integration accuracy
     floor (see unresolvable_tolerance), without being run.
     Runs execute one after another on the calling thread, in the order of
-    scales.
+    scales.  A spread_bound that experiment.spread_bound_problem refuses is
+    a ConfigurationError.
     """
     scales = [float(s) for s in scales]
     if not scales:
         raise ConfigurationError("scales must be nonempty")
+    problem = spread_bound_problem(spread_bound)
+    if problem is not None:
+        raise ConfigurationError(problem)
     T_p = base_cfg.T_p
 
     def one(scale: float) -> SweepRow:

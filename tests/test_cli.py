@@ -192,6 +192,22 @@ class TestConfigFailures:
         assert err.startswith(f"configuration error: config {str(cfg)!r} is not valid JSON: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
+    @pytest.mark.parametrize("overrides, key", [
+        ({"run_id": "a\0b"}, "run_id"),
+        ({"output": {"csv": "a\0b.csv"}}, "output.csv"),
+    ], ids=["run_id", "output-csv"])
+    def test_a_nul_in_a_name_exits_two(self, tmp_path, capsys, command, overrides, key):
+        # the OS refuses a NUL in a path: refused at load, not a traceback
+        # from the output checks
+        cfg = write_config(tmp_path, chain_data(**overrides))
+        assert main([command, "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"configuration error: {key} must ")
+        assert "NUL" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
+
     def test_bad_schema(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"plant": {"type": "chain", "n": 2}})
         assert main(["simulate", "--config", cfg]) == 2

@@ -121,6 +121,13 @@ class TestStrictness:
             build_spec(chain_config(run_id="a/b"))
         with pytest.raises(ConfigurationError):
             build_spec(chain_config(run_id=""))
+        with pytest.raises(ConfigurationError, match="^run_id must .* NUL"):
+            build_spec(chain_config(run_id="a\0b"))
+
+    @pytest.mark.parametrize("key", ["csv", "svg", "report"])
+    def test_an_output_path_must_hold_no_nul(self, key):
+        with pytest.raises(ConfigurationError, match=f"^output.{key} must not hold a NUL"):
+            build_spec(chain_config(output={key: "a\0b"}))
 
     def test_top_level_must_be_an_object(self):
         with pytest.raises(ConfigurationError):

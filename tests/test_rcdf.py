@@ -13,6 +13,7 @@ from psis.rcdf import (
     RcdfSpec,
     closed_form,
     psi,
+    psi_expr,
     validate_stage_etas,
     zeta,
 )
@@ -76,10 +77,13 @@ class TestZeta:
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.value)
     def test_symbolic_kernel_is_the_float_kernel(self, kind):
-        # the form synthesis differentiates gives zeta's bits, tiny v included
+        # the form synthesis differentiates gives zeta's bits, from the
+        # subnormals to the edge of the float range
         expr = KERNELS[kind].expr(sd.StateVar(1))
         fn = sd.compile_expr(expr, 1)
-        for v in (1e-17, -1e-17, 5e-324, 0.0, -0.0, 0.3, -2.5, 1e-8, 40.0):
+        sweep = [10.0 ** (k / 8.0) for k in range(-2600, 2465)]
+        points = [1e-17, 5e-324, 2.2e-308, 0.3, 2.5, 1e-8, 40.0, 1e308, *sweep]
+        for v in [0.0, -0.0] + points + [-p for p in points]:
             want = repr(zeta(kind, v))
             assert repr(sd.evaluate(expr, [v], 0.0)) == want
             assert repr(fn([v], 0.0)) == want
@@ -146,6 +150,39 @@ class TestPsi:
         spec = RcdfSpec(kind=RcdfKind.LINEAR, eta=2.0)
         with pytest.raises(DomainError):
             psi(spec, 1.0, 2.0, 1.0)
+
+
+class TestOneDefinition:
+    """Each kernel and the rate law are written once, as expressions; every
+    float form of them is rendered from those."""
+
+    @pytest.mark.parametrize("kind, text", [
+        (RcdfKind.TAN, "((({v} * {v}) + 1.0) * arctan({v}))"),
+        (RcdfKind.LINEAR, "{v}"),
+        (RcdfKind.LOGEXP, "satexp({v})"),
+    ], ids=["tan", "linear", "logexp"])
+    def test_kernel_source_is_the_rendered_expression(self, kind, text):
+        expr = KERNELS[kind].expr(sd.StateVar(1))
+        lines = []
+        rendered = sd.code_emitter([expr], lines)(expr)
+        assert lines == []
+        assert KERNELS[kind].source == rendered.replace("x[0]", "{v}") == text
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.value)
+    def test_psi_evaluates_the_law_that_synthesis_builds(self, kind):
+        rng = random.Random(20261020)
+        for eta, T_p in ((2.0, 1.0), (3.5, 0.5), (7.0, 1e-3)):
+            spec = RcdfSpec(kind=kind, eta=eta)
+            law = sd.compile_expr(psi_expr(spec, sd.StateVar(1), T_p), 1)
+            for _ in range(500):
+                v = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-20.0, 3.0)
+                t = rng.uniform(0.0, T_p) * rng.choice((1.0, 1.0 - 1e-12))
+                assert repr(psi(spec, v, t, T_p)) == repr(law([v], t))
+
+    def test_compiled_globals_hold_no_kernel_written_out_by_hand(self):
+        # a hand-written logexp kernel would call these; its rendering calls satexp
+        assert "expm1" not in sd.COMPILED_GLOBALS
+        assert "copysign" not in sd.COMPILED_GLOBALS
 
 
 class TestClosedForm:

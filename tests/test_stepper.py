@@ -66,6 +66,7 @@ def reference_path(f, y0, t0, stops, labels, *, rtol, atol, max_step, stats,
     err_prev = 1.0
     err = None
     rejected_streak = 0
+    accepted_at_reject = stats["steps_accepted"]
     just_rejected = False
     stop_idx = 0
 
@@ -83,7 +84,9 @@ def reference_path(f, y0, t0, stops, labels, *, rtol, atol, max_step, stats,
         if h <= 1e-14 * max(abs(t), abs(stops[-1])) and not hitting:
             raise StiffnessError(
                 f"step size collapsed to {h:.3e} after {rejected_streak} rejected "
-                f"steps in a row (last error estimate {S._estimate_text(err)})", t
+                f"steps in a row and {stats['steps_accepted'] - accepted_at_reject} "
+                f"accepted since the last rejection (last error estimate "
+                f"{S._estimate_text(err)})", t
             )
 
         failed = False
@@ -173,6 +176,7 @@ def reference_path(f, y0, t0, stops, labels, *, rtol, atol, max_step, stats,
         else:
             stats["steps_rejected"] += 1
             rejected_streak += 1
+            accepted_at_reject = stats["steps_accepted"]
             just_rejected = True
             if rejected_streak > S._MAX_CONSECUTIVE_REJECTS:
                 raise StiffnessError(
@@ -284,6 +288,27 @@ def test_stiff_start_matches_the_reference(mode, monkeypatch):
     assert result[0] == "StiffnessError"
     assert result[1].startswith("step size collapsed to ")
     assert result[4]["steps_rejected"] > 0
+
+
+def test_a_collapse_names_the_steps_accepted_since_the_last_rejection():
+    # h shrinks through accepted steps toward the pole of y' at t = 0.5, so
+    # the steps in a row that led to the collapse were accepted ones
+    def run(path):
+        stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
+        with pytest.raises(StiffnessError) as info:
+            path(lambda t, y: [1.0 / (0.5 - t) ** 2], [0.0], 0.0, [1.0], [1.0],
+                 rtol=1e-9, atol=1e-12, max_step=1e-3, stats=stats,
+                 on_stop=lambda label, y: None)
+        return str(info.value), repr(info.value.t), stats
+
+    generated = run(S._adaptive_path)
+    assert generated == run(reference_path)
+    assert generated == (
+        "step size collapsed to 9.886e-15 after 0 rejected steps in a row and 62 "
+        "accepted since the last rejection (last error estimate 5.602e-01)",
+        "0.49999999999116124",
+        {"steps_accepted": 1334, "steps_rejected": 31, "rhs_evals": 8191},
+    )
 
 
 def test_overflowing_run_matches_the_reference(monkeypatch):

@@ -532,6 +532,17 @@ class TestSweep:
         )
         assert report.verdict == "fail"
 
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, 0.0, -1.0])
+    def test_a_bound_that_turns_the_spread_clause_off_is_refused(self, bound):
+        # the spread here is 0.0104: nan and inf would pass any spread, and 0
+        # and -1 would fail every one
+        ctrl = make_controller()
+        cfg = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2)
+        with pytest.raises(ConfigurationError,
+                           match=r"^verify\.spread_bound must lie in \(0, 1\)$"):
+            sweep_initial_conditions(IntegratorChain(2), ctrl, cfg,
+                                     scales=(0.5, 1.0, 2.0), spread_bound=bound)
+
     def test_keep_trajectories(self):
         ctrl = make_controller()
         cfg = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2)

@@ -956,6 +956,12 @@ def _check_compatibility(plant: PlantModel, controller: Controller, cfg: SimConf
         raise ConfigurationError(
             f"simulation T_p={cfg.T_p} differs from controller T_p={controller.config.T_p}"
         )
+    for i, stage in enumerate(controller.config.stages, start=1):
+        if not math.isfinite(stage.eta / cfg.eps_stop):
+            raise ConfigurationError(
+                f"stage {i}'s gain eta/(T_p - t) overflows before the standoff: "
+                f"eta={stage.eta!r} over eps_stop={cfg.eps_stop!r} is not finite"
+            )
 
 
 @dataclass(frozen=True)

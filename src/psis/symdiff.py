@@ -19,12 +19,13 @@ table holds its nodes weakly, so dead expressions are freed, and a lock
 makes each lookup-or-insert atomic, so threads synthesizing at once still
 share one node per structure.
 
-Every recursive walker (evaluate, simplify, partial, lie_derivative,
-code_emitter) runs through _walk, which keeps a memo on node identity for
-the one call (code_emitter's lasts over the roots of one program): each
-distinct node is visited once, and the result is that of a walk over the
-tree the DAG stands for.  node_count still counts tree occurrences, a
-shared subexpression once per place it appears.
+Every pass over a DAG (evaluate, simplify, partial, lie_derivative,
+code_emitter, state_indices and node_count) runs through _walk, which
+keeps a memo on node identity for the one call (code_emitter's lasts over
+the roots of one program): each distinct node is visited once, and the
+result is that of a walk over the tree the DAG stands for.  node_count
+still counts tree occurrences, a shared subexpression once per place it
+appears.
 
 code_emitter turns the DAG into straight-line Python, and it is the one
 renderer of an expression: the compiled law and synthesis.describe's
@@ -297,23 +298,6 @@ def _children(node: Expr) -> tuple[Expr, ...]:
     return ()
 
 
-def _nodes(*roots: Expr) -> list[Expr]:
-    """Each distinct node under roots once, children before parents; an
-    explicit stack, so deep expressions do not hit the recursion limit."""
-    seen: set[Expr] = set()
-    order: list[Expr] = []
-    stack = [(root, False) for root in roots]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-        elif node not in seen:
-            seen.add(node)
-            stack.append((node, True))
-            stack.extend((child, False) for child in _children(node))
-    return order
-
-
 def _walk(
     expr: Expr,
     step: Callable[[Expr, Callable[[Expr], _R]], _R],
@@ -333,6 +317,21 @@ def _walk(
         return result
 
     return recur(expr)
+
+
+def _nodes(*roots: Expr) -> list[Expr]:
+    """Each distinct node under roots once, children before parents: the
+    keys of one memo that walks from every root share, in the order the
+    walks finish them."""
+    memo: dict[Expr, None] = {}
+
+    def reach(node: Expr, recur: Callable[[Expr], None]) -> None:
+        for child in _children(node):
+            recur(child)
+
+    for root in roots:
+        _walk(root, reach, memo)
+    return list(memo)
 
 
 # ---------------------------------------------------------------------------

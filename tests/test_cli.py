@@ -249,6 +249,22 @@ class TestConfigFailures:
         )
         assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
 
+    @pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
+    @pytest.mark.parametrize("T_p", [1e-308, 1e-300])
+    def test_gain_that_overflows_before_the_standoff(self, tmp_path, capsys, command, T_p):
+        # eta / eps_stop is inf: refused before the run, not left to a
+        # non-finite stage error or vector field at t = 0 (exit 3)
+        data = chain_data()
+        data["synthesis"]["T_p"] = T_p
+        data["sim"] = {"x0": [1.0, 0.0]}
+        cfg = write_config(tmp_path, data)
+        assert main([command, "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("configuration error: stage 1's gain eta/(T_p - t) overflows ")
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
+
     def test_law_past_the_recursion_limit(self, tmp_path):
         # a linear n=8 law needs a recursion limit of about 200 to build; at
         # 100 synthesize is refused with a reason, not a RecursionError.  The

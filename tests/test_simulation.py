@@ -987,6 +987,19 @@ class TestBreakdownReporting:
         ev = settling_instant(traj, run_tolerance(1e-4, 1e-6, cfg.x0))
         assert ev.two_sided
 
+    @pytest.mark.parametrize("T_p", [1e-308, 1e-300])
+    def test_gain_that_overflows_before_the_standoff_is_refused(self, T_p):
+        # eta / eps_stop is inf, so the law's gain overflows before the run
+        # reaches its standoff: refused before the run, not a breakdown at t=0
+        ctrl = make_controller(T_p=T_p)
+        cfg = SimConfig(x0=(1.0, 0.0), T_p=T_p, t_end=1.2 * T_p)
+        with pytest.raises(ConfigurationError) as info:
+            simulate(IntegratorChain(2), ctrl, cfg)
+        assert str(info.value) == (
+            "stage 1's gain eta/(T_p - t) overflows before the standoff: "
+            f"eta=3.0 over eps_stop={cfg.eps_stop!r} is not finite"
+        )
+
     def test_huge_prescribed_instant_is_a_stiffness_error(self):
         # the backstepping cross term has unit gain whatever T_p is, so a
         # huge T_p makes the loop oscillate at an O(1) frequency over a

@@ -4,9 +4,13 @@ simplification, printing, and compilation."""
 import copy
 import gc
 import math
+import os
+import pathlib
 import pickle
 import random
+import subprocess
 import sys
+import textwrap
 import threading
 import weakref
 
@@ -43,6 +47,7 @@ from psis.symdiff import (
 
 X1, X2, X3 = StateVar(1), StateVar(2), StateVar(3)
 T = TimeVar()
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
 def fd(expr, x, t, wrt_index=None, h=1e-6):
@@ -146,13 +151,88 @@ class TestStructureHelpers:
         assert node_count(Add(shared, shared)) == 7
         assert node_count(doubling(X1, 60)) == 2 ** 61 - 1
 
-    def test_deep_tree_does_not_recurse(self):
-        e = X1
-        for _ in range(5000):
-            e = Add(e, Const(1.0))
-        # stack-based walks survive depths that would overflow recursion
-        assert node_count(e) == 10001
-        assert state_indices(e) == frozenset({1})
+    def test_helpers_reach_nodes_through_walk(self, monkeypatch):
+        # one _walk per root, and the roots share its memo
+        walked = []
+        walk = sd._walk
+
+        def counted(expr, step, memo=None):
+            walked.append(expr)
+            return walk(expr, step, memo)
+
+        monkeypatch.setattr(sd, "_walk", counted)
+        e = Add(Mul(X1, X3), Sin(Mul(X1, X3)))
+        assert state_indices(e) == frozenset({1, 3}) and walked == [e]
+        walked.clear()
+        assert node_count(e) == 8 and walked == [e]
+        walked.clear()
+        sd.code_emitter([e, X1], [])
+        assert walked == [e, X1]
+        order = sd._nodes(e, X1, Sin(T))
+        assert len(order) == len(set(order)) == 7
+        assert all(order.index(child) < order.index(node)
+                   for node in order for child in sd._children(node))
+
+    def test_no_pass_needs_a_deeper_stack_than_synthesize(self):
+        # Every law is built by _walk's recursion, and synthesize refuses
+        # one that nests past the recursion limit.  At the lowest limit
+        # that builds each law, every later pass over it still completes.
+        code = textwrap.dedent("""
+            import sys
+            from psis import simulation, symdiff as sd
+            from psis.errors import ConfigurationError
+            from psis.rcdf import RcdfKind, RcdfSpec
+            from psis.synthesis import (
+                SynthesisConfig, describe, eval_control, synthesize)
+
+            def at_limit(limit, fn, *args):
+                old = sys.getrecursionlimit()
+                sys.setrecursionlimit(limit)
+                try:
+                    return fn(*args)
+                finally:
+                    sys.setrecursionlimit(old)
+
+            def built(config):
+                try:
+                    return synthesize(config)
+                except ConfigurationError:
+                    return None
+
+            def later_passes(ctrl):
+                n = ctrl.config.n
+                x = [0.1] + [0.0] * (n - 1)
+                describe(ctrl)
+                sd.compile_expr(ctrl.u_expr, n)
+                simulation._program_source(ctrl, False)
+                simulation._program_source(ctrl, True)
+                sd.state_indices(ctrl.u_expr)
+                sd.node_count(ctrl.u_expr)
+                eval_control(ctrl, x, 0.25)
+                for z in ctrl.z_exprs:
+                    sd.evaluate(z, x, 0.25)
+
+            for kind, n in [("linear", 3), ("linear", 6), ("linear", 8), ("tan", 4)]:
+                stages = tuple(RcdfSpec(kind=RcdfKind(kind), eta=float(eta))
+                               for eta in range(n + 1, 1, -1))
+                config = SynthesisConfig(n=n, c=0.0, T_p=1.0, stages=stages)
+                lo, hi = 20, 1000
+                assert at_limit(lo, built, config) is None
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if at_limit(mid, built, config) is None:
+                        lo = mid
+                    else:
+                        hi = mid
+                at_limit(hi, later_passes, at_limit(hi, built, config))
+                print(kind, n, hi)
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 4, proc.stdout
 
 
 class TestPartial:

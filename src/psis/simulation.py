@@ -30,11 +30,16 @@ Wanner, Solving ODEs I, II.6).  It is written here because the surrounding
 contracts (never stepping past the standoff, landing exactly on the end of
 each stretch, rejected-step accounting, bit-for-bit determinism) are part
 of this module's job, not incidental solver details.  The step loop exists
-once, as a template: on first use for a state dimension n it is unrolled
-over n scalar locals and compiled by symdiff.compile_source, like every
-generated function, so a stage costs no per-component list or generator.
-Every component keeps the float operations of a loop over lists, in the
-same order, so the samples and counters are the same bits either way.  Each
+once, as a template that holds only its control flow; its stages, solution,
+error estimate and dense output are written from one table of the pair's
+weights (_DP5).  On first use for a state dimension n it is unrolled over n
+scalar locals and compiled by symdiff.compile_source, like every generated
+function, so a stage costs no per-component list or generator.  Every
+component keeps the float operations of a loop over lists, in the same
+order, so the samples and counters are the same bits either way.  The field
+is evaluated outside a trial step twice, at the start of each stretch and
+at the crossing, both through _derivative, which turns a failure into a
+DivergenceError.  Each
 law is generated the same way, once per controller, from one walk of its
 DAG: one program holds u, the chain's vector fields on both clocks and the
 sample recorders (see _program_source).
@@ -438,46 +443,34 @@ _BETA = 0.4 / 5.0
 _MAX_CONSECUTIVE_REJECTS = 40
 _STEP_BUDGET = 5_000_000
 
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
-)
-_B1, _B3, _B4, _B5, _B6 = (
-    35.0 / 384.0,
-    500.0 / 1113.0,
-    125.0 / 192.0,
-    -2187.0 / 6784.0,
-    11.0 / 84.0,
-)
-# difference between the 5th and 4th order weights, applied to k1..k7
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71.0 / 57600.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-)
-
-
-# Hairer's continuous extension of order 4 (DOPRI5's contd5), applied to
-# k1..k7: with q2 = y1 - y0, q3 = h k1 - q2, q4 = q2 - h k7 - q3 and
-# q5 = h (d1 k1 + d3 k3 + ... + d7 k7), the state at t0 + th h is
-# y0 + th (q2 + (1 - th) (q3 + th (q4 + (1 - th) q5))).
-_D1, _D3, _D4, _D5, _D6, _D7 = (
-    -12715105075.0 / 11282082432.0,
-    87487479700.0 / 32700410799.0,
-    -10690763975.0 / 1880347072.0,
-    701980252875.0 / 199316789632.0,
-    -1453857185.0 / 822651844.0,
-    69997945.0 / 29380423.0,
+# The Dormand-Prince 5(4) tableau (Dormand & Prince 1980; Hairer, Norsett &
+# Wanner, Solving ODEs I, II.5), the one source of every stage the step loop
+# runs.  stages holds rows (c_i, (a_i1, ..., a_i,i-1)) for stages 2..6; the
+# seventh stage is the solution's own derivative at c7 = 1, reused as the
+# next step's first (first-same-as-last).  b weighs k1..k6 into the 5th
+# order solution, e = b - b_hat (the 4th order weights) weighs k1..k7 into
+# the error estimate, and d is Hairer's continuous extension of order 4
+# (DOPRI5's contd5) on k1..k7: with q2 = y1 - y0, q3 = h k1 - q2,
+# q4 = q2 - h k7 - q3 and q5 = h (d1 k1 + ... + d7 k7), the state at
+# t0 + th h is y0 + th (q2 + (1 - th) (q3 + th (q4 + (1 - th) q5))).
+_Tableau = namedtuple("_Tableau", "stages b e d")
+_DP5 = _Tableau(
+    stages=(
+        (1.0 / 5.0, (1.0 / 5.0,)),
+        (0.3, (3.0 / 40.0, 9.0 / 40.0)),
+        (0.8, (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0)),
+        (8.0 / 9.0, (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0,
+                     -212.0 / 729.0)),
+        (1.0, (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
+               -5103.0 / 18656.0)),
+    ),
+    b=(35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
+       11.0 / 84.0),
+    e=(71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0,
+       22.0 / 525.0, -1.0 / 40.0),
+    d=(-12715105075.0 / 11282082432.0, 0.0, 87487479700.0 / 32700410799.0,
+       -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
+       -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0),
 )
 
 
@@ -491,17 +484,21 @@ def _unevaluable(exc: Exception, t: float) -> DivergenceError:
 
 
 class _RhsFailure(Exception):
-    """Internal: the vector field raised or returned garbage at a trial point."""
+    """Internal: a trial point where the vector field or the state is not
+    finite; it rejects the step."""
 
 
-def _call_rhs(f, t: float, y: list[float], stats: dict) -> list[float]:
+def _derivative(f, t: float, y: list[float], where: str, stats: dict) -> list[float]:
+    """f(t, y), counted in stats, outside a trial step: float arithmetic
+    that fails in f, or a value that is not finite, is a DivergenceError
+    at t whose message says where the field was evaluated."""
     stats["rhs_evals"] += 1
     try:
         out = f(t, y)
     except _ARITHMETIC_ERRORS as exc:
-        raise _RhsFailure(str(exc)) from None
-    if not all(math.isfinite(v) for v in out):
-        raise _RhsFailure("non-finite derivative")
+        raise DivergenceError(f"vector field invalid {where}: {exc}", t) from None
+    if not all(map(math.isfinite, out)):
+        raise DivergenceError(f"vector field invalid {where}: non-finite derivative", t)
     return out
 
 
@@ -510,9 +507,10 @@ def _estimate_text(err: float | None) -> str:
     return "none yet" if err is None else f"{err:.3e}"
 
 
-# The step loop, written once.  $-names are filled in per state dimension by
-# _stepper_source: every vector is spelt out as scalar locals, so a stage
-# costs no list comprehension, no generator and no helper call.
+# The step loop's control flow, written once.  $-names are filled in per
+# state dimension by _stepper_source, the stages and every weighted sum from
+# _DP5: every vector is spelt out as scalar locals, so a stage costs no list
+# comprehension, no generator and no helper call.
 _STEPPER_TEMPLATE = string.Template('''\
 def stepper(f, y_start, t0, stops, labels, rtol, atol, max_step, stats, on_stop, on_step):
     [$y] = [float(v) for v in y_start]
@@ -521,14 +519,7 @@ def stepper(f, y_start, t0, stops, labels, rtol, atol, max_step, stats, on_stop,
     budget = _STEP_BUDGET - (stats["steps_accepted"] + stats["steps_rejected"])
     accepted = rejected = rhs_evals = 0
     try:
-        rhs_evals += 1
-        try:
-            [$k1] = f(t, [$y])
-        except _ARITHMETIC_ERRORS as exc:
-            raise DivergenceError(f"vector field invalid at start: {exc}", t0) from None
-        if not ($k1_finite):
-            raise DivergenceError(
-                "vector field invalid at start: non-finite derivative", t0)
+        [$k1] = _derivative(f, t, [$y], "at start", stats)
 
         target = stops[-1]
         last = len(stops) - 1
@@ -560,27 +551,7 @@ def stepper(f, y_start, t0, stops, labels, rtol, atol, max_step, stats, on_stop,
                 )
 
             try:
-                h21 = h * $A21
-                rhs_evals += 1
-                [$k2] = f(t + $A21 * h, [$s2])
-                if not ($k2_finite):
-                    raise _RhsFailure
-                rhs_evals += 1
-                [$k3] = f(t + 0.3 * h, [$s3])
-                if not ($k3_finite):
-                    raise _RhsFailure
-                rhs_evals += 1
-                [$k4] = f(t + 0.8 * h, [$s4])
-                if not ($k4_finite):
-                    raise _RhsFailure
-                rhs_evals += 1
-                [$k5] = f(t + $C5 * h, [$s5])
-                if not ($k5_finite):
-                    raise _RhsFailure
-                rhs_evals += 1
-                [$k6] = f(t + h, [$s6])
-                if not ($k6_finite):
-                    raise _RhsFailure
+$stage_lines
 $yn_lines
                 if not ($yn_finite):
                     raise _RhsFailure
@@ -655,13 +626,13 @@ $accept_lines
 
 
 def _stepper_source(n: int) -> str:
-    """The step loop for states of dimension n.
+    """The step loop for states of dimension n, its stages written from _DP5.
 
     Component j of every vector is the local y{j}, k1_{j}..k7_{j} or yn{j},
     and the tableau weights are inlined as float literals (repr round-trips
-    exactly).  Each component keeps the arithmetic of a loop over lists,
-    operation for operation and in the same order, so the results are the
-    same bits.
+    exactly); a zero weight writes no term, and a node of 1 is t + h.  Each
+    component keeps the arithmetic of a loop over lists, operation for
+    operation and in the same order, so the results are the same bits.
     """
     J = range(n)
     indent = " " * 16
@@ -672,58 +643,60 @@ def _stepper_source(n: int) -> str:
     def finite(name: str) -> str:
         return " and ".join(f"isfinite({name}{j})" for j in J)
 
-    def combo(weights: Sequence[tuple[int, float]], j: int) -> str:
-        return " + ".join(f"{w!r} * k{i}_{j}" for i, w in weights)
+    def combo(weights: Sequence[float], j: int) -> str:
+        return " + ".join(f"{w!r} * k{i}_{j}" for i, w in enumerate(weights, 1) if w)
 
-    def stage(weights: Sequence[tuple[int, float]]) -> str:
-        return ", ".join(f"y{j} + h * ({combo(weights, j)})" for j in J)
-
-    b = ((1, _B1), (3, _B3), (4, _B4), (5, _B5), (6, _B6))
-    e = ((1, _E1), (3, _E3), (4, _E4), (5, _E5), (6, _E6), (7, _E7))
-    d = ((1, _D1), (3, _D3), (4, _D4), (5, _D5), (6, _D6), (7, _D7))
+    stage_lines = []
+    for i, (c, a) in enumerate(_DP5.stages, start=2):
+        if len(a) == 1:
+            # h * a * k1, as a loop over lists evaluates it: (h * a) * k1
+            stage_lines.append(f"h{i}1 = h * {a[0]!r}")
+            state = ", ".join(f"y{j} + h{i}1 * k1_{j}" for j in J)
+        else:
+            state = ", ".join(f"y{j} + h * ({combo(a, j)})" for j in J)
+        node = "t + h" if c == 1.0 else f"t + {c!r} * h"
+        stage_lines += [
+            "rhs_evals += 1",
+            f"[{vec(f'k{i}_')}] = f({node}, [{state}])",
+            f"if not ({finite(f'k{i}_')}):",
+            "    raise _RhsFailure",
+        ]
     err_lines = []
     for j in J:
         # max(p, q) keeps p unless q > p; spelt out to skip the call
         err_lines += [
             f"a = abs(y{j})",
             f"b = abs(yn{j})",
-            f"r{j} = h * ({combo(e, j)}) / (atol + rtol * (b if b > a else a))",
+            f"r{j} = h * ({combo(_DP5.e, j)}) / (atol + rtol * (b if b > a else a))",
         ]
-    fields = {
-        "n": repr(n),
-        "y": vec("y"),
-        "yn": vec("yn"),
-        "yn_finite": finite("yn"),
-        "A21": repr(_A21),
-        "C5": repr(8.0 / 9.0),
-        "s2": ", ".join(f"y{j} + h21 * k1_{j}" for j in J),
-        "s3": stage(((1, _A31), (2, _A32))),
-        "s4": stage(((1, _A41), (2, _A42), (3, _A43))),
-        "s5": stage(((1, _A51), (2, _A52), (3, _A53), (4, _A54))),
-        "s6": stage(((1, _A61), (2, _A62), (3, _A63), (4, _A64), (5, _A65))),
-        "yn_lines": "\n".join(f"{indent}yn{j} = y{j} + h * ({combo(b, j)})" for j in J),
-        "err_lines": "\n".join(indent + line for line in err_lines),
-        "err_sum": " + ".join(f"r{j} ** 2" for j in J),
-        "dense_lines": "\n".join(
+    return _STEPPER_TEMPLATE.substitute(
+        n=repr(n),
+        y=vec("y"),
+        yn=vec("yn"),
+        yn_finite=finite("yn"),
+        k1=vec("k1_"),
+        k7=vec("k7_"),
+        k7_finite=finite("k7_"),
+        stage_lines="\n".join(indent + line for line in stage_lines),
+        yn_lines="\n".join(f"{indent}yn{j} = y{j} + h * ({combo(_DP5.b, j)})" for j in J),
+        err_lines="\n".join(indent + line for line in err_lines),
+        err_sum=" + ".join(f"r{j} ** 2" for j in J),
+        dense_lines="\n".join(
             indent + "    " + line for j in J for line in (
                 f"q2_{j} = yn{j} - y{j}",
                 f"q3_{j} = h * k1_{j} - q2_{j}",
                 f"q4_{j} = q2_{j} - h * k7_{j} - q3_{j}",
-                f"q5_{j} = h * ({combo(d, j)})",
+                f"q5_{j} = h * ({combo(_DP5.d, j)})",
             )
         ),
-        "dense": ", ".join(
+        dense=", ".join(
             f"y{j} + th * (q2_{j} + th1 * (q3_{j} + th * (q4_{j} + th1 * q5_{j})))"
             for j in J
         ),
-        "accept_lines": "\n".join(
+        accept_lines="\n".join(
             f"{indent}y{j} = yn{j}\n{indent}k1_{j} = k7_{j}" for j in J
         ),
-    }
-    for i in range(1, 8):
-        fields[f"k{i}"] = vec(f"k{i}_")
-        fields[f"k{i}_finite"] = finite(f"k{i}_")
-    return _STEPPER_TEMPLATE.substitute(fields)
+    )
 
 
 @functools.cache
@@ -731,9 +704,9 @@ def _stepper(n: int) -> Callable:
     """The compiled step loop for dimension n, built on its first use."""
     return sd.compile_source(
         _stepper_source(n), "<psis.stepper>",
-        DivergenceError=DivergenceError, StiffnessError=StiffnessError,
-        _RhsFailure=_RhsFailure, _ARITHMETIC_ERRORS=_ARITHMETIC_ERRORS,
-        _REJECTING=(_RhsFailure,) + _ARITHMETIC_ERRORS, _estimate_text=_estimate_text,
+        StiffnessError=StiffnessError, _derivative=_derivative,
+        _RhsFailure=_RhsFailure, _REJECTING=(_RhsFailure,) + _ARITHMETIC_ERRORS,
+        _estimate_text=_estimate_text,
         _STEP_BUDGET=_STEP_BUDGET, _MAX_CONSECUTIVE_REJECTS=_MAX_CONSECUTIVE_REJECTS,
         _SAFETY=_SAFETY, _MIN_FACTOR=_MIN_FACTOR, _MAX_FACTOR=_MAX_FACTOR,
         _ALPHA=_ALPHA, _BETA=_BETA,
@@ -1052,11 +1025,7 @@ def _run_phases(
 
 def _cross_instant(rhs, w_std: list[float], cfg: SimConfig, stats: dict) -> list[float]:
     """One Euler step of length eps_stop with the frozen last control."""
-    try:
-        f_std = _call_rhs(rhs, cfg.t_standoff, w_std, stats)
-    except _RhsFailure as exc:
-        raise DivergenceError(f"vector field invalid at the standoff: {exc}",
-                              cfg.t_standoff) from None
+    f_std = _derivative(rhs, cfg.t_standoff, w_std, "at the standoff", stats)
     return [w_std[j] + cfg.eps_stop * f_std[j] for j in range(len(w_std))]
 
 

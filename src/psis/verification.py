@@ -587,7 +587,8 @@ def sweep_initial_conditions(
     floor (see unresolvable_tolerance), without being run.
     Runs execute one after another on the calling thread, in the order of
     scales.  A spread_bound that experiment.spread_bound_problem refuses is
-    a ConfigurationError.
+    a ConfigurationError, and so is a scale that takes x0 past the float
+    range; both are raised before any run.
     """
     scales = [float(s) for s in scales]
     if not scales:
@@ -596,9 +597,13 @@ def sweep_initial_conditions(
     if problem is not None:
         raise ConfigurationError(problem)
     T_p = base_cfg.T_p
+    starts = [tuple(scale * v for v in base_cfg.x0) for scale in scales]
+    for scale, x0 in zip(scales, starts):
+        if not all(map(math.isfinite, x0)):
+            raise ConfigurationError(
+                f"scale {scale!r} takes x0 past the float range: scale * x0 = {x0!r}")
 
-    def one(scale: float) -> SweepRow:
-        x0 = tuple(scale * v for v in base_cfg.x0)
+    def one(scale: float, x0: tuple[float, ...]) -> SweepRow:
         tol = run_tolerance(tol_abs, tol_rel, x0)
         cfg = replace(base_cfg, x0=x0)
         problem = unresolvable_tolerance(tol, cfg)
@@ -617,7 +622,7 @@ def sweep_initial_conditions(
                 error=f"{type(exc).__name__}: {exc}",
             )
 
-    rows = tuple(one(scale) for scale in scales)
+    rows = tuple(map(one, scales, starts))
 
     certified = [
         r.evidence for r in rows

@@ -660,6 +660,25 @@ class TestSweep:
         assert (tmp_path / "mix.scale_1.csv").exists()
         assert not (tmp_path / "mix.scale_1e+200.csv").exists()
 
+    @pytest.mark.parametrize("flag", [[], ["--scales", "1,1e300"]],
+                             ids=["config", "flag"])
+    def test_a_scale_past_the_float_range_exits_two_before_any_run(
+            self, tmp_path, capsys, monkeypatch, flag):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate was called")
+        monkeypatch.setattr(psis.verification, "simulate", refuse)
+        data = chain_data(verify={"scales": [1.0, 1e300]})
+        data["sim"]["x0"] = [1e10, 0.0]
+        cfg = write_config(tmp_path, data)
+        assert main(["sweep", "--config", cfg, *flag]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "configuration error: scale 1e+300 takes x0 past the float range: "
+            "scale * x0 = (inf, 0.0)\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
+
     def test_sweep_requires_a_csv_path(self, tmp_path, capsys):
         data = chain_data(output={"csv": None})
         cfg = write_config(tmp_path, data)

@@ -6,6 +6,10 @@ per-dimension loop and law program, and once with the reference loop and
 `reference_chain_rhs`'s fields around `compiled_u` patched in, and the
 samples, the meta (integrator counters included) and, on the failure paths,
 the error type, message, time and partial trajectory must agree exactly.
+The oracle spells out its own weights and evaluates the field through its
+own helper, so it reads nothing of the module's tableau.  The module's table
+(and the oracle's copy) is checked against the pair's order conditions, and
+each entry scaled by 1.01 must break one of them and fail the comparison.
 """
 
 import collections
@@ -33,8 +37,21 @@ from psis.synthesis import SynthesisConfig, eval_control, synthesize
 
 S = simulation
 
-# Hairer's DOPRI5 dense-output weights (contd5), spelt out here rather than
-# read from the module, so a wrong weight there fails the comparison
+# The Dormand-Prince 5(4) weights and Hairer's DOPRI5 dense-output weights
+# (contd5), spelt out here rather than read from the module, so a wrong
+# weight there fails the comparison
+A21 = 1.0 / 5.0
+A31, A32 = 3.0 / 40.0, 9.0 / 40.0
+A41, A42, A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
+A51, A52, A53, A54 = (
+    19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0)
+A61, A62, A63, A64, A65 = (
+    9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0)
+B1, B3, B4, B5, B6 = (
+    35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0)
+E1, E3, E4, E5, E6, E7 = (
+    71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0,
+    22.0 / 525.0, -1.0 / 40.0)
 D1, D3, D4, D5, D6, D7 = (
     -12715105075.0 / 11282082432.0,
     87487479700.0 / 32700410799.0,
@@ -43,6 +60,22 @@ D1, D3, D4, D5, D6, D7 = (
     -1453857185.0 / 822651844.0,
     69997945.0 / 29380423.0,
 )
+
+
+class TrialFailure(Exception):
+    """The vector field failed, or returned a value that is not finite."""
+
+
+def call_rhs(f, t, y, stats):
+    """f(t, y), counted in stats; a TrialFailure names what went wrong."""
+    stats["rhs_evals"] += 1
+    try:
+        out = f(t, y)
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        raise TrialFailure(str(exc)) from None
+    if not all(math.isfinite(v) for v in out):
+        raise TrialFailure("non-finite derivative")
+    return out
 
 
 def reference_path(f, y0, t0, stops, labels, *, rtol, atol, max_step, stats,
@@ -56,8 +89,8 @@ def reference_path(f, y0, t0, stops, labels, *, rtol, atol, max_step, stats,
     y = [float(v) for v in y0]
     t = t0
     try:
-        k1 = S._call_rhs(f, t, y, stats)
-    except S._RhsFailure as exc:
+        k1 = call_rhs(f, t, y, stats)
+    except TrialFailure as exc:
         raise DivergenceError(f"vector field invalid at start: {exc}", t0) from None
 
     target = stops[-1]
@@ -91,41 +124,41 @@ def reference_path(f, y0, t0, stops, labels, *, rtol, atol, max_step, stats,
 
         failed = False
         try:
-            k2 = S._call_rhs(
-                f, t + S._A21 * h, [y[j] + h * S._A21 * k1[j] for j in range(n)], stats)
-            k3 = S._call_rhs(
+            k2 = call_rhs(
+                f, t + A21 * h, [y[j] + h * A21 * k1[j] for j in range(n)], stats)
+            k3 = call_rhs(
                 f, t + 0.3 * h,
-                [y[j] + h * (S._A31 * k1[j] + S._A32 * k2[j]) for j in range(n)], stats)
-            k4 = S._call_rhs(
+                [y[j] + h * (A31 * k1[j] + A32 * k2[j]) for j in range(n)], stats)
+            k4 = call_rhs(
                 f, t + 0.8 * h,
-                [y[j] + h * (S._A41 * k1[j] + S._A42 * k2[j] + S._A43 * k3[j])
+                [y[j] + h * (A41 * k1[j] + A42 * k2[j] + A43 * k3[j])
                  for j in range(n)], stats)
-            k5 = S._call_rhs(
+            k5 = call_rhs(
                 f, t + (8.0 / 9.0) * h,
-                [y[j] + h * (S._A51 * k1[j] + S._A52 * k2[j] + S._A53 * k3[j]
-                             + S._A54 * k4[j]) for j in range(n)], stats)
-            k6 = S._call_rhs(
+                [y[j] + h * (A51 * k1[j] + A52 * k2[j] + A53 * k3[j] + A54 * k4[j])
+                 for j in range(n)], stats)
+            k6 = call_rhs(
                 f, t + h,
-                [y[j] + h * (S._A61 * k1[j] + S._A62 * k2[j] + S._A63 * k3[j]
-                             + S._A64 * k4[j] + S._A65 * k5[j]) for j in range(n)],
+                [y[j] + h * (A61 * k1[j] + A62 * k2[j] + A63 * k3[j] + A64 * k4[j]
+                             + A65 * k5[j]) for j in range(n)],
                 stats)
             y_new = [
-                y[j] + h * (S._B1 * k1[j] + S._B3 * k3[j] + S._B4 * k4[j]
-                            + S._B5 * k5[j] + S._B6 * k6[j])
+                y[j] + h * (B1 * k1[j] + B3 * k3[j] + B4 * k4[j] + B5 * k5[j]
+                            + B6 * k6[j])
                 for j in range(n)
             ]
             if not all(math.isfinite(v) for v in y_new):
-                raise S._RhsFailure("non-finite state")
-            k7 = S._call_rhs(f, t + h, y_new, stats)
-        except S._RhsFailure:
+                raise TrialFailure("non-finite state")
+            k7 = call_rhs(f, t + h, y_new, stats)
+        except TrialFailure:
             failed = True
 
         if not failed:
             try:
                 err = 0.0
                 for j in range(n):
-                    e_j = h * (S._E1 * k1[j] + S._E3 * k3[j] + S._E4 * k4[j]
-                               + S._E5 * k5[j] + S._E6 * k6[j] + S._E7 * k7[j])
+                    e_j = h * (E1 * k1[j] + E3 * k3[j] + E4 * k4[j] + E5 * k5[j]
+                               + E6 * k6[j] + E7 * k7[j])
                     sc = atol + rtol * max(abs(y[j]), abs(y_new[j]))
                     err += (e_j / sc) ** 2
                 err = math.sqrt(err / n)
@@ -490,3 +523,106 @@ def test_concurrent_first_use_is_harmless():
     serial = run()
     assert serial[-1]
     assert all(r == serial for r in results)
+
+
+def oracle_tableau():
+    """The weights spelt out above, in the shape of simulation._DP5."""
+    return S._Tableau(
+        stages=((A21, (A21,)), (0.3, (A31, A32)), (0.8, (A41, A42, A43)),
+                (8.0 / 9.0, (A51, A52, A53, A54)), (1.0, (A61, A62, A63, A64, A65))),
+        b=(B1, 0.0, B3, B4, B5, B6),
+        e=(E1, 0.0, E3, E4, E5, E6, E7),
+        d=(D1, 0.0, D3, D4, D5, D6, D7),
+    )
+
+
+def order_residuals(tableau):
+    """The residual of each condition a 5(4) pair with a dense output meets,
+    with c1 = 0 and c7 = 1: each row's weights sum to its node, the 5th
+    order weights integrate c^k exactly for k <= 4, and the error and the
+    dense-output weights annihilate c^k for k <= 3 and k <= 2."""
+    c = [0.0, *(ci for ci, _ in tableau.stages), 1.0]
+    residuals = {f"row {i}": math.fsum(a) - ci
+                 for i, (ci, a) in enumerate(tableau.stages, start=2)}
+    for name, weights, target in (
+        ("b", tableau.b, [1.0 / (k + 1) for k in range(5)]),
+        ("e", tableau.e, [0.0] * 4),
+        ("d", tableau.d, [0.0] * 3),
+    ):
+        for k, value in enumerate(target):
+            residuals[f"{name} c^{k}"] = math.fsum(
+                w * c[i] ** k for i, w in enumerate(weights)) - value
+    return residuals
+
+
+def tableau_entries(tableau):
+    """The name of every nonzero entry: c_i and a_ij for stages 2..6, then
+    b_i, e_i and d_i."""
+    names = []
+    for i, (_, a) in enumerate(tableau.stages, start=2):
+        names += [f"c{i}"] + [f"a{i}{j}" for j, w in enumerate(a, 1) if w]
+    for row in "bed":
+        names += [f"{row}{i}" for i, w in enumerate(getattr(tableau, row), 1) if w]
+    return names
+
+
+def perturbed(tableau, name, factor):
+    """tableau with the entry tableau_entries calls name scaled by factor."""
+    row, i = name[0], int(name[1])
+    if row in "bed":
+        weights = list(getattr(tableau, row))
+        weights[i - 1] *= factor
+        return tableau._replace(**{row: tuple(weights)})
+    stages = list(tableau.stages)
+    c, a = stages[i - 2]
+    if row == "c":
+        c *= factor
+    else:
+        a = list(a)
+        a[int(name[2]) - 1] *= factor
+    stages[i - 2] = (c, tuple(a))
+    return tableau._replace(stages=tuple(stages))
+
+
+ORDER_TOL = 1e-14
+
+
+@pytest.mark.parametrize("tableau", [S._DP5, oracle_tableau()], ids=["module", "oracle"])
+def test_the_tableau_meets_its_order_conditions(tableau):
+    residuals = order_residuals(tableau)
+    assert len(residuals) == 5 + 5 + 4 + 3
+    assert max(map(abs, residuals.values())) <= ORDER_TOL, residuals
+
+
+@pytest.mark.parametrize("name", tableau_entries(S._DP5))
+def test_a_mistyped_entry_breaks_an_order_condition(name):
+    residuals = order_residuals(perturbed(S._DP5, name, 1.01))
+    assert max(map(abs, residuals.values())) > ORDER_TOL
+
+
+@pytest.mark.parametrize("name", tableau_entries(S._DP5))
+def test_a_mistyped_entry_fails_the_oracle_comparison(name, monkeypatch):
+    # a driven oscillator, so the nodes matter, read at stops inside the
+    # steps, so the dense-output weights matter too; a wrong error weight
+    # leaves an O(h) estimate, so the tolerances are loose to keep its
+    # steps few
+    stops = [k / 8.0 for k in range(1, 17)]
+
+    def run(path):
+        got = []
+        stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
+        y = path(lambda t, y: [y[1], t - y[0]], [1.0, 0.0], 0.0, stops, stops,
+                 rtol=1e-6, atol=1e-9, max_step=0.5, stats=stats,
+                 on_stop=lambda t, y: got.append((t, *y)))
+        return got, stats, y
+
+    def stepper_path(stepper):
+        def path(f, y0, t0, stops, labels, *, rtol, atol, max_step, stats, on_stop):
+            return stepper(f, y0, t0, stops, labels, rtol, atol, max_step, stats,
+                           on_stop, None)
+        return path
+
+    reference = run(reference_path)
+    assert run(stepper_path(S._stepper.__wrapped__(2))) == reference
+    monkeypatch.setattr(S, "_DP5", perturbed(S._DP5, name, 1.01))
+    assert run(stepper_path(S._stepper.__wrapped__(2))) != reference

@@ -552,6 +552,22 @@ class TestSweep:
         assert report.rows[0].traj is not None
         assert report.rows[0].traj.samples
 
+    def test_a_scale_past_the_float_range_is_refused_before_any_run(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(psis.verification, "simulate", counting)
+        ctrl = make_controller()
+        cfg = SimConfig(x0=(1e10, 0.0), T_p=1.0, t_end=1.2)
+        with pytest.raises(ConfigurationError) as info:
+            sweep_initial_conditions(IntegratorChain(2), ctrl, cfg, scales=(1.0, 1e300))
+        assert str(info.value) == (
+            "scale 1e+300 takes x0 past the float range: scale * x0 = (inf, 0.0)")
+        assert calls == []
+
     def test_empty_scales_rejected(self):
         ctrl = make_controller()
         cfg = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2)

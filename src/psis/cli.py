@@ -2,10 +2,10 @@
 
 Subcommands share one JSON configuration file (see experiment.py):
 
-    psis synthesize --config run.json [--no-clobber] [--no-timestamp]
-    psis simulate   --config run.json [...]
-    psis verify     --config run.json [...]
-    psis sweep      --config run.json [--scales 0.1,1,10] [...]
+    psis synthesize --config run.json [--no-timestamp]
+    psis simulate   --config run.json [--no-clobber] [--no-timestamp]
+    psis verify     --config run.json [--no-clobber] [--no-timestamp]
+    psis sweep      --config run.json [--scales 0.1,1,10] [--no-clobber]
 
 Exit codes: 0 success / verification passed, 2 configuration problem,
 3 numerical failure (a partial trajectory CSV is kept when possible),
@@ -64,14 +64,19 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--scales", default=None,
                 help="comma-separated scale factors overriding verify.scales",
             )
-        sp.add_argument(
-            "--no-clobber", action="store_true",
-            help="refuse to overwrite existing output files",
-        )
-        sp.add_argument(
-            "--no-timestamp", action="store_true",
-            help="omit the timestamp comment from SVG output",
-        )
+        # a flag is registered only where it acts, except that synthesize
+        # and verify, which write no SVG, keep --no-timestamp: the
+        # benchmark's pendulum workload passes it to every command
+        if name != "synthesize":
+            sp.add_argument(
+                "--no-clobber", action="store_true",
+                help="refuse to overwrite existing output files",
+            )
+        if name != "sweep":
+            sp.add_argument(
+                "--no-timestamp", action="store_true",
+                help="omit the timestamp comment from SVG output",
+            )
     return parser
 
 

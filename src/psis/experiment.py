@@ -104,7 +104,11 @@ def _reject_unknown(d: dict, cls: type, where: str, extra: Collection[str] = ())
 def _as_float(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{where} must be a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise ConfigurationError(
+            f"{where} must be finite, got an integer past the float range") from None
     if not math.isfinite(v):
         raise ConfigurationError(f"{where} must be finite, got {value!r}")
     return v

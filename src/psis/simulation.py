@@ -4,12 +4,15 @@ The control law carries a 1/(T_p - t) gain, so the loop is integrated on
 [0, T_p - eps_stop] only, held off the singular instant by the standoff
 eps_stop.  The remaining sliver is crossed with a single explicit Euler step
 using the last control value, after which the input is switched to zero and
-the free chain is integrated on [T_p, t_end].  Samples are recorded on a
-uniform grid, plus the standoff, the instant itself, and accepted step
-boundaries inside the terminal window.  Steps land exactly only where a
-stretch of integration ends (the standoff and t_end); every grid point
-before that is read off the 4th-order dense output of the accepted step
-that covers it, so the step count follows the tolerances, not the grid.
+the free chain is integrated on [T_p, t_end].  One runner, _run_phases,
+takes every run (simulate and simulate_pendulum_raw alike) through these
+phases, and it alone picks the clock before T_p from SimConfig.mode.
+Samples are recorded on a uniform grid, plus the standoff, the instant
+itself, and accepted step boundaries inside the terminal window.  Steps
+land exactly only where a stretch of integration ends (the standoff and
+t_end); every grid point before that is read off the 4th-order dense
+output of the accepted step that covers it, so the step count follows the
+tolerances, not the grid.
 
 Two coordinate choices matter for accuracy:
 
@@ -39,10 +42,9 @@ component keeps the float operations of a loop over lists, in the same
 order, so the samples and counters are the same bits either way.  The field
 is evaluated outside a trial step twice, at the start of each stretch and
 at the crossing, both through _derivative, which turns a failure into a
-DivergenceError.  Each
-law is generated the same way, once per controller, from one walk of its
-DAG: one program holds u, the chain's vector fields on both clocks and the
-sample recorders (see _program_source).
+DivergenceError.  Each law is generated the same way, once per controller,
+from one walk of its DAG: one program holds u, the chain's vector fields on
+both clocks and the sample recorders (see _program_source).
 
 A Trajectory holds its samples as parallel columns (t, x, u, and z, V, dV
 over the pre-instant rows, which come first), each one array of doubles;
@@ -175,7 +177,7 @@ def pendulum_energy(plant: Pendulum, x: Sequence[float]) -> float:
 
 _MODES = ("direct", "tau")
 
-# The terminal window [TERMINAL_WINDOW_START * T_p, T_p): simulate records every
+# The terminal window [TERMINAL_WINDOW_START * T_p, T_p): every run records each
 # accepted step boundary in it, and control_vanishing_check audits u over it.
 TERMINAL_WINDOW_START = 0.95
 
@@ -937,81 +939,81 @@ def _check_compatibility(plant: PlantModel, controller: Controller, cfg: SimConf
             )
 
 
-@dataclass(frozen=True)
-class _Leg:
-    """The pre-instant stretch of integration, on its own clock s from 0.
-
-    rhs runs from s = 0 through stops, and labels[i] is the time t recorded
-    at stops[i].  With to_t set, accepted steps inside the terminal window
-    are recorded as well, at t = to_t(s).  clock names s when it is not t.
-    """
-
-    rhs: Callable[[float, list[float]], list[float]]
-    stops: Sequence[float]
-    labels: Sequence[float]
-    max_step: float
-    to_t: Callable[[float], float] | None = None
-    clock: str = "t"
+_TAU_MAX_STEP = 0.05
 
 
 def _run_phases(
     cfg: SimConfig,
-    leg: _Leg,
+    field: Callable[[float, list[float]], list[float]],
+    field_tau: Callable[[float, list[float]], list[float]] | None,
+    free_field: Callable[[float, list[float]], list[float]],
+    make: Callable[[Trajectory], tuple[Callable, Callable]],
     w0: list[float],
-    traj: Trajectory,
-    record_pre: Callable[[float, Sequence[float]], None],
-    record_post: Callable[[float, Sequence[float]], None],
-    rhs_cross: Callable[[float, list[float]], list[float]],
-    rhs_post: Callable[[float, list[float]], list[float]],
     meta: dict,
 ) -> Trajectory:
-    """The phase structure every simulation path shares.
+    """The one runner of a simulation's phases, for every path.
 
-    Records w0 at t = 0, integrates the leg to the standoff, crosses the
-    instant with one Euler step of rhs_cross, records the state at T_p, and
-    integrates rhs_post over the post-instant grid.  A StiffnessError on a
-    leg with its own clock is raised again at t = to_t(s), with s and the
-    clock appended to its message, so its t is a time of the run; one at
-    s = 0 is t = 0 and stays as it is.  record_pre and
-    record_post append the row of (t, state) to the columns of the empty
-    trajectory traj, before and from T_p on; the stepper calls them
-    directly.  A sample that record_pre cannot evaluate (its float
-    arithmetic fails, or its stage errors are not finite) raises
-    DivergenceError at that sample's t, and ends the run.  The trajectory
-    is labelled with meta plus the integrator counters, and so is the
-    partial one attached to an integration breakdown.
+    make(traj) binds (record_pre, record_post) to the new, empty
+    trajectory; each appends the row of (t, state), before and from T_p
+    on, and the stepper calls them directly.  The run records w0 at t = 0
+    and integrates to the standoff on the clock cfg.mode names, the one
+    place a run reads it: field with max_step over the pre-instant grid
+    on "direct"; on "tau", tau = -ln((T_p - t)/T_p), field_tau from
+    tau = 0 with steps of at most _TAU_MAX_STEP, stopping at the tau of
+    each grid time.  On either clock every other accepted step boundary
+    in the terminal window is recorded as well.  A StiffnessError on the
+    tau clock is raised again at t = to_t(tau), with tau appended to its
+    message; one at tau = 0 is t = 0 and stays as it is.  One Euler step
+    of field crosses the instant, the state at T_p is recorded, and
+    free_field runs over the post-instant grid.  A sample that cannot be
+    evaluated raises DivergenceError at its t and ends the run.  The
+    trajectory is labelled with meta, the config and the integrator
+    counters, and so is the partial one an integration breakdown carries.
     """
-    stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
-    window_start = TERMINAL_WINDOW_START * cfg.T_p
+    T_p = cfg.T_p
+    t_standoff = cfg.t_standoff
+    pre = _pre_grid(cfg)
+    on_tau = cfg.mode == "tau"
+    if on_tau:
+        rhs, max_step, to_t = field_tau, _TAU_MAX_STEP, lambda tau: -T_p * math.expm1(-tau)
+        stops = [
+            math.log(T_p / cfg.eps_stop) if tk == t_standoff else math.log(T_p / (T_p - tk))
+            for tk in pre
+        ]
+    else:
+        rhs, max_step, stops, to_t = field, cfg.max_step, pre, lambda t: t
 
-    on_step = None
-    if leg.to_t is not None:
-        def on_step(s: float, w: list[float]) -> None:
-            t = leg.to_t(s)
-            if t >= window_start:
-                record_pre(t, w)
+    traj = Trajectory()
+    record_pre, record_post = make(traj)
+    stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
+    window_start = TERMINAL_WINDOW_START * T_p
+
+    def on_step(s: float, w: list[float]) -> None:
+        t = to_t(s)
+        if t >= window_start:
+            record_pre(t, w)
 
     try:
         record_pre(0.0, w0)
         try:
             w = _adaptive_path(
-                leg.rhs, w0, 0.0, leg.stops, leg.labels,
-                rtol=cfg.rtol, atol=cfg.atol, max_step=leg.max_step, stats=stats,
-                on_stop=record_pre, on_step=on_step,
+                rhs, w0, 0.0, stops, pre, rtol=cfg.rtol, atol=cfg.atol,
+                max_step=max_step, stats=stats, on_stop=record_pre, on_step=on_step,
             )
         except StiffnessError as exc:
-            if leg.clock == "t" or exc.t == 0.0:
+            if not on_tau or exc.t == 0.0:
                 raise
             raise StiffnessError(
-                f"{exc}, at {leg.clock}={exc.t:.9g} on the {leg.clock} clock "
-                f"(h in {leg.clock} units)", leg.to_t(exc.t)
+                f"{exc}, at tau={exc.t:.9g} on the tau clock (h in tau units)", to_t(exc.t)
             ) from None
-        w = _cross_instant(rhs_cross, w, cfg, stats)
-        record_post(cfg.T_p, w)
+        # one Euler step of length eps_stop with the frozen last control
+        f = _derivative(field, t_standoff, w, "at the standoff", stats)
+        w = [w[j] + cfg.eps_stop * f[j] for j in range(len(w))]
+        record_post(T_p, w)
         post = _post_grid(cfg)
         if post:
             _adaptive_path(
-                rhs_post, w, cfg.T_p, post, post,
+                free_field, w, T_p, post, post,
                 rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step, stats=stats,
                 on_stop=record_post,
             )
@@ -1019,63 +1021,33 @@ def _run_phases(
         exc.partial = traj
         raise
     finally:
-        traj.meta = {**meta, **stats}
+        traj.meta = {**meta, **asdict(cfg), "x0": list(cfg.x0),
+                     "t_standoff": t_standoff, **stats}
     return traj
-
-
-def _cross_instant(rhs, w_std: list[float], cfg: SimConfig, stats: dict) -> list[float]:
-    """One Euler step of length eps_stop with the frozen last control."""
-    f_std = _derivative(rhs, cfg.t_standoff, w_std, "at the standoff", stats)
-    return [w_std[j] + cfg.eps_stop * f_std[j] for j in range(len(w_std))]
-
-
-_TAU_MAX_STEP = 0.05
 
 
 def simulate(plant: PlantModel, controller: Controller, cfg: SimConfig) -> Trajectory:
     """Run the closed loop and return the sampled trajectory.
 
-    Integrates on the clock cfg.mode names.  The tau clock,
-    tau = -ln((T_p - t)/T_p), runs from tau = 0 to the standoff at
-    tau = ln(T_p/eps_stop) and records the same pre-instant grid as the
-    direct clock; either way the instant is then crossed and the run goes
-    on to t_end in t.  On integrator breakdown the raised error carries the
-    samples collected so far in its `partial` attribute.
+    The zero-setpoint twin of the law is integrated from x0 - (c, 0, ...,
+    0) on the clock cfg.mode names (see _run_phases), and every row is
+    shifted back by the setpoint as it is recorded.  On integrator
+    breakdown the raised error carries the samples collected so far in
+    its `partial` attribute.
     """
     _check_compatibility(plant, controller, cfg)
     sc = controller.config
-    T_p = sc.T_p
-    w0 = [cfg.x0[0] - sc.c, *cfg.x0[1:]]
     program = _program(zero_setpoint_twin(controller), cfg.open_loop)
-    traj = Trajectory()
-    record_pre, record_post = program.make(sc.c, traj)
     meta = {
         "plant": plant_description(plant),
         "n": sc.n,
         "c": sc.c,
         "etas": [s.eta for s in sc.stages],
         "kinds": [s.kind.value for s in sc.stages],
-        **asdict(cfg),
-        "x0": list(cfg.x0),
-        "t_standoff": cfg.t_standoff,
     }
-    pre = _pre_grid(cfg)
-    if cfg.mode == "tau":
-        # tau = -ln((T_p - t)/T_p) runs from 0 to the standoff, stopping at
-        # ln(T_p/(T_p - t_k)) for every grid point t_k and at ln(T_p/eps_stop)
-        # for the standoff itself
-        t_standoff = cfg.t_standoff
-        tau_stops = [
-            math.log(T_p / cfg.eps_stop) if tk == t_standoff
-            else math.log(T_p / (T_p - tk))
-            for tk in pre
-        ]
-        leg = _Leg(program.field_tau, tau_stops, pre, _TAU_MAX_STEP,
-                   to_t=lambda tau: -T_p * math.expm1(-tau), clock="tau")
-    else:
-        leg = _Leg(program.field, pre, pre, cfg.max_step, to_t=lambda t: t)
     return _run_phases(
-        cfg, leg, w0, traj, record_pre, record_post, program.field, program.free_field, meta
+        cfg, program.field, program.field_tau, program.free_field,
+        functools.partial(program.make, sc.c), [cfg.x0[0] - sc.c, *cfg.x0[1:]], meta,
     )
 
 
@@ -1087,12 +1059,13 @@ def simulate_pendulum_raw(
     """Integrate the raw nonlinear pendulum under an arbitrary torque signal.
 
     This is the physical-space cross-check for the linearized closed-loop
-    path: the same phase structure (standoff, Euler crossing, free segment),
-    but no setpoint shift and no error bookkeeping, so the samples carry
-    z = V = dV = None and u holds the applied torque, as a float.  It
-    always integrates on the direct clock, whatever cfg.mode says, so a
-    max_step that forces more steps than the budget on that clock is a
-    ConfigurationError.
+    path, run by the same runner (_run_phases): the same standoff, Euler
+    crossing, free segment and terminal-window rows, but no setpoint shift
+    and no error bookkeeping, so the samples carry z = V = dV = None and u
+    holds the applied torque, as a float.  It always integrates on the
+    direct clock, whatever cfg.mode says, so a max_step that forces more
+    steps than the budget on that clock is a ConfigurationError; its meta
+    holds the config it ran with, mode "direct".
     Tight tolerances are not appropriate here when torque_fn encodes a
     feedback law in raw coordinates, because the stage errors hit the
     roundoff floor of the setpoint well before the standoff; pass a
@@ -1105,31 +1078,21 @@ def simulate_pendulum_raw(
     def rhs(t: float, x: list[float]) -> list[float]:
         return [x[1], pendulum_accel(plant, x, torque_fn(x, t))]
 
-    traj = Trajectory()
-    traj.x.width = 2
-    add_t, add_x, add_u = traj.t.append, traj.x.flat.extend, traj.u.append
+    def make(traj: Trajectory) -> tuple[Callable, Callable]:
+        traj.x.width = 2
+        add_t, add_x, add_u = traj.t.append, traj.x.flat.extend, traj.u.append
 
-    def record(t: float, x: Sequence[float]) -> None:
-        row_x = tuple(x)
-        try:
-            u = float(torque_fn(x, t))
-        except _ARITHMETIC_ERRORS as exc:
-            raise _unevaluable(exc, t) from None
-        add_t(t)
-        add_x(row_x)
-        add_u(u)
+        def record(t: float, x: Sequence[float]) -> None:
+            row_x = tuple(x)
+            try:
+                u = float(torque_fn(x, t))
+            except _ARITHMETIC_ERRORS as exc:
+                raise _unevaluable(exc, t) from None
+            add_t(t)
+            add_x(row_x)
+            add_u(u)
 
-    meta = {
-        "raw": True,
-        "plant": plant_description(plant),
-        "T_p": cfg.T_p,
-        "eps_stop": cfg.eps_stop,
-        "t_standoff": cfg.t_standoff,
-        "x0": list(cfg.x0),
-        "t_end": cfg.t_end,
-    }
-    pre = _pre_grid(cfg)
-    return _run_phases(
-        cfg, _Leg(rhs, pre, pre, cfg.max_step), list(cfg.x0), traj, record, record,
-        rhs, rhs, meta,
-    )
+        return record, record
+
+    meta = {"raw": True, "plant": plant_description(plant)}
+    return _run_phases(cfg, rhs, None, rhs, make, list(cfg.x0), meta)

@@ -192,6 +192,18 @@ class TestConfigFailures:
         assert err.startswith(f"configuration error: config {str(cfg)!r} is not valid JSON: ")
         assert "Traceback" not in err
 
+    def test_an_integer_past_the_float_range_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "int-past-float.json"
+        # 1 followed by 400 zeros: JSON reads it as an int past the float range
+        data = chain_data()
+        data["sim"]["x0"] = [10 ** 400, 0]
+        cfg.write_text(json.dumps(data))
+        assert main(["verify", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: sim.x0[0] must be finite")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["int-past-float.json"]
+
     @pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
     @pytest.mark.parametrize("overrides, key", [
         ({"run_id": "a\0b"}, "run_id"),
@@ -330,16 +342,20 @@ class TestConfigFailures:
         ("simulate", "--mode", "direct"),
         ("verify", "--mode", "direct"),
         ("sweep", "--mode", "direct"),
+        ("synthesize", "--no-clobber", None),
+        ("sweep", "--no-timestamp", None),
     ])
     def test_flag_outside_its_subcommand_is_refused(self, tmp_path, capsys,
                                                     command, flag, value):
         # --scales belongs to sweep alone, and the clock is the config's
-        # sim.mode; a flag a subcommand would ignore is an error
+        # sim.mode; synthesize writes no file and sweep writes no SVG; a
+        # flag a subcommand would ignore is an error
         cfg = write_config(tmp_path, chain_data())
+        args = [flag] if value is None else [flag, value]
         with pytest.raises(SystemExit) as info:
-            main([command, "--config", cfg, flag, value])
+            main([command, "--config", cfg, *args])
         assert info.value.code == 2
-        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(args)}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
 
 

@@ -110,6 +110,23 @@ class TestStrictness:
         with pytest.raises(ConfigurationError, match="rtol"):
             build_spec(cfg)
 
+    @pytest.mark.parametrize("path, where", [
+        (("sim", "x0", 0), "sim.x0[0]"),
+        (("synthesis", "c"), "synthesis.c"),
+        (("synthesis", "stages", 0, "eta"), "synthesis.stages[0].eta"),
+    ])
+    def test_an_integer_past_the_float_range_is_not_finite(self, path, where):
+        # JSON reads 1 followed by 400 zeros as an int, which float() cannot
+        # convert; it is refused like 1e400, naming the field
+        cfg = chain_config()
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = 10 ** 400
+        with pytest.raises(ConfigurationError) as info:
+            build_spec(cfg)
+        assert str(info.value) == f"{where} must be finite, got an integer past the float range"
+
     def test_missing_required_sections(self):
         cfg = chain_config()
         del cfg["synthesis"]

@@ -25,6 +25,7 @@ from psis.simulation import (
     Pendulum,
     Sample,
     SimConfig,
+    TERMINAL_WINDOW_START,
     Trajectory,
     pendulum_accel,
     pendulum_energy,
@@ -32,6 +33,7 @@ from psis.simulation import (
     simulate,
     simulate_pendulum_raw,
     torque_map,
+    _pre_grid,
     _program,
 )
 from psis.synthesis import (
@@ -1133,6 +1135,23 @@ class TestRawPendulum:
         )
         assert all(s.u == 0.25 for s in traj.samples)
         assert all(s.z is None for s in traj.samples)
+
+    def test_records_its_terminal_window_like_every_run(self):
+        # the raw run goes through the same runner as simulate, so it
+        # records every accepted step boundary in [0.95 T_p, T_p), not
+        # only the grid points there, as a direct simulate run does
+        cfg = SimConfig(x0=(0.3, 0.0), T_p=0.5, t_end=0.6, rtol=1e-6, atol=1e-9,
+                        mode="direct")
+        raw = simulate_pendulum_raw(Pendulum(), cfg, lambda x, t: 0.25)
+        lin = simulate(Pendulum(), make_controller(T_p=0.5), cfg)
+        window_start = TERMINAL_WINDOW_START * cfg.T_p
+        grid = [t for t in _pre_grid(cfg) if window_start <= t < cfg.T_p]
+        for traj in (raw, lin):
+            window = [t for t in traj.t if window_start <= t < cfg.T_p]
+            assert set(grid) <= set(window)
+            assert len(window) > len(grid)
+        assert raw.meta["steps_accepted"] == 1200
+        assert raw.meta["mode"] == "direct"
 
     def test_torque_is_stored_as_a_float(self):
         cfg = SimConfig(x0=(0.3, 0.0), T_p=0.5, t_end=0.6, rtol=1e-6, atol=1e-9)

@@ -7,11 +7,15 @@ default.  Keys starting with an underscore (conventionally "_doc") are
 treated as comments and skipped anywhere in the tree.
 
 Each section is read into a dataclass, which is its schema: the section's
-allowed keys are the dataclass's fields, each value is read by the reader
-for its field's annotation, and an absent key keeps the dataclass default.
-Defaults are resolved at load time; effective_config echoes the same fields
-back as the fully resolved dictionary, which goes into run reports and
-reproduces the same experiment when fed back in.
+allowed keys are the dataclass's fields, its required keys are the fields
+without a default, each value is read by the reader for its field's
+annotation, and an absent key keeps the dataclass default.  Each dataclass
+holds its own defaults and rules; the parsers add only what crosses
+sections: n from the plant, T_p from the synthesis section, and output
+paths built from run_id and the config's directory.  Defaults are resolved
+at load time; effective_config echoes the same fields back as the fully
+resolved dictionary, which goes into run reports and reproduces the same
+experiment when fed back in.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from typing import Any, Callable, Collection
 
@@ -40,6 +44,17 @@ class VerifyParams:
     slack_abs: float = 1e-6
     slack_rel: float = 1e-3
     scales: tuple[float, ...] = (1.0,)
+
+    def __post_init__(self) -> None:
+        if self.tol_abs <= 0.0 or self.tol_rel < 0.0:
+            raise ConfigurationError(
+                "verify.tol_abs must be positive and verify.tol_rel nonnegative")
+        if not (0.0 < self.window_factor < 1.0):
+            raise ConfigurationError("verify.window_factor must lie in (0, 1)")
+        for problem in (spread_bound_problem(self.spread_bound),
+                        slack_problem(self.slack_abs, self.slack_rel)):
+            if problem is not None:
+                raise ConfigurationError(problem)
 
 
 def slack_problem(slack_abs: float, slack_rel: float) -> str | None:
@@ -142,6 +157,14 @@ def _as_floats(value: Any, where: str) -> tuple[float, ...]:
     return tuple(_as_float(v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
+def _as_stages(value: Any, where: str) -> tuple[RcdfSpec, ...]:
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{where} must be a list")
+    return tuple(
+        RcdfSpec(**_read(RcdfSpec, item, f"{where}[{i}]")) for i, item in enumerate(value)
+    )
+
+
 # The reader for each field annotation a section uses.  The annotations are
 # strings, because every psis module postpones their evaluation.
 _READERS: dict[str, Callable[[Any, str], Any]] = {
@@ -151,17 +174,28 @@ _READERS: dict[str, Callable[[Any, str], Any]] = {
     "bool": _as_bool,
     "str": _as_str,
     "tuple[float, ...]": _as_floats,
+    "RcdfKind": lambda value, where: RcdfKind.from_name(_as_str(value, where)),
+    "tuple[RcdfSpec, ...]": _as_stages,
 }
 
 
-def _read(cls: type, d: dict, where: str, special: Collection[str] = ()) -> dict:
-    """Keyword arguments for cls from the keys present in section d, each
-    read by the reader for its field's annotation.  Absent keys keep the
-    dataclass default; the fields named in special are the caller's."""
+def _read(cls: type, data: Any, where: str, extra: Collection[str] = ()) -> dict:
+    """Keyword arguments for dataclass cls from the JSON object data.
+
+    The object's keys are cls's fields, less those in _SKIP, plus extra; a
+    field without a default is required.  Each key present is read by the
+    reader for its field's annotation, and an absent one keeps its default.
+    """
+    d = _require_mapping(data, where)
+    _reject_unknown(d, cls, where, extra)
+    skip = _SKIP.get(cls, set())
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in skip and f.name not in d:
+            raise ConfigurationError(f"{where}.{f.name} is required")
     return {
         f.name: _READERS[f.type](d[f.name], f"{where}.{f.name}")
         for f in fields(cls)
-        if f.name in d and f.name not in special
+        if f.name in d
     }
 
 
@@ -176,69 +210,15 @@ def _parse_plant(data: Any) -> PlantModel:
         raise ConfigurationError(
             f"plant.type must be 'chain' or 'pendulum', got {kind!r}"
         )
-    _reject_unknown(d, cls, "plant", extra={"type"})
-    if cls is IntegratorChain and "n" not in d:
-        raise ConfigurationError("plant.n is required for a chain")
-    return cls(**_read(cls, d, "plant"))
-
-
-def _parse_stage(data: Any, where: str) -> RcdfSpec:
-    d = _require_mapping(data, where)
-    _reject_unknown(d, RcdfSpec, where)
-    if "kind" not in d or "eta" not in d:
-        raise ConfigurationError(f"{where} needs both 'kind' and 'eta'")
-    return RcdfSpec(
-        kind=RcdfKind.from_name(_as_str(d["kind"], f"{where}.kind")),
-        eta=_as_float(d["eta"], f"{where}.eta"),
-    )
-
-
-def _parse_synthesis(data: Any, n: int) -> SynthesisConfig:
-    d = _require_mapping(data, "synthesis")
-    _reject_unknown(d, SynthesisConfig, "synthesis")
-    for key in ("c", "T_p", "stages"):
-        if key not in d:
-            raise ConfigurationError(f"synthesis.{key} is required")
-    stages_raw = d["stages"]
-    if not isinstance(stages_raw, list):
-        raise ConfigurationError("synthesis.stages must be a list")
-    stages = tuple(
-        _parse_stage(s, f"synthesis.stages[{i}]") for i, s in enumerate(stages_raw)
-    )
-    return SynthesisConfig(
-        n=n, stages=stages, **_read(SynthesisConfig, d, "synthesis", special={"stages"})
-    )
+    return cls(**_read(cls, d, "plant", extra={"type"}))
 
 
 def _parse_sim(data: Any, T_p: float, n: int) -> SimConfig:
-    d = _require_mapping(data, "sim")
-    _reject_unknown(d, SimConfig, "sim")
-    if "x0" not in d:
-        raise ConfigurationError("sim.x0 is required")
-    values = _read(SimConfig, d, "sim")
+    values = _read(SimConfig, data, "sim")
     if len(values["x0"]) != n:
         raise ConfigurationError(
-            f"sim.x0 has {len(values['x0'])} components, the plant needs {n}"
-        )
-    values.setdefault("t_end", 1.2 * T_p)
+            f"sim.x0 has {len(values['x0'])} components, the plant needs {n}")
     return SimConfig(T_p=T_p, **values)
-
-
-def _parse_verify(data: Any) -> VerifyParams:
-    d = _require_mapping(data, "verify")
-    _reject_unknown(d, VerifyParams, "verify")
-    params = VerifyParams(**_read(VerifyParams, d, "verify"))
-    if params.tol_abs <= 0.0 or params.tol_rel < 0.0:
-        raise ConfigurationError(
-            "verify.tol_abs must be positive and verify.tol_rel nonnegative"
-        )
-    if not (0.0 < params.window_factor < 1.0):
-        raise ConfigurationError("verify.window_factor must lie in (0, 1)")
-    for problem in (spread_bound_problem(params.spread_bound),
-                    slack_problem(params.slack_abs, params.slack_rel)):
-        if problem is not None:
-            raise ConfigurationError(problem)
-    return params
 
 
 def _parse_output(data: Any, run_id: str, base_dir: str) -> OutputPaths:
@@ -279,9 +259,9 @@ def build_spec(data: Any, base_dir: str = ".") -> ExperimentSpec:
             f"run_id must be a nonempty name without '/', '\\' or NUL, got {run_id!r}")
     plant = _parse_plant(d["plant"])
     n = plant_order(plant)
-    synthesis = _parse_synthesis(d["synthesis"], n)
+    synthesis = SynthesisConfig(n=n, **_read(SynthesisConfig, d["synthesis"], "synthesis"))
     sim = _parse_sim(d["sim"], synthesis.T_p, n)
-    verify = _parse_verify(d.get("verify", {}))
+    verify = VerifyParams(**_read(VerifyParams, d.get("verify", {}), "verify"))
     output = _parse_output(d.get("output", {}), run_id, base_dir)
     return ExperimentSpec(
         run_id=run_id, plant=plant, synthesis=synthesis,

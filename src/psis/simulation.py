@@ -192,7 +192,7 @@ class SimConfig:
 
     x0: tuple[float, ...]
     T_p: float
-    t_end: float
+    t_end: float | None = None      # default 1.2 * T_p
     eps_stop: float | None = None   # default 1e-9 * T_p
     rtol: float = 1e-9
     atol: float = 1e-12
@@ -209,6 +209,8 @@ class SimConfig:
             raise ConfigurationError(f"x0 must be a nonempty finite vector, got {self.x0!r}")
         if not math.isfinite(self.T_p) or self.T_p <= 0.0:
             raise ConfigurationError(f"T_p must be finite and positive, got {self.T_p!r}")
+        if self.t_end is None:
+            object.__setattr__(self, "t_end", 1.2 * self.T_p)
         if not math.isfinite(self.t_end) or self.t_end < self.T_p:
             raise ConfigurationError(
                 f"t_end must be finite and >= T_p={self.T_p}, got {self.t_end!r}"
@@ -1065,7 +1067,8 @@ def simulate_pendulum_raw(
     holds the applied torque, as a float.  It always integrates on the
     direct clock, whatever cfg.mode says, so a max_step that forces more
     steps than the budget on that clock is a ConfigurationError; its meta
-    holds the config it ran with, mode "direct".
+    holds the config it ran with, mode "direct".  torque_fn is the run's
+    input, so a cfg with open_loop set is a ConfigurationError.
     Tight tolerances are not appropriate here when torque_fn encodes a
     feedback law in raw coordinates, because the stage errors hit the
     roundoff floor of the setpoint well before the standoff; pass a
@@ -1073,6 +1076,9 @@ def simulate_pendulum_raw(
     """
     if len(cfg.x0) != 2:
         raise ConfigurationError(f"pendulum state has 2 components, got {len(cfg.x0)}")
+    if cfg.open_loop:
+        raise ConfigurationError(
+            "open_loop does not apply to a raw pendulum run: torque_fn is its input")
     cfg = replace(cfg, mode="direct")  # validated again, as a direct run
 
     def rhs(t: float, x: list[float]) -> list[float]:

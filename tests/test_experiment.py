@@ -2,7 +2,7 @@
 path anchoring, and the resolved-config round trip."""
 
 import json
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import pytest
 
@@ -11,7 +11,7 @@ from psis.errors import ConfigurationError
 from psis.experiment import (
     OutputPaths, VerifyParams, build_spec, effective_config, load_config,
 )
-from psis.rcdf import RcdfKind
+from psis.rcdf import RcdfKind, RcdfSpec
 from psis.simulation import IntegratorChain, Pendulum, SimConfig, simulate
 from psis.synthesis import SynthesisConfig, synthesize
 
@@ -54,6 +54,8 @@ class TestDefaults:
         from_file = simulate(spec.plant, controller, spec.sim)
         from_library = simulate(IntegratorChain(2), controller,
                                 SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2))
+        # and a SimConfig without t_end takes the config file's default
+        assert SimConfig(x0=(1.0, 0.0), T_p=1.0) == spec.sim
         for column in ("t", "x", "u", "z", "V", "dV"):
             assert getattr(from_file, column) == getattr(from_library, column), column
         assert from_file.meta == from_library.meta
@@ -237,6 +239,11 @@ class TestSimSection:
             "unknown key(s) in synthesis: allow_mixed_kinds; allowed: T_p, c, stages"
         )
 
+    def test_null_t_end_is_the_default(self):
+        cfg = chain_config()
+        cfg["sim"]["t_end"] = None
+        assert build_spec(cfg).sim.t_end == 1.2 * cfg["synthesis"]["T_p"]
+
     def test_sim_validation_propagates(self):
         cfg = chain_config()
         cfg["sim"]["t_end"] = 0.5   # before T_p
@@ -272,6 +279,17 @@ class TestVerifySection:
     def test_slack_ranges(self, slacks):
         with pytest.raises(ConfigurationError, match="verify.slack_abs must be nonnegative"):
             build_spec(chain_config(verify=slacks))
+
+    @pytest.mark.parametrize("params, message", [
+        ({"tol_abs": 0.0}, "verify.tol_abs must be positive and verify.tol_rel nonnegative"),
+        ({"window_factor": 1.0}, "verify.window_factor must lie in (0, 1)"),
+        ({"slack_rel": 1.0}, "verify.slack_abs must be nonnegative and verify.slack_rel "
+                             "in [0, 1), got slack_abs=1e-06, slack_rel=1.0"),
+    ], ids=["tol_abs", "window_factor", "slack_rel"])
+    def test_params_built_in_code_are_checked(self, params, message):
+        with pytest.raises(ConfigurationError) as info:
+            VerifyParams(**params)
+        assert str(info.value) == message
 
     def test_scales_must_be_a_nonempty_list(self):
         with pytest.raises(ConfigurationError):
@@ -355,20 +373,47 @@ SECTIONS = {
     "output": OutputPaths,
 }
 
+# Each section that experiment._read reads, with its path in the chain's
+# every-key config; the output paths are read by hand and so left out.
+READ_SECTIONS = (
+    (IntegratorChain, ("plant",), "plant"),
+    (SynthesisConfig, ("synthesis",), "synthesis"),
+    (RcdfSpec, ("synthesis", "stages", 0), "synthesis.stages[0]"),
+    (SimConfig, ("sim",), "sim"),
+    (VerifyParams, ("verify",), "verify"),
+)
+
+REQUIRED_KEYS = [
+    (path, where, f.name)
+    for cls, path, where in READ_SECTIONS
+    for f in fields(cls)
+    if f.default is MISSING and f.name not in experiment._SKIP.get(cls, set())
+]
+
 
 class TestSchema:
     def test_every_field_has_a_reader(self):
-        # the stage list and the output paths are read by hand: stages are
-        # objects of their own, and paths resolve against run_id and the
-        # config's directory
-        by_hand = {(SynthesisConfig, "stages")} | {
-            (OutputPaths, f.name) for f in fields(OutputPaths)
-        }
-        for cls in (IntegratorChain, Pendulum, *SECTIONS.values()):
+        # the output paths are read by hand: they resolve against run_id and
+        # the config's directory
+        by_hand = {(OutputPaths, f.name) for f in fields(OutputPaths)}
+        for cls in (IntegratorChain, Pendulum, RcdfSpec, *SECTIONS.values()):
             for f in fields(cls):
                 if f.name in experiment._SKIP.get(cls, set()) or (cls, f.name) in by_hand:
                     continue
                 assert f.type in experiment._READERS, (cls.__name__, f.name, f.type)
+
+    @pytest.mark.parametrize("path, where, name", REQUIRED_KEYS,
+                             ids=[f"{where}.{name}" for _, where, name in REQUIRED_KEYS])
+    def test_a_field_without_a_default_is_required(self, path, where, name):
+        # a copy, since the config holds the plant dict it is given
+        cfg = every_key_config(dict(EVERY_KEY_PLANTS[0]))
+        section = cfg
+        for key in path:
+            section = section[key]
+        del section[name]
+        with pytest.raises(ConfigurationError) as info:
+            build_spec(cfg)
+        assert str(info.value) == f"{where}.{name} is required"
 
     @pytest.mark.parametrize("plant", EVERY_KEY_PLANTS, ids=lambda p: p["type"])
     def test_every_key_round_trips(self, plant):

@@ -1163,6 +1163,17 @@ class TestRawPendulum:
         assert info.value.t == 0.0
         assert len(info.value.partial.t) == 0
 
+    def test_open_loop_is_refused(self):
+        # torque_fn is the raw run's input, so there is no loop to open: a
+        # run that applied it anyway would record open_loop over u = 0.25
+        def torque(x, t):
+            raise AssertionError("the pendulum was integrated")
+
+        cfg = SimConfig(x0=(0.3, 0.0), T_p=0.5, t_end=0.6, rtol=1e-6, atol=1e-9,
+                        open_loop=True)
+        with pytest.raises(ConfigurationError, match="torque_fn is its input"):
+            simulate_pendulum_raw(Pendulum(), cfg, torque)
+
 
 class TestOpenLoopSelfTest:
     """The open_loop switch integrates the free chain while keeping the

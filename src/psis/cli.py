@@ -34,15 +34,15 @@ from .experiment import ExperimentSpec, effective_config, load_config, plain
 from .simulation import simulate
 from .synthesis import describe, synthesize
 from .verification import (
+    VERIFY_CLAUSES,
     SettlingEvidence,
-    control_vanishing_check,
-    lyapunov_audit,
+    judge,
     mixed_kernels,
     run_tolerance,
-    settling_instant,
     sweep_initial_conditions,
-    unresolvable_tolerance,
 )
+# not called here: perfbench/tracing.py wraps these names on psis.cli (ROADMAP item 7)
+from .verification import control_vanishing_check, lyapunov_audit, settling_instant
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -161,21 +161,9 @@ def _cmd_verify(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     traj, wall = _timed(simulate, spec.plant, controller, spec.sim)
 
     tol = run_tolerance(vp.tol_abs, vp.tol_rel, spec.sim.x0)
-    # refuse to certify a tolerance the integrator cannot resolve
-    problem = unresolvable_tolerance(tol, spec.sim)
-    diagnostics = [] if problem is None else [problem]
-
-    evidence = settling_instant(traj, tol, vp.window_factor)
-    audit = lyapunov_audit(traj, vp.slack_abs, vp.slack_rel)
-    vanishing = control_vanishing_check(traj, tol)
-
-    if evidence.degenerate:
-        verdict = "degenerate"
-    elif (problem is None and evidence.two_sided and audit.passes
-          and vanishing.vanishes):
-        verdict = "pass"
-    else:
-        verdict = "fail"
+    judged = judge(traj, spec.sim, tol, VERIFY_CLAUSES,
+                   vp.window_factor, vp.slack_abs, vp.slack_rel)
+    evidence, audit, vanishing = judged.settling, judged.lyapunov, judged.vanishing
 
     if paths.report:
         out.write_report(paths.report, _report(
@@ -188,7 +176,7 @@ def _cmd_verify(spec: ExperimentSpec, args: argparse.Namespace) -> int:
                 "worst_residual": audit.max_equality_residual,
             },
             control_vanishing=plain(vanishing, skip={"window_start", "vanishes"}),
-            diagnostics=diagnostics, verdict=verdict))
+            diagnostics=judged.diagnostics, verdict=judged.verdict))
 
     print(f"tolerance: {tol:.6e}")
     print(f"settling: two_sided={evidence.two_sided} t_settle={evidence.t_settle} "
@@ -199,13 +187,13 @@ def _cmd_verify(spec: ExperimentSpec, args: argparse.Namespace) -> int:
           f"audited={audit.n_audited} skipped={audit.n_skipped}")
     print(f"control: standoff_abs_u={vanishing.last_pre_abs_u:.6e} "
           f"post_zero={vanishing.post_all_zero}")
-    for d in diagnostics:
+    for d in judged.diagnostics:
         print(f"diagnostic: {d}")
     print(f"wall time: {wall:.3f} s")
     if paths.report:
         print(f"wrote: {paths.report}")
-    print(f"verdict: {verdict}")
-    return 0 if verdict in ("pass", "degenerate") else 4
+    print(f"verdict: {judged.verdict}")
+    return 0 if judged.verdict in ("pass", "degenerate") else 4
 
 
 # the settling fields a sweep row carries: tol is the row's own, and

@@ -11,8 +11,9 @@ allowed keys are the dataclass's fields, its required keys are the fields
 without a default, each value is read by the reader for its field's
 annotation, and an absent key keeps the dataclass default.  Each dataclass
 holds its own defaults and rules; the parsers add only what crosses
-sections: n from the plant, T_p from the synthesis section, and output
-paths built from run_id and the config's directory.  Defaults are resolved
+sections: n from the plant, T_p from the synthesis section, output paths
+built from run_id and the config's directory, and the refusal of a
+settling window that reaches the sim's standoff.  Defaults are resolved
 at load time; effective_config echoes the same fields back as the fully
 resolved dictionary, which goes into run reports and reproduces the same
 experiment when fed back in.
@@ -262,6 +263,15 @@ def build_spec(data: Any, base_dir: str = ".") -> ExperimentSpec:
     synthesis = SynthesisConfig(n=n, **_read(SynthesisConfig, d["synthesis"], "synthesis"))
     sim = _parse_sim(d["sim"], synthesis.T_p, n)
     verify = VerifyParams(**_read(VerifyParams, d.get("verify", {}), "verify"))
+    # the norm must still be large inside the settling window and within
+    # tolerance at the standoff, so a window that reaches the standoff
+    # leaves the settling clause nothing it could pass
+    window_end = verify.window_factor * synthesis.T_p
+    if window_end >= sim.t_standoff:
+        raise ConfigurationError(
+            f"the settling window ends at verify.window_factor * T_p = {window_end!r}, "
+            f"at or after the standoff T_p - sim.eps_stop = {sim.t_standoff!r}; "
+            "lower verify.window_factor or sim.eps_stop")
     output = _parse_output(d.get("output", {}), run_id, base_dir)
     return ExperimentSpec(
         run_id=run_id, plant=plant, synthesis=synthesis,

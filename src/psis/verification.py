@@ -26,6 +26,15 @@ bisection.  Every float operation keeps its operands and order, so the
 results are the same bits as a loop over the samples
 (tests/test_audit_oracle.py keeps those loops as oracles).
 
+judge turns a run's audits into its verdict by one rule: a start inside
+tolerance is degenerate, and otherwise the run passes only when every
+clause that gates it holds.  Two tables name the clauses: VERIFY_CLAUSES
+gates psis verify (a tolerance the integrator resolves, two-sided
+settling, Lyapunov decay and input vanishing), and ROW_CLAUSES gates each
+sweep row (two-sided settling).  judge always runs the settling audit and
+runs any other only when its clause is named, so a sweep row costs no
+more audit work than settling, and a new clause touches only this module.
+
 sweep_initial_conditions repeats the settling audit across scaled initial
 conditions, which is the operational meaning of "for every initial
 condition" on a desk-sized budget.  Its runs are pure-Python integrations,
@@ -510,7 +519,7 @@ def control_vanishing_check(traj: Trajectory, tol: float) -> ControlVanishing:
 
 
 # ---------------------------------------------------------------------------
-# sweeps
+# verdicts and sweeps
 
 
 def run_tolerance(tol_abs: float, tol_rel: float, x0: Sequence[float]) -> float:
@@ -534,6 +543,52 @@ def unresolvable_tolerance(tol: float, cfg: SimConfig) -> str | None:
     )
 
 
+# The clauses that gate a verify run and a sweep row, in judge's order.
+VERIFY_CLAUSES = ("tolerance", "settling", "decay", "vanishing")
+ROW_CLAUSES = ("settling",)
+
+
+@dataclass(frozen=True)
+class Judgement:
+    """A run's audits, the names of its failed clauses in the order given,
+    and its verdict: "degenerate", "pass" or "fail".  lyapunov and
+    vanishing are None when no clause needs them, and diagnostics holds
+    why the tolerance clause failed."""
+
+    settling: SettlingEvidence
+    lyapunov: LyapunovAudit | None
+    vanishing: ControlVanishing | None
+    diagnostics: tuple[str, ...]
+    failed: tuple[str, ...]
+    verdict: str
+
+
+def judge(traj: Trajectory, cfg: SimConfig, tol: float, clauses: Sequence[str],
+          window_factor: float = 0.9, slack_abs: float = 1e-6,
+          slack_rel: float = 1e-3) -> Judgement:
+    """Judge a run of cfg by the named clauses.
+
+    The settling audit always runs, because a start inside tolerance makes
+    the run degenerate whatever else fails; every other audit runs only
+    when its clause is named.  A run that is not degenerate passes when
+    every named clause holds, and fails otherwise.
+    """
+    problem = unresolvable_tolerance(tol, cfg) if "tolerance" in clauses else None
+    settling = settling_instant(traj, tol, window_factor)
+    lyapunov = lyapunov_audit(traj, slack_abs, slack_rel) if "decay" in clauses else None
+    vanishing = control_vanishing_check(traj, tol) if "vanishing" in clauses else None
+    passed = {
+        "tolerance": problem is None,
+        "settling": settling.two_sided,
+        "decay": lyapunov is not None and lyapunov.passes,
+        "vanishing": vanishing is not None and vanishing.vanishes,
+    }
+    failed = tuple(name for name in clauses if not passed[name])
+    verdict = "degenerate" if settling.degenerate else ("fail" if failed else "pass")
+    return Judgement(settling, lyapunov, vanishing,
+                     () if problem is None else (problem,), failed, verdict)
+
+
 @dataclass(frozen=True)
 class SweepRow:
     scale: float
@@ -541,15 +596,8 @@ class SweepRow:
     tol: float
     evidence: SettlingEvidence | None
     error: str | None
+    state: str     # the judge's verdict, or "error" for a refused or raised run
     traj: Trajectory | None = None  # populated only when the sweep keeps them
-
-    @property
-    def state(self) -> str:
-        """The row's outcome: error, degenerate, pass or fail."""
-        ev = self.evidence
-        if ev is None:
-            return "error"
-        return "degenerate" if ev.degenerate else ("pass" if ev.two_sided else "fail")
 
 
 @dataclass(frozen=True)
@@ -580,8 +628,9 @@ def sweep_initial_conditions(
 ) -> SweepReport:
     """Settling audit across initial conditions scale * base_cfg.x0.
 
-    Every non-degenerate run must pass the two-sided settling check and the
-    observed settling instants must agree with T_p within spread_bound * T_p.
+    Each run is judged by ROW_CLAUSES (see judge), so every non-degenerate
+    run must pass the two-sided settling check, and the observed settling
+    instants must agree with T_p within spread_bound * T_p.
     Runs that error out are recorded with the message and fail the sweep,
     and so is a scale whose tolerance lies below the integration accuracy
     floor (see unresolvable_tolerance), without being run.
@@ -606,34 +655,26 @@ def sweep_initial_conditions(
     def one(scale: float, x0: tuple[float, ...]) -> SweepRow:
         tol = run_tolerance(tol_abs, tol_rel, x0)
         cfg = replace(base_cfg, x0=x0)
+        row = functools.partial(SweepRow, scale=scale, x0=x0, tol=tol)
         problem = unresolvable_tolerance(tol, cfg)
         if problem is not None:
-            return SweepRow(scale=scale, x0=x0, tol=tol, evidence=None, error=problem)
+            return row(evidence=None, error=problem, state="error")
         try:
             traj = simulate(plant, controller, cfg)
-            ev = settling_instant(traj, tol, window_factor)
-            return SweepRow(
-                scale=scale, x0=x0, tol=tol, evidence=ev, error=None,
-                traj=traj if keep_trajectories else None,
-            )
+            judged = judge(traj, cfg, tol, ROW_CLAUSES, window_factor)
+            return row(evidence=judged.settling, error=None, state=judged.verdict,
+                       traj=traj if keep_trajectories else None)
         except (IntegrationError, AuditError) as exc:
-            return SweepRow(
-                scale=scale, x0=x0, tol=tol, evidence=None,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            return row(evidence=None, error=f"{type(exc).__name__}: {exc}", state="error")
 
     rows = tuple(map(one, scales, starts))
 
-    certified = [
-        r.evidence for r in rows
-        if r.evidence is not None and not r.evidence.degenerate
-    ]
+    states = [r.state for r in rows]
     # a sweep with nothing but degenerate starts certifies nothing
-    failed = not certified or any(r.error is not None for r in rows) or any(
-        not ev.two_sided for ev in certified
-    )
-    # a run that never settles has already failed its two-sided check
-    settled = [ev.t_settle for ev in certified if ev.t_settle is not None]
+    failed = "error" in states or "fail" in states or "pass" not in states
+    # a run that never settles has already failed its settling clause
+    settled = [r.evidence.t_settle for r in rows
+               if r.state in ("pass", "fail") and r.evidence.t_settle is not None]
     spread = None
     if settled:
         spread = max(abs(t - T_p) for t in settled)

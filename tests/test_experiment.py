@@ -291,6 +291,20 @@ class TestVerifySection:
             VerifyParams(**params)
         assert str(info.value) == message
 
+    def test_a_window_that_reaches_the_standoff_is_refused(self):
+        # the standoff 0.999 lies inside the window [0, 0.9995]: its norm
+        # would have to be both above and within tolerance
+        cfg = chain_config(verify={"window_factor": 0.9995})
+        cfg["sim"].update(eps_stop=1e-3, sample_dt=0.01)
+        with pytest.raises(ConfigurationError) as info:
+            build_spec(cfg)
+        assert str(info.value) == (
+            "the settling window ends at verify.window_factor * T_p = 0.9995, at or "
+            "after the standoff T_p - sim.eps_stop = 0.999; lower verify.window_factor "
+            "or sim.eps_stop")
+        cfg["verify"]["window_factor"] = 0.998
+        assert build_spec(cfg).verify.window_factor == 0.998
+
     def test_scales_must_be_a_nonempty_list(self):
         with pytest.raises(ConfigurationError):
             build_spec(chain_config(verify={"scales": []}))

@@ -5,6 +5,8 @@ of its names is used.
 The sys.modules checks run in a fresh interpreter, because the test process
 has already imported every module."""
 
+import importlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -15,7 +17,8 @@ import pytest
 
 import psis
 
-SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 PUBLIC = [
     "AuditError",
@@ -158,3 +161,18 @@ def test_a_submodule_read_as_an_attribute_is_imported():
         "assert symdiff is psis.symdiff\n"
     )
     assert "psis.verification" in loaded
+
+
+def test_every_name_the_benchmark_wraps_resolves(monkeypatch):
+    # perfbench/tracing.py wraps names on the modules that look them up
+    # (psis.cli among them); a name that is gone would end a traced run in
+    # an AttributeError.  The module imports only the standard library, and
+    # its dataclass needs it in sys.modules while it loads.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    assert tracing.WRAPPED
+    for module, attr, _span in tracing.WRAPPED:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)

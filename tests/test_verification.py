@@ -20,9 +20,12 @@ from psis.simulation import (
 )
 from psis.synthesis import SynthesisConfig, synthesize
 from psis.verification import (
+    ROW_CLAUSES,
+    VERIFY_CLAUSES,
     control_vanishing_check,
     jensen_check,
     jensen_h_names,
+    judge,
     lyapunov_audit,
     lyapunov_bounds,
     run_tolerance,
@@ -573,6 +576,62 @@ class TestSweep:
         cfg = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2)
         with pytest.raises(ConfigurationError):
             sweep_initial_conditions(IntegratorChain(2), ctrl, cfg, scales=())
+
+
+class TestJudge:
+    """linear n=2 (3, 2), T_p 1, judged by the verify and sweep-row tables."""
+
+    @staticmethod
+    def judged(x0=(1.0, 0.0), clauses=VERIFY_CLAUSES, tol=None, **sim):
+        cfg = SimConfig(x0=x0, T_p=1.0, t_end=1.2, **sim)
+        traj = simulate(IntegratorChain(2), make_controller(), cfg)
+        if tol is None:
+            tol = run_tolerance(1e-4, 1e-6, x0)
+        return judge(traj, cfg, tol, clauses)
+
+    def test_the_healthy_run_passes_every_clause(self):
+        j = self.judged()
+        assert j.failed == () and j.diagnostics == ()
+        assert j.verdict == "pass"
+        assert j.settling.two_sided and j.lyapunov.passes and j.vanishing.vanishes
+
+    def test_the_open_loop_fails_settling(self):
+        j = self.judged(open_loop=True)
+        assert "settling" in j.failed
+        assert j.verdict == "fail"
+
+    def test_an_unresolvable_tolerance_fails_with_its_diagnostic(self):
+        j = self.judged(tol=run_tolerance(1e-13, 0.0, (1.0, 0.0)))
+        assert "tolerance" in j.failed
+        assert j.verdict == "fail"
+        (text,) = j.diagnostics
+        assert "below the integration accuracy floor 1.001e-08" in text
+
+    def test_an_overflowing_start_fails_decay(self):
+        j = self.judged(x0=(1e200, 0.0))
+        assert "decay" in j.failed
+        assert j.verdict == "fail"
+
+    def test_an_equilibrium_start_is_degenerate(self):
+        j = self.judged(x0=(0.0, 0.0))
+        assert j.verdict == "degenerate"
+
+    def test_failed_clauses_keep_the_order_given(self):
+        j = self.judged(tol=1e-13, open_loop=True)
+        assert j.failed[:2] == ("tolerance", "settling")
+        reordered = self.judged(tol=1e-13, open_loop=True, clauses=VERIFY_CLAUSES[::-1])
+        assert reordered.failed == j.failed[::-1]
+
+    @pytest.mark.parametrize("scale", [0.0, 1.0, 1e200])
+    def test_the_row_clauses_run_settling_alone_and_give_the_row_state(self, scale):
+        x0 = (scale, 0.0)
+        j = self.judged(x0=x0, clauses=ROW_CLAUSES)
+        assert j.lyapunov is None and j.vanishing is None
+        report = sweep_initial_conditions(
+            IntegratorChain(2), make_controller(),
+            SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2), scales=(scale,))
+        assert report.rows[0].state == j.verdict
+        assert report.rows[0].evidence == j.settling
 
 
 class TestSerialSweep:

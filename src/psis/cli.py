@@ -38,7 +38,6 @@ from .verification import (
     SettlingEvidence,
     judge,
     mixed_kernels,
-    run_tolerance,
     sweep_initial_conditions,
 )
 # not called here: perfbench/tracing.py wraps these names on psis.cli (ROADMAP item 7)
@@ -157,17 +156,14 @@ def _cmd_verify(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     paths = spec.output
     out.check_outputs([paths.report], args.config, args.no_clobber)
     controller = synthesize(spec.synthesis)
-    vp = spec.verify
     traj, wall = _timed(simulate, spec.plant, controller, spec.sim)
 
-    tol = run_tolerance(vp.tol_abs, vp.tol_rel, spec.sim.x0)
-    judged = judge(traj, spec.sim, tol, VERIFY_CLAUSES,
-                   vp.window_factor, vp.slack_abs, vp.slack_rel)
+    judged = judge(traj, spec.sim, VERIFY_CLAUSES, spec.verify)
     evidence, audit, vanishing = judged.settling, judged.lyapunov, judged.vanishing
 
     if paths.report:
         out.write_report(paths.report, _report(
-            spec, "verify", integrator=_integrator_block(traj.meta), tolerance=tol,
+            spec, "verify", integrator=_integrator_block(traj.meta), tolerance=judged.tol,
             settling=plain(evidence, skip={"tol"}),
             lyapunov={
                 "n_audited": audit.n_audited,
@@ -178,7 +174,7 @@ def _cmd_verify(spec: ExperimentSpec, args: argparse.Namespace) -> int:
             control_vanishing=plain(vanishing, skip={"window_start", "vanishes"}),
             diagnostics=judged.diagnostics, verdict=judged.verdict))
 
-    print(f"tolerance: {tol:.6e}")
+    print(f"tolerance: {judged.tol:.6e}")
     print(f"settling: two_sided={evidence.two_sided} t_settle={evidence.t_settle} "
           f"floor={evidence.pre_window_floor:.6e} "
           f"standoff_norm={evidence.norm_at_standoff:.6e}")

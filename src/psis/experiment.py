@@ -12,8 +12,13 @@ without a default, each value is read by the reader for its field's
 annotation, and an absent key keeps the dataclass default.  Each dataclass
 holds its own defaults and rules; the parsers add only what crosses
 sections: n from the plant, T_p from the synthesis section, output paths
-built from run_id and the config's directory, and the refusal of a
-settling window that reaches the sim's standoff.  Defaults are resolved
+built from run_id and the config's directory, and the sim's standoff, past
+which VerifyParams.window_end refuses a settling window.
+
+VerifyParams is the one home of the audits' parameters.  The library
+audits and the sweep (see verification) default their keywords to its
+class attributes and check them by building one, so a library call refuses
+what a config refuses, with the same text.  Defaults are resolved
 at load time; effective_config echoes the same fields back as the fully
 resolved dictionary, which goes into run reports and reproduces the same
 experiment when fed back in.
@@ -38,6 +43,10 @@ from .synthesis import SynthesisConfig
 
 @dataclass(frozen=True)
 class VerifyParams:
+    """The settling tolerance tol_abs + tol_rel * |x0|_2, the settling
+    window's end as a fraction of T_p, the sweep's spread bound as a
+    fraction of T_p, the decay audit's slacks, and the sweep's scales."""
+
     tol_abs: float = 1e-4
     tol_rel: float = 1e-6
     window_factor: float = 0.9
@@ -47,34 +56,38 @@ class VerifyParams:
     scales: tuple[float, ...] = (1.0,)
 
     def __post_init__(self) -> None:
-        if self.tol_abs <= 0.0 or self.tol_rel < 0.0:
+        # each rule is written so that nan fails it, and so does an infinite
+        # tolerance or slack_abs, which would make its audit unfailable
+        if not (0.0 < self.tol_abs < math.inf and 0.0 <= self.tol_rel < math.inf):
             raise ConfigurationError(
                 "verify.tol_abs must be positive and verify.tol_rel nonnegative")
         if not (0.0 < self.window_factor < 1.0):
             raise ConfigurationError("verify.window_factor must lie in (0, 1)")
-        for problem in (spread_bound_problem(self.spread_bound),
-                        slack_problem(self.slack_abs, self.slack_rel)):
-            if problem is not None:
-                raise ConfigurationError(problem)
+        # at nan or inf the sweep's spread clause could never fail, and at 0
+        # or below it could never pass
+        if not (0.0 < self.spread_bound < 1.0):
+            raise ConfigurationError("verify.spread_bound must lie in (0, 1)")
+        # for dV <= 0 and slack_rel >= 1, dV < lower - slack never holds
+        if not (0.0 <= self.slack_abs < math.inf and 0.0 <= self.slack_rel < 1.0):
+            raise ConfigurationError(
+                "verify.slack_abs must be nonnegative and verify.slack_rel in [0, 1), "
+                f"got slack_abs={self.slack_abs!r}, slack_rel={self.slack_rel!r}")
 
+    def window_end(self, T_p: float, t_standoff: float) -> float:
+        """window_factor * T_p, where the settling window ends.
 
-def slack_problem(slack_abs: float, slack_rel: float) -> str | None:
-    """Why the decay audit (verification.lyapunov_audit) cannot judge with
-    these slacks, or None if it can: for dV <= 0 and slack_rel >= 1,
-    dV < lower - slack never holds."""
-    if slack_abs >= 0.0 and 0.0 <= slack_rel < 1.0:
-        return None
-    return ("verify.slack_abs must be nonnegative and verify.slack_rel in [0, 1), "
-            f"got slack_abs={slack_abs!r}, slack_rel={slack_rel!r}")
-
-
-def spread_bound_problem(spread_bound: float) -> str | None:
-    """Why a sweep (verification.sweep_initial_conditions) cannot judge its
-    spread against this bound, or None if it can: at nan or inf its spread
-    clause could never fail, and at 0 or below it could never pass."""
-    if 0.0 < spread_bound < 1.0:
-        return None
-    return "verify.spread_bound must lie in (0, 1)"
+        The norm must still be large inside the settling window and within
+        tolerance at the standoff t_standoff, so a window that reaches the
+        standoff leaves the settling clause nothing it could pass: it is a
+        ConfigurationError.
+        """
+        end = self.window_factor * T_p
+        if end >= t_standoff:
+            raise ConfigurationError(
+                f"the settling window ends at verify.window_factor * T_p = {end!r}, "
+                f"at or after the standoff T_p - sim.eps_stop = {t_standoff!r}; "
+                "lower verify.window_factor or sim.eps_stop")
+        return end
 
 
 @dataclass(frozen=True)
@@ -263,15 +276,8 @@ def build_spec(data: Any, base_dir: str = ".") -> ExperimentSpec:
     synthesis = SynthesisConfig(n=n, **_read(SynthesisConfig, d["synthesis"], "synthesis"))
     sim = _parse_sim(d["sim"], synthesis.T_p, n)
     verify = VerifyParams(**_read(VerifyParams, d.get("verify", {}), "verify"))
-    # the norm must still be large inside the settling window and within
-    # tolerance at the standoff, so a window that reaches the standoff
-    # leaves the settling clause nothing it could pass
-    window_end = verify.window_factor * synthesis.T_p
-    if window_end >= sim.t_standoff:
-        raise ConfigurationError(
-            f"the settling window ends at verify.window_factor * T_p = {window_end!r}, "
-            f"at or after the standoff T_p - sim.eps_stop = {sim.t_standoff!r}; "
-            "lower verify.window_factor or sim.eps_stop")
+    # refused here, before any run, as well as by the audits
+    verify.window_end(synthesis.T_p, sim.t_standoff)
     output = _parse_output(d.get("output", {}), run_id, base_dir)
     return ExperimentSpec(
         run_id=run_id, plant=plant, synthesis=synthesis,

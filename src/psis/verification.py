@@ -26,9 +26,16 @@ bisection.  Every float operation keeps its operands and order, so the
 results are the same bits as a loop over the samples
 (tests/test_audit_oracle.py keeps those loops as oracles).
 
+The audits' parameters come from experiment.VerifyParams, which writes
+their defaults and rules once: each keyword here that is named like one of
+its fields defaults to that field, each entry point checks its keywords by
+building one, and VerifyParams.window_end refuses a settling window that
+reaches the standoff, which no run could pass.
+
 judge turns a run's audits into its verdict by one rule: a start inside
 tolerance is degenerate, and otherwise the run passes only when every
-clause that gates it holds.  Two tables name the clauses: VERIFY_CLAUSES
+clause that gates it holds.  It takes a whole VerifyParams and computes
+the run's tolerance from it.  Two tables name the clauses: VERIFY_CLAUSES
 gates psis verify (a tolerance the integrator resolves, two-sided
 settling, Lyapunov decay and input vanishing), and ROW_CLAUSES gates each
 sweep row (two-sided settling).  judge always runs the settling audit and
@@ -52,7 +59,7 @@ from typing import Callable, Sequence
 
 from . import symdiff as sd
 from .errors import AuditError, ConfigurationError, DomainError, IntegrationError
-from .experiment import slack_problem, spread_bound_problem
+from .experiment import VerifyParams
 from .rcdf import KERNELS, RcdfKind, kernel_function, kernel_source, zeta
 from .simulation import TERMINAL_WINDOW_START, PlantModel, SimConfig, Trajectory, simulate
 from .synthesis import Controller
@@ -90,16 +97,23 @@ class SettlingEvidence:
     two_sided: bool
 
 
-def settling_instant(
-    traj: Trajectory, tol: float, window_factor: float = 0.9
-) -> SettlingEvidence:
-    """Audit one trajectory's stage-error norm against a tolerance ball."""
+def _check_tolerance(tol: float) -> None:
+    """Refuse a settling tolerance that no audit can judge against."""
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ConfigurationError(f"tolerance must be finite and positive, got {tol!r}")
-    if not (0.0 < window_factor < 1.0):
-        raise ConfigurationError(
-            f"window_factor must lie in (0, 1), got {window_factor!r}"
-        )
+
+
+def settling_instant(
+    traj: Trajectory, tol: float, window_factor: float = VerifyParams.window_factor
+) -> SettlingEvidence:
+    """Audit one trajectory's stage-error norm against a tolerance ball.
+
+    A window_factor that VerifyParams refuses is a ConfigurationError, and
+    so is a settling window that reaches the trajectory's standoff (see
+    VerifyParams.window_end).
+    """
+    _check_tolerance(tol)
+    params = VerifyParams(window_factor=window_factor)
     T_p = traj.meta["T_p"]
     t_standoff = traj.meta["t_standoff"]
     n_pre = _pre_instant_rows(traj)
@@ -108,7 +122,7 @@ def settling_instant(
         raise AuditError("trajectory is missing its sample at the standoff")
     norms = list(map(math.sqrt, traj.V))
 
-    window_end = window_factor * T_p
+    window_end = params.window_end(T_p, t_standoff)
     # the times are sorted: the rows with t <= window_end come first
     in_window = norms[:bisect_right(t, window_end, 0, n_pre)]
     if not in_window:
@@ -332,7 +346,9 @@ def mixed_kernels(kinds: Sequence[str]) -> str | None:
 
 
 def lyapunov_audit(
-    traj: Trajectory, slack_abs: float = 1e-6, slack_rel: float = 1e-3
+    traj: Trajectory,
+    slack_abs: float = VerifyParams.slack_abs,
+    slack_rel: float = VerifyParams.slack_rel,
 ) -> LyapunovAudit:
     """Judge the recorded decay rate dV against the envelope and a numeric
     slope of the recorded V.
@@ -353,11 +369,9 @@ def lyapunov_audit(
     current one in locals.  A sample that shares its time with a neighbour
     has no three-point slope and no residual.  A z with other than one
     component per stage exponent is an AuditError, and slacks that
-    experiment.slack_problem refuses are a ConfigurationError.
+    VerifyParams refuses are a ConfigurationError.
     """
-    problem = slack_problem(slack_abs, slack_rel)
-    if problem is not None:
-        raise ConfigurationError(problem)
+    VerifyParams(slack_abs=slack_abs, slack_rel=slack_rel)
     kinds = traj.meta.get("kinds", [])
     problem = mixed_kernels(kinds)
     if problem is not None:
@@ -492,8 +506,7 @@ def control_vanishing_check(traj: Trajectory, tol: float) -> ControlVanishing:
     zeros after T_p; the window maximum and its ratio to the overall
     maximum are reported for context.
     """
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ConfigurationError(f"tolerance must be finite and positive, got {tol!r}")
+    _check_tolerance(tol)
     T_p = float(traj.meta["T_p"])
     window_start = TERMINAL_WINDOW_START * T_p
     n_pre = _pre_instant_rows(traj)
@@ -550,11 +563,12 @@ ROW_CLAUSES = ("settling",)
 
 @dataclass(frozen=True)
 class Judgement:
-    """A run's audits, the names of its failed clauses in the order given,
-    and its verdict: "degenerate", "pass" or "fail".  lyapunov and
-    vanishing are None when no clause needs them, and diagnostics holds
-    why the tolerance clause failed."""
+    """A run's settling tolerance, its audits, the names of its failed
+    clauses in the order given, and its verdict: "degenerate", "pass" or
+    "fail".  lyapunov and vanishing are None when no clause needs them, and
+    diagnostics holds why the tolerance clause failed."""
 
+    tol: float
     settling: SettlingEvidence
     lyapunov: LyapunovAudit | None
     vanishing: ControlVanishing | None
@@ -563,19 +577,21 @@ class Judgement:
     verdict: str
 
 
-def judge(traj: Trajectory, cfg: SimConfig, tol: float, clauses: Sequence[str],
-          window_factor: float = 0.9, slack_abs: float = 1e-6,
-          slack_rel: float = 1e-3) -> Judgement:
-    """Judge a run of cfg by the named clauses.
+def judge(traj: Trajectory, cfg: SimConfig, clauses: Sequence[str],
+          params: VerifyParams) -> Judgement:
+    """Judge a run of cfg by the named clauses, with the audits' parameters
+    params and the tolerance they give for cfg.x0 (see run_tolerance).
 
     The settling audit always runs, because a start inside tolerance makes
     the run degenerate whatever else fails; every other audit runs only
     when its clause is named.  A run that is not degenerate passes when
     every named clause holds, and fails otherwise.
     """
+    tol = run_tolerance(params.tol_abs, params.tol_rel, cfg.x0)
     problem = unresolvable_tolerance(tol, cfg) if "tolerance" in clauses else None
-    settling = settling_instant(traj, tol, window_factor)
-    lyapunov = lyapunov_audit(traj, slack_abs, slack_rel) if "decay" in clauses else None
+    settling = settling_instant(traj, tol, params.window_factor)
+    lyapunov = (lyapunov_audit(traj, params.slack_abs, params.slack_rel)
+                if "decay" in clauses else None)
     vanishing = control_vanishing_check(traj, tol) if "vanishing" in clauses else None
     passed = {
         "tolerance": problem is None,
@@ -585,7 +601,7 @@ def judge(traj: Trajectory, cfg: SimConfig, tol: float, clauses: Sequence[str],
     }
     failed = tuple(name for name in clauses if not passed[name])
     verdict = "degenerate" if settling.degenerate else ("fail" if failed else "pass")
-    return Judgement(settling, lyapunov, vanishing,
+    return Judgement(tol, settling, lyapunov, vanishing,
                      () if problem is None else (problem,), failed, verdict)
 
 
@@ -620,10 +636,10 @@ def sweep_initial_conditions(
     controller: Controller,
     base_cfg: SimConfig,
     scales: Sequence[float],
-    tol_abs: float = 1e-4,
-    tol_rel: float = 1e-6,
-    window_factor: float = 0.9,
-    spread_bound: float = 0.05,
+    tol_abs: float = VerifyParams.tol_abs,
+    tol_rel: float = VerifyParams.tol_rel,
+    window_factor: float = VerifyParams.window_factor,
+    spread_bound: float = VerifyParams.spread_bound,
     keep_trajectories: bool = False,
 ) -> SweepReport:
     """Settling audit across initial conditions scale * base_cfg.x0.
@@ -635,16 +651,16 @@ def sweep_initial_conditions(
     and so is a scale whose tolerance lies below the integration accuracy
     floor (see unresolvable_tolerance), without being run.
     Runs execute one after another on the calling thread, in the order of
-    scales.  A spread_bound that experiment.spread_bound_problem refuses is
-    a ConfigurationError, and so is a scale that takes x0 past the float
-    range; both are raised before any run.
+    scales.  Parameters that VerifyParams refuses are a ConfigurationError,
+    and so are a settling window that reaches base_cfg's standoff (see
+    VerifyParams.window_end) and a scale that takes x0 past the float
+    range; each is raised before any run.
     """
+    params = VerifyParams(tol_abs, tol_rel, window_factor, spread_bound)
+    params.window_end(base_cfg.T_p, base_cfg.t_standoff)
     scales = [float(s) for s in scales]
     if not scales:
         raise ConfigurationError("scales must be nonempty")
-    problem = spread_bound_problem(spread_bound)
-    if problem is not None:
-        raise ConfigurationError(problem)
     T_p = base_cfg.T_p
     starts = [tuple(scale * v for v in base_cfg.x0) for scale in scales]
     for scale, x0 in zip(scales, starts):
@@ -661,7 +677,7 @@ def sweep_initial_conditions(
             return row(evidence=None, error=problem, state="error")
         try:
             traj = simulate(plant, controller, cfg)
-            judged = judge(traj, cfg, tol, ROW_CLAUSES, window_factor)
+            judged = judge(traj, cfg, ROW_CLAUSES, params)
             return row(evidence=judged.settling, error=None, state=judged.verdict,
                        traj=traj if keep_trajectories else None)
         except (IntegrationError, AuditError) as exc:

@@ -53,9 +53,7 @@ def reference_settling_instant(traj, tol, window_factor=0.9):
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ConfigurationError(f"tolerance must be finite and positive, got {tol!r}")
     if not (0.0 < window_factor < 1.0):
-        raise ConfigurationError(
-            f"window_factor must lie in (0, 1), got {window_factor!r}"
-        )
+        raise ConfigurationError("verify.window_factor must lie in (0, 1)")
     T_p = traj.meta["T_p"]
     t_standoff = traj.meta["t_standoff"]
     t, _, V, _ = traj.pre_instant_arrays()

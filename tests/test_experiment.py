@@ -2,6 +2,7 @@
 path anchoring, and the resolved-config round trip."""
 
 import json
+import math
 from dataclasses import MISSING, fields
 
 import pytest
@@ -280,12 +281,21 @@ class TestVerifySection:
         with pytest.raises(ConfigurationError, match="verify.slack_abs must be nonnegative"):
             build_spec(chain_config(verify=slacks))
 
+    # a config cannot hold nan or inf, but a library call can; an infinite
+    # tolerance or slack_abs would make its audit unfailable
     @pytest.mark.parametrize("params, message", [
         ({"tol_abs": 0.0}, "verify.tol_abs must be positive and verify.tol_rel nonnegative"),
+        ({"tol_abs": math.nan}, "verify.tol_abs must be positive and verify.tol_rel nonnegative"),
+        ({"tol_abs": math.inf}, "verify.tol_abs must be positive and verify.tol_rel nonnegative"),
+        ({"tol_rel": math.nan}, "verify.tol_abs must be positive and verify.tol_rel nonnegative"),
+        ({"tol_rel": math.inf}, "verify.tol_abs must be positive and verify.tol_rel nonnegative"),
         ({"window_factor": 1.0}, "verify.window_factor must lie in (0, 1)"),
         ({"slack_rel": 1.0}, "verify.slack_abs must be nonnegative and verify.slack_rel "
                              "in [0, 1), got slack_abs=1e-06, slack_rel=1.0"),
-    ], ids=["tol_abs", "window_factor", "slack_rel"])
+        ({"slack_abs": math.inf}, "verify.slack_abs must be nonnegative and verify.slack_rel "
+                                  "in [0, 1), got slack_abs=inf, slack_rel=0.001"),
+    ], ids=["tol_abs", "tol_abs-nan", "tol_abs-inf", "tol_rel-nan", "tol_rel-inf",
+            "window_factor", "slack_rel", "slack_abs-inf"])
     def test_params_built_in_code_are_checked(self, params, message):
         with pytest.raises(ConfigurationError) as info:
             VerifyParams(**params)

@@ -137,7 +137,7 @@ def test_synthesis_names_leave_the_run_modules_out():
 
 
 def test_reading_a_config_leaves_the_audits_out():
-    # the slack rule lives next to VerifyParams, so validating a config
+    # the verify rules live in VerifyParams, so validating a config
     # imports no audit code
     loaded = psis_modules_after(
         "from psis.experiment import build_spec\n"

@@ -1,6 +1,8 @@
 """Certification helpers: settling evidence, decay envelope, averaging
 inequality, input vanishing, and the initial-condition sweep."""
 
+import dataclasses
+import inspect
 import math
 import random
 import threading
@@ -9,6 +11,7 @@ import pytest
 
 import psis.verification
 from psis.errors import AuditError, ConfigurationError, DomainError
+from psis.experiment import VerifyParams
 from psis.rcdf import RcdfKind, RcdfSpec, zeta
 from psis.simulation import (
     IntegratorChain,
@@ -30,7 +33,6 @@ from psis.verification import (
     lyapunov_bounds,
     run_tolerance,
     settling_instant,
-    slack_problem,
     sweep_initial_conditions,
     thread_count,
     unresolvable_tolerance,
@@ -282,18 +284,22 @@ class TestLyapunovAudit:
 
     @pytest.mark.parametrize("slack_abs, slack_rel", [
         (-1e-6, 1e-3), (1e-6, -1e-3), (1e-6, 1.0), (1e-6, 1e308), (math.nan, 1e-3),
+        (math.inf, 1e-3),
     ])
     def test_slacks_outside_their_range_are_refused(self, slack_abs, slack_rel):
         # at slack_rel >= 1 the corrupted rate above would pass: a decaying
-        # dV can never fall below lower - slack_rel * |dV|
+        # dV can never fall below lower - slack_rel * |dV|; at slack_abs inf
+        # no dV can leave the envelope
         traj = pendulum_run()
         with pytest.raises(ConfigurationError, match=r"slack_rel in \[0, 1\)"):
             lyapunov_audit(traj, slack_abs, slack_rel)
 
     def test_slack_range_edges(self):
-        assert slack_problem(0.0, 0.0) is None
-        assert slack_problem(1e-6, 0.999) is None
-        assert slack_problem(-1e-6, 0.5) == (
+        VerifyParams(slack_abs=0.0, slack_rel=0.0)
+        VerifyParams(slack_abs=1e-6, slack_rel=0.999)
+        with pytest.raises(ConfigurationError) as info:
+            VerifyParams(slack_abs=-1e-6, slack_rel=0.5)
+        assert str(info.value) == (
             "verify.slack_abs must be nonnegative and verify.slack_rel in [0, 1), "
             "got slack_abs=-1e-06, slack_rel=0.5"
         )
@@ -582,12 +588,10 @@ class TestJudge:
     """linear n=2 (3, 2), T_p 1, judged by the verify and sweep-row tables."""
 
     @staticmethod
-    def judged(x0=(1.0, 0.0), clauses=VERIFY_CLAUSES, tol=None, **sim):
+    def judged(x0=(1.0, 0.0), clauses=VERIFY_CLAUSES, tol_abs=1e-4, tol_rel=1e-6, **sim):
         cfg = SimConfig(x0=x0, T_p=1.0, t_end=1.2, **sim)
         traj = simulate(IntegratorChain(2), make_controller(), cfg)
-        if tol is None:
-            tol = run_tolerance(1e-4, 1e-6, x0)
-        return judge(traj, cfg, tol, clauses)
+        return judge(traj, cfg, clauses, VerifyParams(tol_abs=tol_abs, tol_rel=tol_rel))
 
     def test_the_healthy_run_passes_every_clause(self):
         j = self.judged()
@@ -601,7 +605,7 @@ class TestJudge:
         assert j.verdict == "fail"
 
     def test_an_unresolvable_tolerance_fails_with_its_diagnostic(self):
-        j = self.judged(tol=run_tolerance(1e-13, 0.0, (1.0, 0.0)))
+        j = self.judged(tol_abs=1e-13, tol_rel=0.0)
         assert "tolerance" in j.failed
         assert j.verdict == "fail"
         (text,) = j.diagnostics
@@ -617,9 +621,10 @@ class TestJudge:
         assert j.verdict == "degenerate"
 
     def test_failed_clauses_keep_the_order_given(self):
-        j = self.judged(tol=1e-13, open_loop=True)
+        j = self.judged(tol_abs=1e-13, tol_rel=0.0, open_loop=True)
         assert j.failed[:2] == ("tolerance", "settling")
-        reordered = self.judged(tol=1e-13, open_loop=True, clauses=VERIFY_CLAUSES[::-1])
+        reordered = self.judged(tol_abs=1e-13, tol_rel=0.0, open_loop=True,
+                                clauses=VERIFY_CLAUSES[::-1])
         assert reordered.failed == j.failed[::-1]
 
     @pytest.mark.parametrize("scale", [0.0, 1.0, 1e200])
@@ -632,6 +637,71 @@ class TestJudge:
             SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2), scales=(scale,))
         assert report.rows[0].state == j.verdict
         assert report.rows[0].evidence == j.settling
+
+
+class TestVerifyParamsHome:
+    """The audits take their defaults and rules from experiment.VerifyParams."""
+
+    # linear n=2 whose standoff 0.999 lies inside the window [0, 0.9995]:
+    # its norm would have to be both above and within tolerance
+    CFG = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2, eps_stop=1e-3, sample_dt=0.01)
+    WINDOW = (
+        "the settling window ends at verify.window_factor * T_p = 0.9995, at or "
+        "after the standoff T_p - sim.eps_stop = 0.999; lower verify.window_factor "
+        "or sim.eps_stop")
+
+    @staticmethod
+    def counted_runs(monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(psis.verification, "simulate", counting)
+        return calls
+
+    def test_judge_and_settling_refuse_a_window_that_reaches_the_standoff(self):
+        traj = simulate(IntegratorChain(2), make_controller(), self.CFG)
+        with pytest.raises(ConfigurationError) as info:
+            judge(traj, self.CFG, VERIFY_CLAUSES, VerifyParams(window_factor=0.9995))
+        assert str(info.value) == self.WINDOW
+        with pytest.raises(ConfigurationError) as info:
+            settling_instant(traj, run_tolerance(1e-4, 1e-6, self.CFG.x0), 0.9995)
+        assert str(info.value) == self.WINDOW
+
+    def test_the_sweep_refuses_that_window_before_any_run(self, monkeypatch):
+        calls = self.counted_runs(monkeypatch)
+        with pytest.raises(ConfigurationError) as info:
+            sweep_initial_conditions(IntegratorChain(2), make_controller(), self.CFG,
+                                     scales=(0.5, 1.0, 2.0), window_factor=0.9995)
+        assert str(info.value) == self.WINDOW
+        assert calls == []
+
+    @pytest.mark.parametrize("keywords, message", [
+        ({"window_factor": 1.5}, "verify.window_factor must lie in (0, 1)"),
+        ({"tol_abs": 0.0}, "verify.tol_abs must be positive and verify.tol_rel nonnegative"),
+        ({"tol_abs": -1.0}, "verify.tol_abs must be positive and verify.tol_rel nonnegative"),
+    ], ids=["window_factor", "tol_abs-zero", "tol_abs-negative"])
+    def test_the_sweep_refuses_bad_parameters_before_any_run(
+            self, monkeypatch, keywords, message):
+        calls = self.counted_runs(monkeypatch)
+        cfg = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2)
+        with pytest.raises(ConfigurationError) as info:
+            sweep_initial_conditions(IntegratorChain(2), make_controller(), cfg,
+                                     scales=(0.5, 1.0, 2.0), **keywords)
+        assert str(info.value) == message
+        assert calls == []
+
+    def test_every_audit_keyword_defaults_to_its_verify_field(self):
+        defaults = {f.name: f.default for f in dataclasses.fields(VerifyParams)}
+        seen = set()
+        for fn in (settling_instant, lyapunov_audit, sweep_initial_conditions):
+            for name, param in inspect.signature(fn).parameters.items():
+                if name in defaults and param.default is not param.empty:
+                    assert param.default == defaults[name], (fn.__name__, name)
+                    seen.add(name)
+        assert seen == set(defaults) - {"scales"}
 
 
 class TestSerialSweep:

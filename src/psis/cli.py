@@ -19,7 +19,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from . import output as out
 from .errors import (
@@ -38,10 +38,12 @@ from .verification import (
     SettlingEvidence,
     judge,
     mixed_kernels,
-    sweep_initial_conditions,
+    sweep_report,
+    sweep_rows,
 )
 # not called here: perfbench/tracing.py wraps these names on psis.cli (ROADMAP item 7)
 from .verification import control_vanishing_check, lyapunov_audit, settling_instant
+from .verification import sweep_initial_conditions
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -163,7 +165,7 @@ def _cmd_verify(spec: ExperimentSpec, args: argparse.Namespace) -> int:
 
     if paths.report:
         out.write_report(paths.report, _report(
-            spec, "verify", integrator=_integrator_block(traj.meta), tolerance=judged.tol,
+            spec, "verify", integrator=_integrator_block(traj.meta), tolerance=evidence.tol,
             settling=plain(evidence, skip={"tol"}),
             lyapunov={
                 "n_audited": audit.n_audited,
@@ -174,7 +176,7 @@ def _cmd_verify(spec: ExperimentSpec, args: argparse.Namespace) -> int:
             control_vanishing=plain(vanishing, skip={"window_start", "vanishes"}),
             diagnostics=judged.diagnostics, verdict=judged.verdict))
 
-    print(f"tolerance: {judged.tol:.6e}")
+    print(f"tolerance: {evidence.tol:.6e}")
     print(f"settling: two_sided={evidence.two_sided} t_settle={evidence.t_settle} "
           f"floor={evidence.pre_window_floor:.6e} "
           f"standoff_norm={evidence.norm_at_standoff:.6e}")
@@ -224,25 +226,14 @@ def _cmd_sweep(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     out.check_outputs([summary_path, spec.output.report, *per_run_paths],
                       args.config, args.no_clobber)
     controller = synthesize(spec.synthesis)
-    vp = spec.verify
-    report, wall = _timed(
-        sweep_initial_conditions, spec.plant, controller, spec.sim, scales,
-        tol_abs=vp.tol_abs, tol_rel=vp.tol_rel,
-        window_factor=vp.window_factor, spread_bound=vp.spread_bound,
-        keep_trajectories=True,
-    )
-
-    written = []
-    for row, path in zip(report.rows, per_run_paths):
+    started = time.perf_counter()
+    rows, rows_payload, written = [], [], []
+    for row in sweep_rows(spec.plant, controller, spec.sim, scales, spec.verify):
+        ev = row.evidence
         if row.traj is not None:
+            path = per_run_paths[len(rows)]
             out.write_csv(path, row.traj)
             written.append(path)
-    out.write_sweep_csv(summary_path, report)
-    written.append(summary_path)
-
-    rows_payload = []
-    for row in report.rows:
-        ev = row.evidence
         rows_payload.append({
             "scale": row.scale,
             "tol": row.tol,
@@ -250,6 +241,13 @@ def _cmd_sweep(spec: ExperimentSpec, args: argparse.Namespace) -> int:
             "error": row.error,
             "integrator": None if row.traj is None else _integrator_block(row.traj.meta),
         })
+        rows.append(replace(row, traj=None))
+        del row  # the next run starts at the loop's next step: hold no trajectory into it
+    report = sweep_report(rows, spec.sim.T_p, spec.verify.spread_bound)
+    wall = time.perf_counter() - started
+    out.write_sweep_csv(summary_path, report)
+    written.append(summary_path)
+
     if spec.output.report:
         out.write_report(spec.output.report, _report(
             spec, "sweep", scales=scales, rows=rows_payload, spread=report.spread,

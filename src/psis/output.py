@@ -14,7 +14,7 @@ import math
 import os
 from dataclasses import fields
 from datetime import datetime, timezone
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import AuditError, ConfigurationError
 from .simulation import Pendulum, Trajectory, torque_map
@@ -40,15 +40,16 @@ def _path_in_the_way(path: str) -> str | None:
     return None
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write text to path as utf-8 with \\n newlines, creating the parent
-    directory.  A path that cannot be written is a ConfigurationError."""
+def _write_text(path: str, pieces: Iterable[str]) -> None:
+    """Write the text pieces to path in turn, as utf-8 with \\n newlines,
+    creating the parent directory.  A path that cannot be written is a
+    ConfigurationError."""
     parent = os.path.dirname(path)
     try:
         if parent:
             os.makedirs(parent, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except (OSError, ValueError) as exc:
         # ValueError: a path with an embedded null byte
         reason = _path_in_the_way(path) or getattr(exc, "strerror", None) or exc
@@ -97,7 +98,9 @@ def write_csv(path: str, traj: Trajectory) -> None:
 
     Header: t,x1..xn,z1..zn,u,V,dV.  Rows at or after the prescribed instant
     leave the z, V, and dV cells empty, because the stage errors are not
-    defined there.  A trajectory with no samples is an AuditError.
+    defined there.  A trajectory with no samples is an AuditError.  The
+    rows are formatted one at a time as the file is written, so the text
+    is never held whole.
     """
     n = _state_width(traj)
     header = (
@@ -108,17 +111,19 @@ def write_csv(path: str, traj: Trajectory) -> None:
     )
     # one %-format per row; %.17g writes the digits of fmt_float
     cell = "%.17g"
-    pre_row = ",".join([cell] * (2 * n + 4))
-    post_row = ",".join([cell] * (n + 1) + [""] * n + [cell, "", ""])
-    lines = [",".join(header)]
-    add = lines.append
-    rows = zip(traj.t, traj.x, traj.u)
-    # z runs out first, so zip takes no row past the pre-instant ones
-    for z, V, dV, (t, x, u) in zip(traj.z, traj.V, traj.dV, rows):
-        add(pre_row % (t, *x, *z, u, V, dV))
-    for t, x, u in rows:
-        add(post_row % (t, *x, u))
-    _write_text(path, "\n".join(lines) + "\n")
+    pre_row = ",".join([cell] * (2 * n + 4)) + "\n"
+    post_row = ",".join([cell] * (n + 1) + [""] * n + [cell, "", ""]) + "\n"
+
+    def lines():
+        yield ",".join(header) + "\n"
+        rows = zip(traj.t, traj.x, traj.u)
+        # z runs out first, so zip takes no row past the pre-instant ones
+        for z, V, dV, (t, x, u) in zip(traj.z, traj.V, traj.dV, rows):
+            yield pre_row % (t, *x, *z, u, V, dV)
+        for t, x, u in rows:
+            yield post_row % (t, *x, u)
+
+    _write_text(path, lines())
 
 
 def write_sweep_csv(path: str, report: SweepReport) -> None:
@@ -134,7 +139,7 @@ def write_sweep_csv(path: str, report: SweepReport) -> None:
             f"{fmt_float(row.scale)},{t_settle},"
             f"{fmt_float(ev.pre_window_floor)},{fmt_float(ev.norm_at_standoff)},{row.state}"
         )
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, ["\n".join(lines) + "\n"])
 
 
 def _strict_json(value):
@@ -156,7 +161,7 @@ def render_report(payload: dict) -> str:
 
 
 def write_report(path: str, payload: dict) -> None:
-    _write_text(path, render_report(payload))
+    _write_text(path, [render_report(payload)])
 
 
 # ---------------------------------------------------------------------------
@@ -326,4 +331,4 @@ def render_svg(traj: Trajectory, title: str, include_timestamp: bool = True) -> 
 
 
 def write_svg(path: str, traj: Trajectory, title: str, include_timestamp: bool = True) -> None:
-    _write_text(path, render_svg(traj, title, include_timestamp))
+    _write_text(path, [render_svg(traj, title, include_timestamp)])

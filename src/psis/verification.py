@@ -42,10 +42,14 @@ sweep row (two-sided settling).  judge always runs the settling audit and
 runs any other only when its clause is named, so a sweep row costs no
 more audit work than settling, and a new clause touches only this module.
 
-sweep_initial_conditions repeats the settling audit across scaled initial
-conditions, which is the operational meaning of "for every initial
-condition" on a desk-sized budget.  Its runs are pure-Python integrations,
-so it runs them one after another on the calling thread.
+The sweep repeats the settling audit across scaled initial conditions,
+which is the operational meaning of "for every initial condition" on a
+desk-sized budget.  It is two pieces: sweep_rows checks its inputs, then
+runs and judges one row per scale as the caller asks for it, so a caller
+that writes each row out holds one trajectory at a time; sweep_report
+turns the rows into the sweep's verdict.  sweep_initial_conditions and
+psis sweep are each a loop over the two.  The runs are pure-Python
+integrations, so they run one after another on the calling thread.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ import math
 import string
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import symdiff as sd
 from .errors import AuditError, ConfigurationError, DomainError, IntegrationError
@@ -563,12 +567,11 @@ ROW_CLAUSES = ("settling",)
 
 @dataclass(frozen=True)
 class Judgement:
-    """A run's settling tolerance, its audits, the names of its failed
-    clauses in the order given, and its verdict: "degenerate", "pass" or
-    "fail".  lyapunov and vanishing are None when no clause needs them, and
-    diagnostics holds why the tolerance clause failed."""
+    """A run's audits, the names of its failed clauses in the order given,
+    and its verdict: "degenerate", "pass" or "fail".  settling.tol is the
+    run's tolerance, lyapunov and vanishing are None when no clause needs
+    them, and diagnostics holds why the tolerance clause failed."""
 
-    tol: float
     settling: SettlingEvidence
     lyapunov: LyapunovAudit | None
     vanishing: ControlVanishing | None
@@ -601,7 +604,7 @@ def judge(traj: Trajectory, cfg: SimConfig, clauses: Sequence[str],
     }
     failed = tuple(name for name in clauses if not passed[name])
     verdict = "degenerate" if settling.degenerate else ("fail" if failed else "pass")
-    return Judgement(tol, settling, lyapunov, vanishing,
+    return Judgement(settling, lyapunov, vanishing,
                      () if problem is None else (problem,), failed, verdict)
 
 
@@ -613,7 +616,7 @@ class SweepRow:
     evidence: SettlingEvidence | None
     error: str | None
     state: str     # the judge's verdict, or "error" for a refused or raised run
-    traj: Trajectory | None = None  # populated only when the sweep keeps them
+    traj: Trajectory | None = None  # the run's, until its caller drops it; None on an error row
 
 
 @dataclass(frozen=True)
@@ -631,37 +634,25 @@ def thread_count(n_jobs: int) -> int:
     return 1
 
 
-def sweep_initial_conditions(
-    plant: PlantModel,
-    controller: Controller,
-    base_cfg: SimConfig,
-    scales: Sequence[float],
-    tol_abs: float = VerifyParams.tol_abs,
-    tol_rel: float = VerifyParams.tol_rel,
-    window_factor: float = VerifyParams.window_factor,
-    spread_bound: float = VerifyParams.spread_bound,
-    keep_trajectories: bool = False,
-) -> SweepReport:
-    """Settling audit across initial conditions scale * base_cfg.x0.
+def sweep_rows(plant: PlantModel, controller: Controller, base_cfg: SimConfig,
+               scales: Sequence[float], params: VerifyParams) -> Iterator[SweepRow]:
+    """The rows of a sweep over initial conditions scale * base_cfg.x0,
+    run and judged one at a time, in the order of scales, as they are
+    asked for.
 
-    Each run is judged by ROW_CLAUSES (see judge), so every non-degenerate
-    run must pass the two-sided settling check, and the observed settling
-    instants must agree with T_p within spread_bound * T_p.
-    Runs that error out are recorded with the message and fail the sweep,
-    and so is a scale whose tolerance lies below the integration accuracy
-    floor (see unresolvable_tolerance), without being run.
-    Runs execute one after another on the calling thread, in the order of
-    scales.  Parameters that VerifyParams refuses are a ConfigurationError,
-    and so are a settling window that reaches base_cfg's standoff (see
-    VerifyParams.window_end) and a scale that takes x0 past the float
-    range; each is raised before any run.
+    Each run is judged by ROW_CLAUSES (see judge) with params, and its row
+    holds the trajectory.  A run that errors out is an "error" row with the
+    message, and so is a scale whose tolerance lies below the integration
+    accuracy floor (see unresolvable_tolerance), without being run; an
+    error row holds no trajectory.  A settling window that reaches
+    base_cfg's standoff (see VerifyParams.window_end), empty scales and a
+    scale that takes x0 past the float range are each a
+    ConfigurationError, raised by this call, before any run.
     """
-    params = VerifyParams(tol_abs, tol_rel, window_factor, spread_bound)
     params.window_end(base_cfg.T_p, base_cfg.t_standoff)
     scales = [float(s) for s in scales]
     if not scales:
         raise ConfigurationError("scales must be nonempty")
-    T_p = base_cfg.T_p
     starts = [tuple(scale * v for v in base_cfg.x0) for scale in scales]
     for scale, x0 in zip(scales, starts):
         if not all(map(math.isfinite, x0)):
@@ -669,7 +660,7 @@ def sweep_initial_conditions(
                 f"scale {scale!r} takes x0 past the float range: scale * x0 = {x0!r}")
 
     def one(scale: float, x0: tuple[float, ...]) -> SweepRow:
-        tol = run_tolerance(tol_abs, tol_rel, x0)
+        tol = run_tolerance(params.tol_abs, params.tol_rel, x0)
         cfg = replace(base_cfg, x0=x0)
         row = functools.partial(SweepRow, scale=scale, x0=x0, tol=tol)
         problem = unresolvable_tolerance(tol, cfg)
@@ -678,13 +669,18 @@ def sweep_initial_conditions(
         try:
             traj = simulate(plant, controller, cfg)
             judged = judge(traj, cfg, ROW_CLAUSES, params)
-            return row(evidence=judged.settling, error=None, state=judged.verdict,
-                       traj=traj if keep_trajectories else None)
+            return row(evidence=judged.settling, error=None, state=judged.verdict, traj=traj)
         except (IntegrationError, AuditError) as exc:
             return row(evidence=None, error=f"{type(exc).__name__}: {exc}", state="error")
 
-    rows = tuple(map(one, scales, starts))
+    return map(one, scales, starts)
 
+
+def sweep_report(rows: Iterable[SweepRow], T_p: float, spread_bound: float) -> SweepReport:
+    """The sweep's verdict on its rows: it passes when every row that is
+    not degenerate passes, at least one row does, and the observed settling
+    instants agree with T_p within spread_bound * T_p."""
+    rows = tuple(rows)
     states = [r.state for r in rows]
     # a sweep with nothing but degenerate starts certifies nothing
     failed = "error" in states or "fail" in states or "pass" not in states
@@ -700,3 +696,29 @@ def sweep_initial_conditions(
     return SweepReport(
         rows=rows, spread=spread, spread_bound=spread_bound, verdict=verdict
     )
+
+
+def sweep_initial_conditions(
+    plant: PlantModel,
+    controller: Controller,
+    base_cfg: SimConfig,
+    scales: Sequence[float],
+    tol_abs: float = VerifyParams.tol_abs,
+    tol_rel: float = VerifyParams.tol_rel,
+    window_factor: float = VerifyParams.window_factor,
+    spread_bound: float = VerifyParams.spread_bound,
+    keep_trajectories: bool = False,
+) -> SweepReport:
+    """Settling audit across initial conditions scale * base_cfg.x0: the
+    rows of sweep_rows, judged by sweep_report.
+
+    A row keeps its trajectory only under keep_trajectories; otherwise it
+    is dropped as soon as its run is judged.  Parameters that VerifyParams
+    refuses are a ConfigurationError, and so is each refusal of
+    sweep_rows; each is raised before any run.
+    """
+    params = VerifyParams(tol_abs, tol_rel, window_factor, spread_bound)
+    rows = sweep_rows(plant, controller, base_cfg, scales, params)
+    if not keep_trajectories:
+        rows = map(functools.partial(replace, traj=None), rows)
+    return sweep_report(rows, base_cfg.T_p, spread_bound)

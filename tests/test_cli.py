@@ -12,9 +12,11 @@ import sys
 import pytest
 
 import psis.cli
+import psis.output
 import psis.verification
 from psis import symdiff
 from psis.cli import _sweep_paths, main
+from psis.experiment import load_config
 from psis.synthesis import Controller, synthesize
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -602,6 +604,40 @@ class TestSweep:
                 "steps_accepted", "steps_rejected", "rhs_evals",
             }
             assert row["integrator"]["steps_accepted"] > 0
+
+    def test_each_scale_is_written_before_the_next_run(self, tmp_path, monkeypatch):
+        # so the sweep holds one trajectory at a time
+        log = []
+        run, write = psis.verification.simulate, psis.output.write_csv
+
+        def logged_run(*args, **kwargs):
+            log.append("run")
+            return run(*args, **kwargs)
+
+        def logged_write(*args, **kwargs):
+            log.append("csv")
+            return write(*args, **kwargs)
+
+        monkeypatch.setattr(psis.verification, "simulate", logged_run)
+        monkeypatch.setattr(psis.output, "write_csv", logged_write)
+        cfg = write_config(tmp_path, chain_data(verify={"scales": [0.5, 1.0, 2.0]}))
+        assert main(["sweep", "--config", cfg]) == 0
+        assert log == ["run", "csv"] * 3
+
+    def test_rows_are_judged_with_the_configs_verify_params(self, tmp_path, monkeypatch):
+        seen = []
+        judge = psis.verification.judge
+
+        def recording(traj, cfg, clauses, params):
+            seen.append(params)
+            return judge(traj, cfg, clauses, params)
+
+        monkeypatch.setattr(psis.verification, "judge", recording)
+        data = chain_data(verify={"scales": [0.5, 1.0, 2.0], "slack_abs": 1e-5})
+        cfg = write_config(tmp_path, data)
+        assert main(["sweep", "--config", cfg]) == 0
+        assert [params.slack_abs for params in seen] == [1e-5] * 3
+        assert seen == [load_config(cfg).verify] * 3
 
     def test_scales_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, chain_data())

@@ -4,6 +4,7 @@ and overwrite protection."""
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -159,6 +160,25 @@ class TestTrajectoryCsv:
         path = tmp_path / "run.csv"
         write_csv(str(path), traj)
         assert path.read_text().endswith("\n")
+
+    def test_rows_are_written_as_they_are_formatted(self, tmp_path):
+        # linear n=2 at sample_dt 1e-4 writes 1.8 MB; a writer that held its
+        # rows before writing them would peak above the file's size
+        stages = (
+            RcdfSpec(kind=RcdfKind.LINEAR, eta=3.0),
+            RcdfSpec(kind=RcdfKind.LINEAR, eta=2.0),
+        )
+        ctrl = synthesize(SynthesisConfig(n=2, c=0.0, T_p=1.0, stages=stages))
+        cfg = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2, sample_dt=1e-4)
+        traj = simulate(IntegratorChain(2), ctrl, cfg)
+        path = tmp_path / "run.csv"
+        tracemalloc.start()
+        try:
+            write_csv(str(path), traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 10
 
     def test_creates_parent_directories(self, tmp_path):
         traj = small_run()

@@ -34,6 +34,7 @@ from psis.verification import (
     run_tolerance,
     settling_instant,
     sweep_initial_conditions,
+    sweep_rows,
     thread_count,
     unresolvable_tolerance,
 )
@@ -53,6 +54,31 @@ def hand_trajectory(points, T_p=1.0, t_standoff=T_STD):
         for t, norm in points
     ]
     return Trajectory(samples=samples, meta={"T_p": T_p, "t_standoff": t_standoff})
+
+
+def counted_runs(monkeypatch):
+    """The list that each call of simulate by psis.verification appends to."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(psis.verification, "simulate", counting)
+    return calls
+
+
+def sweep_calls(cfg, scales, **keywords):
+    """A sweep of linear n=2 (3, 2) from cfg over scales, called once through
+    sweep_initial_conditions with the audit keywords and once through
+    sweep_rows with them in a VerifyParams.  sweep_rows runs nothing until
+    its rows are asked for, so a refusal must come from the call itself."""
+    return (
+        lambda: sweep_initial_conditions(
+            IntegratorChain(2), make_controller(), cfg, scales, **keywords),
+        lambda: sweep_rows(
+            IntegratorChain(2), make_controller(), cfg, scales, VerifyParams(**keywords)),
+    )
 
 
 def pendulum_run(tol_scale=1.0):
@@ -562,26 +588,22 @@ class TestSweep:
         assert report.rows[0].traj.samples
 
     def test_a_scale_past_the_float_range_is_refused_before_any_run(self, monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return simulate(*args, **kwargs)
-
-        monkeypatch.setattr(psis.verification, "simulate", counting)
-        ctrl = make_controller()
+        calls = counted_runs(monkeypatch)
         cfg = SimConfig(x0=(1e10, 0.0), T_p=1.0, t_end=1.2)
-        with pytest.raises(ConfigurationError) as info:
-            sweep_initial_conditions(IntegratorChain(2), ctrl, cfg, scales=(1.0, 1e300))
-        assert str(info.value) == (
-            "scale 1e+300 takes x0 past the float range: scale * x0 = (inf, 0.0)")
+        for sweep in sweep_calls(cfg, (1.0, 1e300)):
+            with pytest.raises(ConfigurationError) as info:
+                sweep()
+            assert str(info.value) == (
+                "scale 1e+300 takes x0 past the float range: scale * x0 = (inf, 0.0)")
         assert calls == []
 
-    def test_empty_scales_rejected(self):
-        ctrl = make_controller()
+    def test_empty_scales_rejected(self, monkeypatch):
+        calls = counted_runs(monkeypatch)
         cfg = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2)
-        with pytest.raises(ConfigurationError):
-            sweep_initial_conditions(IntegratorChain(2), ctrl, cfg, scales=())
+        for sweep in sweep_calls(cfg, ()):
+            with pytest.raises(ConfigurationError, match="^scales must be nonempty$"):
+                sweep()
+        assert calls == []
 
 
 class TestJudge:
@@ -650,17 +672,6 @@ class TestVerifyParamsHome:
         "after the standoff T_p - sim.eps_stop = 0.999; lower verify.window_factor "
         "or sim.eps_stop")
 
-    @staticmethod
-    def counted_runs(monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return simulate(*args, **kwargs)
-
-        monkeypatch.setattr(psis.verification, "simulate", counting)
-        return calls
-
     def test_judge_and_settling_refuse_a_window_that_reaches_the_standoff(self):
         traj = simulate(IntegratorChain(2), make_controller(), self.CFG)
         with pytest.raises(ConfigurationError) as info:
@@ -671,11 +682,11 @@ class TestVerifyParamsHome:
         assert str(info.value) == self.WINDOW
 
     def test_the_sweep_refuses_that_window_before_any_run(self, monkeypatch):
-        calls = self.counted_runs(monkeypatch)
-        with pytest.raises(ConfigurationError) as info:
-            sweep_initial_conditions(IntegratorChain(2), make_controller(), self.CFG,
-                                     scales=(0.5, 1.0, 2.0), window_factor=0.9995)
-        assert str(info.value) == self.WINDOW
+        calls = counted_runs(monkeypatch)
+        for sweep in sweep_calls(self.CFG, (0.5, 1.0, 2.0), window_factor=0.9995):
+            with pytest.raises(ConfigurationError) as info:
+                sweep()
+            assert str(info.value) == self.WINDOW
         assert calls == []
 
     @pytest.mark.parametrize("keywords, message", [
@@ -685,7 +696,7 @@ class TestVerifyParamsHome:
     ], ids=["window_factor", "tol_abs-zero", "tol_abs-negative"])
     def test_the_sweep_refuses_bad_parameters_before_any_run(
             self, monkeypatch, keywords, message):
-        calls = self.counted_runs(monkeypatch)
+        calls = counted_runs(monkeypatch)
         cfg = SimConfig(x0=(1.0, 0.0), T_p=1.0, t_end=1.2)
         with pytest.raises(ConfigurationError) as info:
             sweep_initial_conditions(IntegratorChain(2), make_controller(), cfg,
